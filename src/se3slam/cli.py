@@ -12,6 +12,21 @@ from .runner import run, summary_lines, sweep, write_csv, write_summary
 from .scenario import load_scenario, set_parameter
 
 
+def _int_at_least(minimum: int):
+    """argparse type: an integer >= minimum, else a usage error (exit 2)."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"must be >= {minimum}, got {value}")
+        return value
+
+    return parse
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="se3slam",
@@ -22,9 +37,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p_run = sub.add_parser("run", help="run one scenario, write CSV and summary")
     p_run.add_argument("scenario", type=Path)
     p_run.add_argument("--out", type=Path, default=Path("."), help="output directory")
-    p_run.add_argument("--seed", type=int, default=None, help="override scenario seed")
     p_run.add_argument(
-        "--decimate", type=int, default=1, help="keep every Nth record plus the final one"
+        "--seed", type=_int_at_least(0), default=None, help="override scenario seed"
+    )
+    p_run.add_argument(
+        "--decimate",
+        type=_int_at_least(1),
+        default=1,
+        help="keep every Nth record plus the final one",
     )
 
     p_sweep = sub.add_parser("sweep", help="run the scenario once per parameter value")
@@ -34,7 +54,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--values", required=True, help="comma-separated numeric values"
     )
     p_sweep.add_argument("--out", type=Path, default=Path("."))
-    p_sweep.add_argument("--decimate", type=int, default=1)
+    p_sweep.add_argument("--decimate", type=_int_at_least(1), default=1)
 
     p_val = sub.add_parser("validate", help="check a scenario file and exit")
     p_val.add_argument("scenario", type=Path)

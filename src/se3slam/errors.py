@@ -17,7 +17,7 @@ class DegenerateGeometry(Se3SlamError):
     """Landmark geometry too collinear for a well-posed attitude solve."""
 
 
-class ZeroVector(Se3SlamError):
+class ZeroVector(DegenerateGeometry):
     """A direction vector with (near-)zero norm was supplied."""
 
 
@@ -26,7 +26,7 @@ class EmptyMap(Se3SlamError):
 
 
 class NonFiniteState(Se3SlamError):
-    """An observer update produced NaN or infinity."""
+    """An observer update produced, or a pose increment was given, NaN or infinity."""
 
 
 class ConfigInvalid(Se3SlamError):

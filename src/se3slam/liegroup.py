@@ -7,6 +7,12 @@ Conventions:
       coordinates, plus the body origin ``position`` resolved in the datum
       frame. The equivalent 4x4 homogeneous matrix carries ``dcm.T`` in its
       rotation block.
+
+Validation happens where poses enter from outside: the public ``Pose(...)``
+constructor, ``compose`` and ``inverse`` check their results. The raw-array
+functions ``compose_raw``, ``inverse_raw`` and ``homogeneous`` carry the same
+arithmetic without checks, for code whose inputs are rotations and finite
+vectors by construction.
 """
 
 from __future__ import annotations
@@ -15,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateMatrix, NotSkewSymmetric
+from .errors import DegenerateMatrix, NonFiniteState, NotSkewSymmetric
 
 # Below this rotation magnitude the trig coefficients switch to their series
 # expansions to avoid 0/0.
@@ -28,7 +34,7 @@ _I3 = np.eye(3)
 
 def hat(v) -> np.ndarray:
     """Skew-symmetric matrix S with S @ w == cross(v, w)."""
-    x, y, z = np.asarray(v, dtype=float)
+    x, y, z = np.asarray(v, dtype=float).tolist()
     return np.array([[0.0, -z, y], [z, 0.0, -x], [-y, x, 0.0]])
 
 
@@ -40,31 +46,29 @@ def vee(m) -> np.ndarray:
     return np.array([m[2, 1], m[0, 2], m[1, 0]])
 
 
-def _rodrigues_coefficients(theta: float) -> tuple[float, float]:
+def _so3_terms(axis_angle):
+    """(a, b, c, K, K @ K) for K = hat(v), theta = |v|: a = sin(theta)/theta,
+    b = (1 - cos(theta))/theta^2 and c = (theta - sin(theta))/theta^3."""
+    v = np.asarray(axis_angle, dtype=float)
+    theta = float(np.linalg.norm(v))
+    k = hat(v)
     if theta < SMALL_ANGLE:
-        return 1.0 - theta**2 / 6.0, 0.5 - theta**2 / 24.0
-    return np.sin(theta) / theta, (1.0 - np.cos(theta)) / theta**2
+        a, b, c = 1.0 - theta**2 / 6.0, 0.5 - theta**2 / 24.0, 1.0 / 6.0 - theta**2 / 120.0
+    else:
+        sin = np.sin(theta)
+        a, b, c = sin / theta, (1.0 - np.cos(theta)) / theta**2, (theta - sin) / theta**3
+    return a, b, c, k, k @ k
 
 
 def exp_so3(axis_angle) -> np.ndarray:
     """Rodrigues rotation matrix for the axis-angle vector."""
-    v = np.asarray(axis_angle, dtype=float)
-    theta = float(np.linalg.norm(v))
-    k = hat(v)
-    a, b = _rodrigues_coefficients(theta)
-    return _I3 + a * k + b * (k @ k)
+    a, b, _, k, kk = _so3_terms(axis_angle)
+    return _I3 + a * k + b * kk
 
 
 def _left_jacobian_so3(axis_angle) -> np.ndarray:
-    v = np.asarray(axis_angle, dtype=float)
-    theta = float(np.linalg.norm(v))
-    k = hat(v)
-    if theta < SMALL_ANGLE:
-        b, c = 0.5 - theta**2 / 24.0, 1.0 / 6.0 - theta**2 / 120.0
-    else:
-        b = (1.0 - np.cos(theta)) / theta**2
-        c = (theta - np.sin(theta)) / theta**3
-    return _I3 + b * k + c * (k @ k)
+    _, b, c, k, kk = _so3_terms(axis_angle)
+    return _I3 + b * k + c * kk
 
 
 def right_jacobian_so3(axis_angle) -> np.ndarray:
@@ -99,8 +103,26 @@ def reorthonormalize(m) -> np.ndarray:
 
 def rotation_angle(r) -> float:
     """Rotation angle in [0, pi] from the trace, clamped for numerical safety."""
-    r = np.asarray(r, dtype=float)
-    return float(np.arccos(np.clip((np.trace(r) - 1.0) / 2.0, -1.0, 1.0)))
+    cos = (np.asarray(r, dtype=float).trace() - 1.0) / 2.0
+    return float(np.arccos(min(max(cos, -1.0), 1.0)))
+
+
+def compose_raw(dcm_a, position_a, dcm_b, position_b):
+    """(dcm, position) of the product a @ b of two poses given as raw arrays."""
+    return dcm_b @ dcm_a, dcm_a.T @ position_b + position_a
+
+
+def inverse_raw(dcm, position):
+    """(dcm, position) of the inverse of a pose given as raw arrays."""
+    return dcm.T, -(dcm @ position)
+
+
+def homogeneous(dcm, position) -> np.ndarray:
+    """4x4 homogeneous matrix of a pose given as raw arrays."""
+    out = np.eye(4)
+    out[:3, :3] = dcm.T
+    out[:3, 3] = position
+    return out
 
 
 @dataclass(frozen=True)
@@ -118,6 +140,15 @@ class Pose:
         object.__setattr__(self, "position", p)
 
     @classmethod
+    def unchecked(cls, dcm: np.ndarray, position: np.ndarray) -> "Pose":
+        """Pose from float arrays that are a rotation and a finite 3-vector by
+        construction; skips the checks of ``Pose(...)``."""
+        pose = object.__new__(cls)
+        object.__setattr__(pose, "dcm", dcm)
+        object.__setattr__(pose, "position", position)
+        return pose
+
+    @classmethod
     def identity(cls) -> "Pose":
         return cls(_I3.copy(), np.zeros(3))
 
@@ -128,20 +159,14 @@ class Pose:
 
     @property
     def matrix(self) -> np.ndarray:
-        out = np.eye(4)
-        out[:3, :3] = self.dcm.T
-        out[:3, 3] = self.position
-        return out
+        return homogeneous(self.dcm, self.position)
 
     def compose(self, other: "Pose") -> "Pose":
         """Homogeneous-matrix product self.matrix @ other.matrix."""
-        return Pose(
-            other.dcm @ self.dcm,
-            self.dcm.T @ other.position + self.position,
-        )
+        return Pose(*compose_raw(self.dcm, self.position, other.dcm, other.position))
 
     def inverse(self) -> "Pose":
-        return Pose(self.dcm.T, -(self.dcm @ self.position))
+        return Pose(*inverse_raw(self.dcm, self.position))
 
     def __matmul__(self, other: "Pose") -> "Pose":
         return self.compose(other)
@@ -151,8 +176,15 @@ def exp_se3(omega, v) -> Pose:
     """Matrix exponential of the twist [[hat(omega), v], [0, 0]] as a Pose.
 
     The rotation block equals exp_so3(omega); the translation block is the
-    SO(3) left Jacobian applied to v.
+    SO(3) left Jacobian applied to v. A finite twist gives a rotation by
+    construction, so only finiteness is checked: a non-finite twist raises
+    NonFiniteState.
     """
-    r = exp_so3(omega)
-    t = _left_jacobian_so3(omega) @ np.asarray(v, dtype=float)
-    return Pose(r.T, t)
+    omega = np.asarray(omega, dtype=float)
+    v = np.asarray(v, dtype=float)
+    if not (np.isfinite(omega).all() and np.isfinite(v).all()):
+        raise NonFiniteState("twist must be finite")
+    a, b, c, k, kk = _so3_terms(omega)
+    r = _I3 + a * k + b * kk
+    t = (_I3 + b * k + c * kk) @ v
+    return Pose.unchecked(r.T, t)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .liegroup import Pose, rotation_angle
+from .liegroup import Pose, compose_raw, homogeneous, inverse_raw, rotation_angle
 from .observer import ObserverState
 from .simulator import GroundTruth
 
@@ -33,9 +33,14 @@ class ErrorRecord:
     attitude_source_ok: bool
 
 
+def _pose_error_raw(estimate: Pose, truth: Pose):
+    """(dcm, position) of Xhat @ X^-1, unvalidated."""
+    return compose_raw(estimate.dcm, estimate.position, *inverse_raw(truth.dcm, truth.position))
+
+
 def pose_error(estimate: Pose, truth: Pose) -> Pose:
     """Group error Xhat @ X^-1; identity iff estimate equals truth."""
-    return estimate.compose(truth.inverse())
+    return Pose(*_pose_error_raw(estimate, truth))
 
 
 def map_errors(state: ObserverState, truth: GroundTruth) -> np.ndarray:
@@ -62,25 +67,29 @@ def relative_map_error(state: ObserverState, truth: GroundTruth, i: int) -> np.n
     return relative_map_errors(state, truth)[i]
 
 
+def _energy(err_dcm: np.ndarray, err_position: np.ndarray, map_errs: np.ndarray) -> float:
+    diff = np.eye(4) - homogeneous(err_dcm, err_position)
+    return float(0.5 * (diff * diff).sum() + (map_errs * map_errs).sum())
+
+
 def lyapunov(pose_err: Pose, map_errs) -> float:
     """0.5 * ||I4 - Xtilde||_F^2 + sum of squared map-error norms."""
     map_errs = np.atleast_2d(np.asarray(map_errs, dtype=float)) if len(map_errs) else np.zeros((0, 3))
-    diff = np.eye(4) - pose_err.matrix
-    return float(0.5 * np.sum(diff * diff) + np.sum(map_errs * map_errs))
+    return _energy(pose_err.dcm, pose_err.position, map_errs)
 
 
 def evaluate(
     state: ObserverState, truth: GroundTruth, attitude_source_ok: bool = True
 ) -> ErrorRecord:
-    """Full error record for one instant."""
-    err = pose_error(state.pose, truth.pose)
+    """Full error record for one instant, computed on the raw pose arrays."""
+    err_dcm, err_position = _pose_error_raw(state.pose, truth.pose)
     m = map_errors(state, truth)
     rel = relative_map_errors(state, truth)
     return ErrorRecord(
         time=state.time,
-        lyapunov=lyapunov(err, m),
-        attitude_error_angle=rotation_angle(err.dcm),
-        position_error=float(np.linalg.norm(err.position)),
+        lyapunov=_energy(err_dcm, err_position, m),
+        attitude_error_angle=rotation_angle(err_dcm),
+        position_error=float(np.linalg.norm(err_position)),
         map_error=np.linalg.norm(m, axis=1),
         relative_map_error=np.linalg.norm(rel, axis=1),
         attitude_source_ok=attitude_source_ok,

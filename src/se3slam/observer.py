@@ -25,7 +25,7 @@ import numpy as np
 
 from . import attitude as attitude_mod
 from .errors import DegenerateGeometry, EmptyMap, NonFiniteState
-from .liegroup import Pose, exp_se3, hat, reorthonormalize, vee
+from .liegroup import Pose, compose_raw, exp_se3, hat, reorthonormalize, vee
 
 TRUE_ATTITUDE = "true_attitude"
 RECONSTRUCTED = "reconstructed"
@@ -132,14 +132,25 @@ def corrected_velocity(
     gains: Gains,
 ) -> np.ndarray:
     """Velocity input of the pose update; the k3 term anchors on landmark 0."""
+    return _corrected_velocity(
+        state, meas, gains, hat(omega_hat - meas.omega), innovations(state, meas)
+    )
+
+
+def _corrected_velocity(
+    state: ObserverState,
+    meas: MeasurementFrame,
+    gains: Gains,
+    w: np.ndarray,
+    s_tilde: np.ndarray,
+) -> np.ndarray:
+    """corrected_velocity given w = hat(omega_hat - omega_meas) and the innovations."""
     if state.num_landmarks == 0:
         raise EmptyMap("corrected_velocity needs at least one landmark")
-    c_ea = state.pose.dcm
-    body_pos = c_ea @ state.pose.position
-    s_tilde = innovations(state, meas)
+    body_pos = state.pose.dcm @ state.pose.position
     return (
         meas.velocity
-        + hat(omega_hat - meas.omega) @ body_pos
+        + w @ body_pos
         + gains.k2 * s_tilde.sum(axis=0)
         - gains.k3 * (body_pos + meas.landmark_obs[0])
     )
@@ -195,6 +206,9 @@ def step(
 ) -> ObserverState:
     """Advance the estimate by one time step of length dt.
 
+    The pose moves on raw arrays: the Lie-Euler increment is checked finite
+    before it is applied, the result is projected back onto SO(3), and the
+    new pose and map are checked finite; no pose is validated on the way.
     ``c_ba`` lets the caller pass an already-resolved attitude (e.g. a
     degeneracy fallback); otherwise it is taken from ``source``.
     """
@@ -206,19 +220,22 @@ def step(
     c_ea = state.pose.dcm
     e = attitude_error(c_ba, c_ea)
     omega_hat = corrected_angular_velocity(meas, e, gains)
-    v_hat = corrected_velocity(state, meas, omega_hat, gains)
-
-    motion = exp_se3(omega_hat * dt, v_hat * dt)
-    raw = state.pose.compose(motion)
-    new_pose = Pose(reorthonormalize(raw.dcm), raw.position)
-
     w = hat(omega_hat - meas.omega)
-    alpha = (state.landmarks @ c_ea.T) @ w.T - gains.k2 * innovations(state, meas)
+    s_tilde = innovations(state, meas)
+    v_hat = _corrected_velocity(state, meas, gains, w, s_tilde)
+
+    # exp_se3 rejects a non-finite increment, so NaN never reaches the SVD of
+    # the projection.
+    try:
+        motion = exp_se3(omega_hat * dt, v_hat * dt)
+    except NonFiniteState:
+        raise NonFiniteState(f"non-finite pose increment at t={state.time}") from None
+    dcm, position = compose_raw(c_ea, state.pose.position, motion.dcm, motion.position)
+    dcm = reorthonormalize(dcm)
+
+    alpha = (state.landmarks @ c_ea.T) @ w.T - gains.k2 * s_tilde
     new_landmarks = state.landmarks + dt * (alpha @ c_ea)
 
-    if not (
-        np.all(np.isfinite(new_landmarks))
-        and np.all(np.isfinite(new_pose.position))
-    ):
+    if not (np.isfinite(new_landmarks).all() and np.isfinite(position).all()):
         raise NonFiniteState(f"non-finite state after step at t={state.time}")
-    return ObserverState(new_pose, new_landmarks, state.time + dt)
+    return ObserverState(Pose.unchecked(dcm, position), new_landmarks, state.time + dt)

@@ -91,13 +91,14 @@ def run(scenario: Scenario, scenario_hash: str | None = None) -> RunResult:
     dt = scenario.dt
     n_steps = int(round(scenario.duration / dt))
 
-    records = [evaluate(state, truth_at(scenario.trajectory, 0.0, landmarks), True)]
+    # The truth at t_{k+1} scores step k and drives the measurement of step k+1.
+    truth = truth_at(scenario.trajectory, 0.0, landmarks)
+    records = [evaluate(state, truth, True)]
     reconstructed_mode = scenario.attitude_mode == RECONSTRUCTED
     last_good = None
     degenerate = 0
 
     for k in range(n_steps):
-        truth = truth_at(scenario.trajectory, k * dt, landmarks)
         meas = measure(truth, scenario.noise, rng_noise, k * dt)
         if reconstructed_mode:
             source = AttitudeSource(RECONSTRUCTED)
@@ -110,8 +111,8 @@ def run(scenario: Scenario, scenario_hash: str | None = None) -> RunResult:
             source = AttitudeSource(TRUE_ATTITUDE, truth.pose.dcm)
             c_ba, ok = truth.pose.dcm, True
         state = step(state, meas, source, scenario.gains, dt, c_ba=c_ba)
-        truth_next = truth_at(scenario.trajectory, (k + 1) * dt, landmarks)
-        records.append(evaluate(state, truth_next, ok))
+        truth = truth_at(scenario.trajectory, (k + 1) * dt, landmarks)
+        records.append(evaluate(state, truth, ok))
 
     summary = RunSummary(records[0], records[-1], n_steps, degenerate)
     provenance = {
@@ -128,8 +129,8 @@ def sweep(base: Scenario, param_path: str, values) -> list[RunResult]:
     return [run(set_parameter(base, param_path, v)) for v in values]
 
 
-def _fmt(x: float) -> str:
-    return f"{x:.17g}"
+# 17 significant digits round-trip every float64 exactly.
+_fmt = "{:.17g}".format
 
 
 def csv_lines(records: list[ErrorRecord], decimate: int = 1) -> list[str]:
@@ -148,13 +149,11 @@ def csv_lines(records: list[ErrorRecord], decimate: int = 1) -> list[str]:
         kept.append(records[-1])
     lines = [",".join(header)]
     for r in kept:
-        fields = (
-            [_fmt(r.time), _fmt(r.lyapunov), _fmt(r.attitude_error_angle), _fmt(r.position_error)]
-            + [_fmt(x) for x in r.map_error]
-            + [_fmt(x) for x in r.relative_map_error]
-            + ["1" if r.attitude_source_ok else "0"]
-        )
-        lines.append(",".join(fields))
+        values = [r.time, r.lyapunov, r.attitude_error_angle, r.position_error]
+        values += r.map_error.tolist()
+        values += r.relative_map_error.tolist()
+        flag = ",1" if r.attitude_source_ok else ",0"
+        lines.append(",".join(map(_fmt, values)) + flag)
     return lines
 
 

@@ -68,6 +68,11 @@ class Scenario:
     seed: int = 0
 
     def validate(self) -> None:
+        bad = _non_finite_fields(self)
+        if bad:
+            raise ConfigInvalid(f"{bad[0]}: must be finite")
+        if self.seed < 0:
+            raise ConfigInvalid("seed: expected a non-negative integer")
         if self.duration <= 0.0:
             raise ConfigInvalid("duration: must be > 0")
         if self.dt <= 0.0:
@@ -84,6 +89,20 @@ class Scenario:
             raise ConfigInvalid(
                 "landmarks: reconstructed attitude mode needs >= 2 landmarks"
             )
+
+
+def _non_finite_fields(obj, path: str = "") -> list[str]:
+    """Dotted paths of the numeric fields under a dataclass that hold NaN or infinity."""
+    bad = []
+    for f in dataclasses.fields(obj):
+        value = getattr(obj, f.name)
+        full = f"{path}.{f.name}" if path else f.name
+        if dataclasses.is_dataclass(value):
+            bad += _non_finite_fields(value, full)
+        elif isinstance(value, (int, float, tuple, np.ndarray)) and not isinstance(value, bool):
+            if not np.all(np.isfinite(np.asarray(value, dtype=float))):
+                bad.append(full)
+    return bad
 
 
 class _Section:
@@ -302,6 +321,9 @@ def set_parameter(scenario: Scenario, path: str, value: float) -> Scenario:
             return dataclasses.replace(obj, **{name: new})
         return dataclasses.replace(obj, **{name: rebuild(current, remaining[1:])})
 
-    updated = rebuild(scenario, parts)
+    try:
+        updated = rebuild(scenario, parts)
+    except ValueError as exc:  # a field's own constructor check, e.g. Gains
+        raise ConfigInvalid(f"{path}: {exc}") from None
     updated.validate()
     return updated

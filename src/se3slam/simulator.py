@@ -90,9 +90,14 @@ def _translation(spec: TrajectorySpec, t: float) -> tuple[np.ndarray, np.ndarray
 
 
 def truth_at(spec: TrajectorySpec, t: float, landmarks=None) -> GroundTruth:
-    """Closed-form ground truth at time t >= 0."""
-    if t < 0.0:
-        raise ValueError("t must be >= 0")
+    """Closed-form ground truth at time t >= 0.
+
+    The spec's numeric fields must be finite (``Scenario.validate`` checks
+    them); the pose is then a product of rotations by construction and is not
+    validated again.
+    """
+    if not 0.0 <= t < np.inf:
+        raise ValueError("t must be finite and >= 0")
     if landmarks is None:
         landmarks = np.zeros((0, 3))
     landmarks = np.atleast_2d(np.asarray(landmarks, dtype=float))
@@ -119,7 +124,7 @@ def truth_at(spec: TrajectorySpec, t: float, landmarks=None) -> GroundTruth:
         omega = right_jacobian_so3(a) @ adot
 
     v_body = dcm @ rdot
-    return GroundTruth(Pose(dcm, position), omega, v_body, landmarks)
+    return GroundTruth(Pose.unchecked(dcm, position), omega, v_body, landmarks)
 
 
 def _sample(channel: ChannelNoise, rng: np.random.Generator, shape) -> np.ndarray:

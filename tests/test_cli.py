@@ -79,3 +79,62 @@ def test_sweep_bad_values(short_scenario, capsys, tmp_path):
         ["sweep", str(short_scenario), "--param", "gains.k1", "--values", "a,b", "--out", str(tmp_path)]
     )
     assert code == 2
+
+
+@pytest.mark.parametrize(
+    "old, new, field",
+    [
+        ("dt: 0.05", "dt: .nan", "dt"),
+        ("duration: 1.0", "duration: .inf", "duration"),
+        ("angular_rate: 0.5", "angular_rate: .nan", "trajectory.angular_rate"),
+        (
+            "landmark: {family: none}",
+            "landmark: {family: gaussian, scale: .nan}",
+            "noise.landmark.scale",
+        ),
+    ],
+    ids=["dt", "duration", "angular_rate", "landmark_scale"],
+)
+def test_run_rejects_non_finite_field(short_scenario, tmp_path, capsys, old, new, field):
+    text = short_scenario.read_text()
+    assert old in text
+    short_scenario.write_text(text.replace(old, new))
+    assert main(["run", str(short_scenario), "--out", str(tmp_path)]) == 2
+    assert f"error: {field}: must be finite" in capsys.readouterr().err
+
+
+def test_sweep_rejects_non_finite_value(short_scenario, tmp_path, capsys):
+    code = main(
+        ["sweep", str(short_scenario), "--param", "dt", "--values", "nan", "--out", str(tmp_path)]
+    )
+    assert code == 2
+    assert "error: dt: must be finite" in capsys.readouterr().err
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_large_gain_ends_in_non_finite_state(tmp_path, capsys):
+    # k3 * dt = 5e3 multiplies the position error each step until it overflows
+    text = (SCENARIO_DIR / "fig3_noisefree.yaml").read_text()
+    text = text.replace("duration: 20.0", "duration: 1.0").replace("k3: 12.0", "k3: 1.0e+6")
+    path = tmp_path / "big_gain.yaml"
+    path.write_text(text)
+    assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 2
+    assert "error: non-finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["run", "{path}", "--decimate", "0"],
+        ["run", "{path}", "--seed", "-1"],
+        ["sweep", "{path}", "--param", "gains.k1", "--values", "1.0", "--decimate", "0"],
+    ],
+)
+def test_bad_integer_arguments_are_usage_errors(short_scenario, tmp_path, capsys, argv):
+    argv = [a.format(path=short_scenario) for a in argv] + ["--out", str(tmp_path)]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage:")
+    assert "must be >=" in err

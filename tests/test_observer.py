@@ -3,7 +3,7 @@ import pytest
 
 from conftest import random_rotation
 from se3slam import metrics
-from se3slam.errors import EmptyMap
+from se3slam.errors import EmptyMap, ZeroVector
 from se3slam.liegroup import Pose, exp_so3, hat, rotation_angle
 from se3slam.observer import (
     RECONSTRUCTED,
@@ -308,3 +308,17 @@ def test_resolve_attitude_reconstructed_and_fallback(rng):
     c2, ok2 = resolve_attitude(bad_state, bad, AttitudeSource(RECONSTRUCTED), fallback=fb)
     assert not ok2
     assert c2 is fb
+
+
+def test_resolve_attitude_zero_direction_takes_fallback():
+    # a landmark estimate at the estimated body position has no datum direction
+    _, state, meas = perfect_setup(t=0.4)
+    landmarks = state.landmarks.copy()
+    landmarks[2] = state.pose.position
+    at_body = ObserverState(state.pose, landmarks, state.time)
+    with pytest.raises(ZeroVector):
+        resolve_attitude(at_body, meas, AttitudeSource(RECONSTRUCTED))
+    fb = np.eye(3)
+    c, ok = resolve_attitude(at_body, meas, AttitudeSource(RECONSTRUCTED), fallback=fb)
+    assert not ok
+    assert c is fb

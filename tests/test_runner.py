@@ -4,8 +4,11 @@ import numpy as np
 import pytest
 
 from conftest import SCENARIO_DIR
-from se3slam.runner import csv_lines, run, sweep, write_csv
+from se3slam.metrics import ErrorRecord, evaluate
+from se3slam.observer import RECONSTRUCTED, TRUE_ATTITUDE, AttitudeSource, resolve_attitude, step
+from se3slam.runner import csv_lines, initial_conditions, run, sweep, write_csv
 from se3slam.scenario import load_scenario, set_parameter
+from se3slam.simulator import TrajectorySpec, measure, truth_at
 
 
 @pytest.fixture(scope="module")
@@ -59,6 +62,13 @@ def test_csv_shape_and_header(short):
     assert all(len(line.split(",")) == len(header) for line in lines[1:])
 
 
+def _per_field_row(r):
+    # one format call per field, numpy scalars formatted as themselves
+    values = [r.time, r.lyapunov, r.attitude_error_angle, r.position_error]
+    fields = [f"{x:.17g}" for x in [*values, *r.map_error, *r.relative_map_error]]
+    return ",".join(fields + ["1" if r.attitude_source_ok else "0"])
+
+
 def test_csv_roundtrip_lossless(short, tmp_path):
     result = run(short)
     path = tmp_path / "out.csv"
@@ -66,6 +76,17 @@ def test_csv_roundtrip_lossless(short, tmp_path):
     data = np.genfromtxt(path, delimiter=",", names=True)
     assert data["V"][0] == result.records[0].lyapunov
     assert data["t"][-1] == result.records[-1].time
+    edge = ErrorRecord(
+        time=0.1,
+        lyapunov=5e-324,
+        attitude_error_angle=np.float64(1.0) / 3.0,
+        position_error=1e300,
+        map_error=np.array([-0.0, np.inf, np.nan]),
+        relative_map_error=np.array([2.0**-1030, 1.7976931348623157e308, 123456789.123456789]),
+        attitude_source_ok=False,
+    )
+    assert path.read_text().splitlines()[1:] == [_per_field_row(r) for r in result.records]
+    assert csv_lines([edge])[1] == _per_field_row(edge)
 
 
 def test_decimation_keeps_final(short):
@@ -122,3 +143,48 @@ def test_provenance_fields(short):
     assert result.provenance["scenario"] == short.name
     assert result.provenance["seed"] == short.seed
     assert result.provenance["scenario_sha256"] == "abc123"
+
+
+def reference_records(scenario):
+    """The run loop written plainly over the public API, two truth evaluations per step."""
+    landmarks, state, rng_noise = initial_conditions(scenario)
+    traj, dt = scenario.trajectory, scenario.dt
+    records = [evaluate(state, truth_at(traj, 0.0, landmarks))]
+    last_good = None
+    for k in range(int(round(scenario.duration / dt))):
+        truth = truth_at(traj, k * dt, landmarks)
+        meas = measure(truth, scenario.noise, rng_noise, k * dt)
+        if scenario.attitude_mode == RECONSTRUCTED:
+            source = AttitudeSource(RECONSTRUCTED)
+            c_ba, ok = resolve_attitude(state, meas, source, fallback=last_good)
+            last_good = c_ba if ok else last_good
+        else:
+            source = AttitudeSource(TRUE_ATTITUDE, truth.pose.dcm)
+            c_ba, ok = truth.pose.dcm, True
+        state = step(state, meas, source, scenario.gains, dt, c_ba=c_ba)
+        records.append(evaluate(state, truth_at(traj, (k + 1) * dt, landmarks), ok))
+    return records
+
+
+def _tumble(scenario):
+    spec = TrajectorySpec(
+        "tumble",
+        radius=2.0,
+        angular_rate=0.5,
+        tumble_amplitude=(0.6, 0.4, 0.5),
+        initial_pose=scenario.trajectory.initial_pose,
+    )
+    return dataclasses.replace(scenario, trajectory=spec)
+
+
+@pytest.mark.parametrize(
+    "name, variant",
+    [("fig3_noisy", None), ("heavytail", None), ("reconstructed", None), ("heavytail", _tumble)],
+    ids=["fig3_noisy", "heavytail", "reconstructed", "heavytail_tumble"],
+)
+def test_run_matches_reference_loop(name, variant):
+    scenario, _ = load_scenario(SCENARIO_DIR / f"{name}.yaml")
+    scenario = dataclasses.replace(scenario, duration=1.0)
+    if variant is not None:
+        scenario = variant(scenario)
+    assert csv_lines(run(scenario).records) == csv_lines(reference_records(scenario))
