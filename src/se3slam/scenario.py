@@ -168,9 +168,12 @@ def _parse_trajectory(sec: _Section) -> TrajectorySpec:
     sec.finish()
     try:
         pose = Pose(exp_so3(rotvec), np.array(position))
-        return TrajectorySpec(family, radius, rate, vertical, amp, pose)
     except ValueError as exc:
         raise ConfigInvalid(f"{sec.path}: {exc}") from None
+    try:
+        return TrajectorySpec(family, radius, rate, vertical, amp, pose)
+    except ValueError as exc:  # the message names the field
+        raise ConfigInvalid(str(exc)) from None
 
 
 def _parse_landmarks(sec: _Section) -> LandmarkLayout:
@@ -324,6 +327,7 @@ def set_parameter(scenario: Scenario, path: str, value: float) -> Scenario:
     try:
         updated = rebuild(scenario, parts)
     except ValueError as exc:  # a field's own constructor check, e.g. Gains
-        raise ConfigInvalid(f"{path}: {exc}") from None
+        message = str(exc)
+        raise ConfigInvalid(message if message.startswith(path) else f"{path}: {message}") from None
     updated.validate()
     return updated

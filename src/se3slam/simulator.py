@@ -42,7 +42,10 @@ class TrajectorySpec:
 
     def __post_init__(self):
         if self.family not in FAMILIES:
-            raise ValueError(f"unknown trajectory family: {self.family!r}")
+            raise ValueError(f"trajectory.family: unknown family {self.family!r}")
+        for name in ("radius", "angular_rate", "vertical_rate", "tumble_amplitude"):
+            if not np.all(np.isfinite(getattr(self, name))):
+                raise ValueError(f"trajectory.{name}: must be finite")
 
 
 @dataclass(frozen=True)
@@ -92,9 +95,8 @@ def _translation(spec: TrajectorySpec, t: float) -> tuple[np.ndarray, np.ndarray
 def truth_at(spec: TrajectorySpec, t: float, landmarks=None) -> GroundTruth:
     """Closed-form ground truth at time t >= 0.
 
-    The spec's numeric fields must be finite (``Scenario.validate`` checks
-    them); the pose is then a product of rotations by construction and is not
-    validated again.
+    The spec's fields are finite (its constructor checks them), so the pose is
+    a product of rotations by construction and is not validated again.
     """
     if not 0.0 <= t < np.inf:
         raise ValueError("t must be finite and >= 0")

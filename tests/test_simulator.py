@@ -55,6 +55,16 @@ def test_finite_difference_consistency(spec, rng):
 def test_truth_rejects_negative_time():
     with pytest.raises(ValueError):
         truth_at(ALL_SPECS[1], -0.1)
+    with pytest.raises(ValueError):
+        truth_at(ALL_SPECS[1], np.nan)
+
+
+@pytest.mark.parametrize("field", ["radius", "angular_rate", "vertical_rate", "tumble_amplitude"])
+def test_trajectory_rejects_non_finite_fields(field):
+    # truth_at trusts the spec, so its constructor is where NaN must stop
+    value = (0.1, np.nan, 0.2) if field == "tumble_amplitude" else np.inf
+    with pytest.raises(ValueError, match=f"trajectory.{field}: must be finite"):
+        TrajectorySpec("tumble", **{field: value})
 
 
 def test_measure_identity_pose():
