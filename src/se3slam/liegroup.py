@@ -17,6 +17,7 @@ vectors by construction.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,9 +49,15 @@ def vee(m) -> np.ndarray:
 
 def _so3_terms(axis_angle):
     """(a, b, c, K, K @ K) for K = hat(v), theta = |v|: a = sin(theta)/theta,
-    b = (1 - cos(theta))/theta^2 and c = (theta - sin(theta))/theta^3."""
+    b = (1 - cos(theta))/theta^2 and c = (theta - sin(theta))/theta^3.
+
+    Raises NonFiniteState when theta is not finite: a NaN entry, or finite
+    entries whose norm overflows, would otherwise give NaN coefficients.
+    """
     v = np.asarray(axis_angle, dtype=float)
     theta = float(np.linalg.norm(v))
+    if not math.isfinite(theta):
+        raise NonFiniteState(f"rotation vector has no finite norm: {v.tolist()}")
     k = hat(v)
     if theta < SMALL_ANGLE:
         a, b, c = 1.0 - theta**2 / 6.0, 0.5 - theta**2 / 24.0, 1.0 / 6.0 - theta**2 / 120.0
@@ -60,15 +67,20 @@ def _so3_terms(axis_angle):
     return a, b, c, k, k @ k
 
 
+def _series(p, q, k, kk) -> np.ndarray:
+    """I + p K + q K^2, the closed form of every SO(3) series used here."""
+    return _I3 + p * k + q * kk
+
+
 def exp_so3(axis_angle) -> np.ndarray:
     """Rodrigues rotation matrix for the axis-angle vector."""
     a, b, _, k, kk = _so3_terms(axis_angle)
-    return _I3 + a * k + b * kk
+    return _series(a, b, k, kk)
 
 
 def _left_jacobian_so3(axis_angle) -> np.ndarray:
     _, b, c, k, kk = _so3_terms(axis_angle)
-    return _I3 + b * k + c * kk
+    return _series(b, c, k, kk)
 
 
 def right_jacobian_so3(axis_angle) -> np.ndarray:
@@ -176,15 +188,13 @@ def exp_se3(omega, v) -> Pose:
     """Matrix exponential of the twist [[hat(omega), v], [0, 0]] as a Pose.
 
     The rotation block equals exp_so3(omega); the translation block is the
-    SO(3) left Jacobian applied to v. A finite twist gives a rotation by
-    construction, so only finiteness is checked: a non-finite twist raises
-    NonFiniteState.
+    SO(3) left Jacobian applied to v. Both share one evaluation of the SO(3)
+    terms. A twist whose omega has a finite norm gives a rotation by
+    construction, so only finiteness is checked: a non-finite v, or an omega
+    without a finite norm, raises NonFiniteState.
     """
-    omega = np.asarray(omega, dtype=float)
     v = np.asarray(v, dtype=float)
-    if not (np.isfinite(omega).all() and np.isfinite(v).all()):
+    if not np.isfinite(v).all():
         raise NonFiniteState("twist must be finite")
     a, b, c, k, kk = _so3_terms(omega)
-    r = _I3 + a * k + b * kk
-    t = (_I3 + b * k + c * kk) @ v
-    return Pose.unchecked(r.T, t)
+    return Pose.unchecked(_series(a, b, k, kk).T, _series(b, c, k, kk) @ v)

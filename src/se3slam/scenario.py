@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 import yaml
 
-from .errors import ConfigInvalid, UnknownParameter
+from .errors import ConfigInvalid, NonFiniteState, UnknownParameter
 from .liegroup import Pose, exp_so3
 from .observer import RECONSTRUCTED, TRUE_ATTITUDE, Gains
 from .simulator import ChannelNoise, NoiseSpec, TrajectorySpec
@@ -68,7 +68,13 @@ class Scenario:
     seed: int = 0
 
     def validate(self) -> None:
-        bad = _non_finite_fields(self)
+        # TrajectorySpec and Gains reject non-finite fields when constructed.
+        bad = [
+            path
+            for f in dataclasses.fields(self)
+            if f.name not in ("trajectory", "gains")
+            for path in _non_finite_fields(getattr(self, f.name), f.name)
+        ]
         if bad:
             raise ConfigInvalid(f"{bad[0]}: must be finite")
         if self.seed < 0:
@@ -91,18 +97,19 @@ class Scenario:
             )
 
 
-def _non_finite_fields(obj, path: str = "") -> list[str]:
-    """Dotted paths of the numeric fields under a dataclass that hold NaN or infinity."""
-    bad = []
-    for f in dataclasses.fields(obj):
-        value = getattr(obj, f.name)
-        full = f"{path}.{f.name}" if path else f.name
-        if dataclasses.is_dataclass(value):
-            bad += _non_finite_fields(value, full)
-        elif isinstance(value, (int, float, tuple, np.ndarray)) and not isinstance(value, bool):
-            if not np.all(np.isfinite(np.asarray(value, dtype=float))):
-                bad.append(full)
-    return bad
+def _non_finite_fields(value, path: str) -> list[str]:
+    """Dotted paths of the numeric fields at or under ``value`` (named ``path``)
+    that hold NaN or infinity."""
+    if dataclasses.is_dataclass(value):
+        return [
+            bad
+            for f in dataclasses.fields(value)
+            for bad in _non_finite_fields(getattr(value, f.name), f"{path}.{f.name}")
+        ]
+    if isinstance(value, (int, float, tuple)) and not isinstance(value, bool):
+        if not np.all(np.isfinite(np.asarray(value, dtype=float))):
+            return [path]
+    return []
 
 
 class _Section:
@@ -168,12 +175,9 @@ def _parse_trajectory(sec: _Section) -> TrajectorySpec:
     sec.finish()
     try:
         pose = Pose(exp_so3(rotvec), np.array(position))
-    except ValueError as exc:
-        raise ConfigInvalid(f"{sec.path}: {exc}") from None
-    try:
         return TrajectorySpec(family, radius, rate, vertical, amp, pose)
-    except ValueError as exc:  # the message names the field
-        raise ConfigInvalid(str(exc)) from None
+    except (ValueError, NonFiniteState) as exc:
+        raise ConfigInvalid(f"{sec.path}: {exc}") from None
 
 
 def _parse_landmarks(sec: _Section) -> LandmarkLayout:
@@ -327,7 +331,6 @@ def set_parameter(scenario: Scenario, path: str, value: float) -> Scenario:
     try:
         updated = rebuild(scenario, parts)
     except ValueError as exc:  # a field's own constructor check, e.g. Gains
-        message = str(exc)
-        raise ConfigInvalid(message if message.startswith(path) else f"{path}: {message}") from None
+        raise ConfigInvalid(f"{path}: {exc}") from None
     updated.validate()
     return updated

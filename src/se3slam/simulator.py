@@ -12,6 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .errors import NonFiniteState
 from .liegroup import Pose, exp_so3, right_jacobian_so3
 
 FAMILIES = ("static", "circle", "helix", "tumble")
@@ -42,10 +43,11 @@ class TrajectorySpec:
 
     def __post_init__(self):
         if self.family not in FAMILIES:
-            raise ValueError(f"trajectory.family: unknown family {self.family!r}")
+            raise ValueError(f"unknown trajectory family: {self.family!r}")
         for name in ("radius", "angular_rate", "vertical_rate", "tumble_amplitude"):
-            if not np.all(np.isfinite(getattr(self, name))):
-                raise ValueError(f"trajectory.{name}: must be finite")
+            value = getattr(self, name)
+            if not np.all(np.isfinite(value)):
+                raise ValueError(f"{name} must be finite, got {value}")
 
 
 @dataclass(frozen=True)
@@ -96,7 +98,9 @@ def truth_at(spec: TrajectorySpec, t: float, landmarks=None) -> GroundTruth:
     """Closed-form ground truth at time t >= 0.
 
     The spec's fields are finite (its constructor checks them), so the pose is
-    a product of rotations by construction and is not validated again.
+    a product of rotations by construction and is not validated again. Finite
+    fields can still overflow: an axis-angle without a finite norm raises
+    NonFiniteState in exp_so3, and so does a non-finite position.
     """
     if not 0.0 <= t < np.inf:
         raise ValueError("t must be finite and >= 0")
@@ -111,6 +115,8 @@ def truth_at(spec: TrajectorySpec, t: float, landmarks=None) -> GroundTruth:
 
     offset, rdot = _translation(spec, t)
     position = r0 + offset
+    if not np.isfinite(position).all():
+        raise NonFiniteState(f"non-finite ground-truth position at t={t}")
 
     if spec.family in ("circle", "helix"):
         omega = np.array([0.0, 0.0, spec.angular_rate])

@@ -82,25 +82,25 @@ def test_sweep_bad_values(short_scenario, capsys, tmp_path):
 
 
 @pytest.mark.parametrize(
-    "old, new, field",
+    "old, new, message",
     [
-        ("dt: 0.05", "dt: .nan", "dt"),
-        ("duration: 1.0", "duration: .inf", "duration"),
-        ("angular_rate: 0.5", "angular_rate: .nan", "trajectory.angular_rate"),
+        ("dt: 0.05", "dt: .nan", "dt: must be finite"),
+        ("duration: 1.0", "duration: .inf", "duration: must be finite"),
+        ("angular_rate: 0.5", "angular_rate: .nan", "trajectory: angular_rate must be finite"),
         (
             "landmark: {family: none}",
             "landmark: {family: gaussian, scale: .nan}",
-            "noise.landmark.scale",
+            "noise.landmark.scale: must be finite",
         ),
     ],
     ids=["dt", "duration", "angular_rate", "landmark_scale"],
 )
-def test_run_rejects_non_finite_field(short_scenario, tmp_path, capsys, old, new, field):
+def test_run_rejects_non_finite_field(short_scenario, tmp_path, capsys, old, new, message):
     text = short_scenario.read_text()
     assert old in text
     short_scenario.write_text(text.replace(old, new))
     assert main(["run", str(short_scenario), "--out", str(tmp_path)]) == 2
-    assert f"error: {field}: must be finite" in capsys.readouterr().err
+    assert f"error: {message}" in capsys.readouterr().err
 
 
 def test_sweep_rejects_non_finite_value(short_scenario, tmp_path, capsys):

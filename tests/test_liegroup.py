@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_rotation
-from se3slam.errors import DegenerateMatrix, NotSkewSymmetric
+from se3slam.errors import DegenerateMatrix, NonFiniteState, NotSkewSymmetric
 from se3slam.liegroup import (
     Pose,
     exp_se3,
@@ -96,6 +96,16 @@ def test_exp_se3_pure_translation():
     p = exp_se3([0, 0, 0], [1, 2, 3])
     assert np.array_equal(p.dcm, np.eye(3))
     assert np.array_equal(p.position, [1.0, 2.0, 3.0])
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.parametrize("omega", [[1e200, 0.0, 0.0], [np.nan, 0.0, 0.0]], ids=["huge", "nan"])
+def test_exp_rejects_rotation_without_finite_norm(omega):
+    # |omega| overflows to inf for finite entries above ~1e154; sin(inf) is NaN
+    with pytest.raises(NonFiniteState):
+        exp_so3(omega)
+    with pytest.raises(NonFiniteState):
+        exp_se3(omega, [0.0, 0.0, 0.0])
 
 
 def _expm_oracle(omega, v):

@@ -129,3 +129,25 @@ def test_set_parameter_revalidates(base_doc):
     scenario = parse_scenario(base_doc)
     with pytest.raises(ConfigInvalid):
         set_parameter(scenario, "dt", -1.0)
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_trajectory_errors_carry_section_path(base_doc):
+    base_doc["trajectory"]["initial_rotation"] = [1e200, 0.0, 0.0]
+    with pytest.raises(ConfigInvalid, match="^trajectory: rotation vector has no finite norm"):
+        parse_scenario(base_doc)
+
+
+@pytest.mark.parametrize(
+    "path, message",
+    [
+        ("trajectory.radius", "trajectory.radius: radius must be finite"),
+        ("gains.k1", "gains.k1: gain k1 must be finite"),
+        ("noise.omega.scale", "noise.omega.scale: must be finite"),
+        ("dt", "dt: must be finite"),
+    ],
+)
+def test_set_parameter_non_finite_names_sweep_path(base_doc, path, message):
+    scenario = parse_scenario(base_doc)
+    with pytest.raises(ConfigInvalid, match=f"^{message}"):
+        set_parameter(scenario, path, float("nan"))

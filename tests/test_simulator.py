@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import random_rotation
+from se3slam.errors import NonFiniteState
 from se3slam.liegroup import Pose, exp_so3, hat
 from se3slam.simulator import (
     ChannelNoise,
@@ -63,8 +64,25 @@ def test_truth_rejects_negative_time():
 def test_trajectory_rejects_non_finite_fields(field):
     # truth_at trusts the spec, so its constructor is where NaN must stop
     value = (0.1, np.nan, 0.2) if field == "tumble_amplitude" else np.inf
-    with pytest.raises(ValueError, match=f"trajectory.{field}: must be finite"):
+    with pytest.raises(ValueError, match=f"^{field} must be finite"):
         TrajectorySpec("tumble", **{field: value})
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.parametrize(
+    "spec, t",
+    [
+        (TrajectorySpec("tumble", angular_rate=1.0, tumble_amplitude=(1e200, 0.0, 0.0)), 0.5),
+        (TrajectorySpec("circle", angular_rate=1e200), 0.5),
+        (TrajectorySpec("circle", radius=1.7e308, angular_rate=1.0), np.pi),
+    ],
+    ids=["tumble_amplitude", "angular_rate", "radius"],
+)
+def test_truth_rejects_overflow_of_finite_fields(spec, t):
+    # finite fields whose attitude or position overflows must not yield NaN truth
+    assert np.isfinite(truth_at(spec, 0.0).pose.dcm).all()
+    with pytest.raises(NonFiniteState):
+        truth_at(spec, t)
 
 
 def test_measure_identity_pose():
