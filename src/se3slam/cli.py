@@ -34,8 +34,8 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_run = sub.add_parser("run", help="run one scenario, write CSV and summary")
-    p_run.add_argument("scenario", type=Path)
+    p_run = sub.add_parser("run", help="run one or more scenarios, write CSV and summary")
+    p_run.add_argument("scenarios", type=Path, nargs="+")
     p_run.add_argument("--out", type=Path, default=Path("."), help="output directory")
     p_run.add_argument(
         "--seed", type=_int_at_least(0), default=None, help="override scenario seed"
@@ -66,17 +66,29 @@ def _slug(text: str) -> str:
 
 
 def _cmd_run(args) -> int:
-    scenario, digest = load_scenario(args.scenario)
-    if args.seed is not None:
-        scenario = set_parameter(scenario, "seed", args.seed)
-    result = run(scenario, scenario_hash=digest)
-    args.out.mkdir(parents=True, exist_ok=True)
-    csv_path = args.out / f"{scenario.name}.csv"
-    write_csv(result.records, csv_path, args.decimate)
-    write_summary(result, args.out / f"{scenario.name}_summary.txt")
-    for line in summary_lines(result):
-        print(line)
-    print(f"wrote {csv_path}")
+    # Load every file first, so a bad file or a name clash stops before any run.
+    loaded = [load_scenario(path) for path in args.scenarios]
+    seen = {}
+    for path, (scenario, _) in zip(args.scenarios, loaded):
+        if scenario.name in seen:
+            print(
+                f"error: {seen[scenario.name]} and {path} share the name {scenario.name!r}, "
+                "so their outputs would overwrite each other",
+                file=sys.stderr,
+            )
+            return 2
+        seen[scenario.name] = path
+    for scenario, digest in loaded:
+        if args.seed is not None:
+            scenario = set_parameter(scenario, "seed", args.seed)
+        result = run(scenario, scenario_hash=digest)
+        args.out.mkdir(parents=True, exist_ok=True)
+        csv_path = args.out / f"{scenario.name}.csv"
+        write_csv(result.records, csv_path, args.decimate)
+        write_summary(result, args.out / f"{scenario.name}_summary.txt")
+        for line in summary_lines(result):
+            print(line)
+        print(f"wrote {csv_path}")
     return 0
 
 

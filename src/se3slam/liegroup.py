@@ -164,11 +164,6 @@ class Pose:
     def identity(cls) -> "Pose":
         return cls(_I3.copy(), np.zeros(3))
 
-    @classmethod
-    def from_matrix(cls, m) -> "Pose":
-        m = np.asarray(m, dtype=float)
-        return cls(m[:3, :3].T, m[:3, 3])
-
     @property
     def matrix(self) -> np.ndarray:
         return homogeneous(self.dcm, self.position)
@@ -179,9 +174,6 @@ class Pose:
 
     def inverse(self) -> "Pose":
         return Pose(*inverse_raw(self.dcm, self.position))
-
-    def __matmul__(self, other: "Pose") -> "Pose":
-        return self.compose(other)
 
 
 def exp_se3(omega, v) -> Pose:

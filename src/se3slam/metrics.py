@@ -48,23 +48,11 @@ def map_errors(state: ObserverState, truth: GroundTruth) -> np.ndarray:
     return state.landmarks @ state.pose.dcm.T - truth.landmarks @ truth.pose.dcm.T
 
 
-def map_error(state: ObserverState, truth: GroundTruth, i: int) -> np.ndarray:
-    if not 0 <= i < state.num_landmarks:
-        raise IndexError(f"landmark index {i} out of range")
-    return map_errors(state, truth)[i]
-
-
 def relative_map_errors(state: ObserverState, truth: GroundTruth) -> np.ndarray:
     """(l, 3) array of estimated-relative minus true-relative landmark positions."""
     est = (state.landmarks - state.pose.position) @ state.pose.dcm.T
     tru = (truth.landmarks - truth.pose.position) @ truth.pose.dcm.T
     return est - tru
-
-
-def relative_map_error(state: ObserverState, truth: GroundTruth, i: int) -> np.ndarray:
-    if not 0 <= i < state.num_landmarks:
-        raise IndexError(f"landmark index {i} out of range")
-    return relative_map_errors(state, truth)[i]
 
 
 def _energy(err_dcm: np.ndarray, err_position: np.ndarray, map_errs: np.ndarray) -> float:

@@ -14,15 +14,8 @@ import numpy as np
 from . import __version__
 from .liegroup import Pose, exp_so3
 from .metrics import ErrorRecord, evaluate
-from .observer import (
-    RECONSTRUCTED,
-    TRUE_ATTITUDE,
-    AttitudeSource,
-    ObserverState,
-    resolve_attitude,
-    step,
-)
-from .scenario import Scenario, set_parameter
+from .observer import ObserverState, resolve_attitude, step
+from .scenario import RECONSTRUCTED, Scenario, set_parameter
 from .simulator import measure, place_landmarks, truth_at
 
 
@@ -101,16 +94,14 @@ def run(scenario: Scenario, scenario_hash: str | None = None) -> RunResult:
     for k in range(n_steps):
         meas = measure(truth, scenario.noise, rng_noise, k * dt)
         if reconstructed_mode:
-            source = AttitudeSource(RECONSTRUCTED)
-            c_ba, ok = resolve_attitude(state, meas, source, fallback=last_good)
+            c_ba, ok = resolve_attitude(state, meas, fallback=last_good)
             if ok:
                 last_good = c_ba
             else:
                 degenerate += 1
         else:
-            source = AttitudeSource(TRUE_ATTITUDE, truth.pose.dcm)
             c_ba, ok = truth.pose.dcm, True
-        state = step(state, meas, source, scenario.gains, dt, c_ba=c_ba)
+        state = step(state, meas, c_ba, scenario.gains, dt)
         truth = truth_at(scenario.trajectory, (k + 1) * dt, landmarks)
         records.append(evaluate(state, truth, ok))
 

@@ -17,10 +17,16 @@ import yaml
 
 from .errors import ConfigInvalid, NonFiniteState, UnknownParameter
 from .liegroup import Pose, exp_so3
-from .observer import RECONSTRUCTED, TRUE_ATTITUDE, Gains
+from .observer import Gains
 from .simulator import ChannelNoise, NoiseSpec, TrajectorySpec
 
 SCHEMA_VERSION = 1
+
+TRUE_ATTITUDE = "true_attitude"
+RECONSTRUCTED = "reconstructed"
+
+# Upper bound on duration / dt: a run keeps one ErrorRecord per step in memory.
+MAX_STEPS = 10**6
 
 
 @dataclass(frozen=True)
@@ -85,6 +91,11 @@ class Scenario:
             raise ConfigInvalid("dt: must be > 0")
         if self.dt > self.duration:
             raise ConfigInvalid("dt: must be <= duration")
+        steps = self.duration / self.dt
+        if steps > MAX_STEPS:
+            raise ConfigInvalid(
+                f"duration/dt: {steps:.6g} steps exceed the limit of {MAX_STEPS}"
+            )
         if self.attitude_mode not in (TRUE_ATTITUDE, RECONSTRUCTED):
             raise ConfigInvalid(
                 f"attitude_mode: must be '{TRUE_ATTITUDE}' or '{RECONSTRUCTED}'"
@@ -324,6 +335,8 @@ def set_parameter(scenario: Scenario, path: str, value: float) -> Scenario:
         if len(remaining) == 1:
             if isinstance(current, bool) or not isinstance(current, (int, float)):
                 raise UnknownParameter(f"{path!r} is not a numeric field")
+            if isinstance(current, int) and not float(value).is_integer():
+                raise ConfigInvalid(f"{path}: expected an integer, got {value}")
             new = type(current)(value) if isinstance(current, int) else float(value)
             return dataclasses.replace(obj, **{name: new})
         return dataclasses.replace(obj, **{name: rebuild(current, remaining[1:])})

@@ -85,6 +85,23 @@ class GroundTruth:
     landmarks: np.ndarray  # (l, 3), datum frame
 
 
+@dataclass(frozen=True)
+class MeasurementFrame:
+    """One time step of body-frame sensor data."""
+
+    omega: np.ndarray  # rad/s
+    velocity: np.ndarray  # m/s
+    landmark_obs: np.ndarray  # (l, 3), m
+    time: float = 0.0
+
+    def __post_init__(self):
+        object.__setattr__(self, "omega", np.asarray(self.omega, dtype=float))
+        object.__setattr__(self, "velocity", np.asarray(self.velocity, dtype=float))
+        object.__setattr__(
+            self, "landmark_obs", np.atleast_2d(np.asarray(self.landmark_obs, dtype=float))
+        )
+
+
 def _translation(spec: TrajectorySpec, t: float) -> tuple[np.ndarray, np.ndarray]:
     """Datum-frame position offset from the initial position, and its rate."""
     w, r, c = spec.angular_rate, spec.radius, spec.vertical_rate
@@ -154,8 +171,6 @@ def measure(truth: GroundTruth, noise: NoiseSpec, rng: np.random.Generator, time
     Landmark model: s_b_i = C_ba @ (p_a_i - r_a). Sampling order is fixed
     (omega, velocity, landmarks) so streams are reproducible per seed.
     """
-    from .observer import MeasurementFrame
-
     c_ba = truth.pose.dcm
     exact = (truth.landmarks - truth.pose.position) @ c_ba.T
     omega_y = truth.omega_body + _sample(noise.omega, rng, (3,))

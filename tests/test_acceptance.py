@@ -14,14 +14,7 @@ from conftest import SCENARIO_DIR, random_rotation
 from se3slam.attitude import solve_attitude
 from se3slam.errors import DegenerateGeometry
 from se3slam.liegroup import Pose, exp_se3, exp_so3, hat, rotation_angle
-from se3slam.observer import (
-    TRUE_ATTITUDE,
-    AttitudeSource,
-    Gains,
-    MeasurementFrame,
-    ObserverState,
-    step,
-)
+from se3slam.observer import Gains, ObserverState, step
 from se3slam.runner import csv_lines, run
 from se3slam.scenario import load_scenario
 from se3slam.simulator import NoiseSpec, TrajectorySpec, measure, truth_at
@@ -220,7 +213,7 @@ def test_criterion_7_lie_group_invariants():
     for k in range(100_000):
         truth = truth_at(spec, k * dt, landmarks)
         meas = measure(truth, noise, rng_noise, k * dt)
-        state = step(state, meas, AttitudeSource(TRUE_ATTITUDE, truth.pose.dcm), gains, dt)
+        state = step(state, meas, truth.pose.dcm, gains, dt)
     drift = float(np.linalg.norm(state.pose.dcm.T @ state.pose.dcm - np.eye(3)))
     drift_ok = drift < 1e-9
 
@@ -275,8 +268,7 @@ def test_criterion_9_integrator_order():
         for k in range(n):
             truth = truth_at(tumble, k * dt, landmarks)
             meas = measure(truth, scenario.noise, rng_noise, k * dt)
-            state = step(state, meas, AttitudeSource(TRUE_ATTITUDE, truth.pose.dcm),
-                         scenario.gains, dt)
+            state = step(state, meas, truth.pose.dcm, scenario.gains, dt)
         return state.pose
 
     dt = 0.02

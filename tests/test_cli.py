@@ -56,6 +56,31 @@ def test_run_decimate(short_scenario, tmp_path):
     lines = (out / "fig3_noisefree.csv").read_text().splitlines()
     assert len(lines) == 1 + 5  # header + 21 records decimated to ceil(21/5)=5
 
+def test_run_several_files(short_scenario, tmp_path, capsys):
+    other = tmp_path / "other.yaml"
+    other.write_text(short_scenario.read_text().replace("name: fig3_noisefree", "name: other"))
+    out = tmp_path / "out"
+    assert main(["run", str(short_scenario), str(other), "--out", str(out), "--decimate", "5"]) == 0
+    files = sorted(p.name for p in out.iterdir())
+    assert files == [
+        "fig3_noisefree.csv", "fig3_noisefree_summary.txt", "other.csv", "other_summary.txt"
+    ]
+    # same seed and dynamics, so the two runs differ only in their name
+    assert (out / "fig3_noisefree.csv").read_bytes() == (out / "other.csv").read_bytes()
+    assert len((out / "other.csv").read_text().splitlines()) == 1 + 5
+    assert capsys.readouterr().out.count("final_V:") == 2
+
+
+def test_run_rejects_duplicate_names(short_scenario, tmp_path, capsys):
+    copy = tmp_path / "copy.yaml"
+    shutil.copy(short_scenario, copy)
+    out = tmp_path / "out"
+    assert main(["run", str(short_scenario), str(copy), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "share the name 'fig3_noisefree'" in err
+    assert not out.exists()  # rejected before any run
+
+
 def test_sweep_cli(short_scenario, tmp_path, capsys):
     out = tmp_path / "sweep"
     code = main(
@@ -109,6 +134,23 @@ def test_sweep_rejects_non_finite_value(short_scenario, tmp_path, capsys):
     )
     assert code == 2
     assert "error: dt: must be finite" in capsys.readouterr().err
+
+
+def test_sweep_rejects_non_integral_int_value(short_scenario, tmp_path, capsys):
+    out = tmp_path / "out"
+    code = main(["sweep", str(short_scenario), "--param", "seed", "--values", "1.5,1", "--out", str(out)])
+    assert code == 2
+    assert "error: seed: expected an integer, got 1.5" in capsys.readouterr().err
+    assert not out.exists()
+    # --values are parsed as floats, so an integral float is a valid seed
+    code = main(["sweep", str(short_scenario), "--param", "seed", "--values", "2.0", "--out", str(out)])
+    assert code == 0
+
+
+def test_validate_rejects_too_many_steps(short_scenario, capsys):
+    short_scenario.write_text(short_scenario.read_text().replace("duration: 1.0", "duration: 1.0e+12"))
+    assert main(["validate", str(short_scenario)]) == 2
+    assert "error: duration/dt: 2e+13 steps exceed the limit of 1000000" in capsys.readouterr().err
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")

@@ -1,15 +1,12 @@
 import numpy as np
-import pytest
 
 from conftest import random_rotation
 from se3slam.liegroup import Pose, exp_so3
 from se3slam.metrics import (
     evaluate,
     lyapunov,
-    map_error,
     map_errors,
     pose_error,
-    relative_map_error,
     relative_map_errors,
 )
 from se3slam.observer import ObserverState
@@ -62,9 +59,10 @@ def test_map_error_identity_attitudes(rng):
 def test_map_error_matches_transcription(rng):
     state = ObserverState(random_pose(rng), rng.normal(size=(4, 3)))
     truth = make_truth(random_pose(rng), rng.normal(size=(4, 3)))
+    errs = map_errors(state, truth)
     for i in range(4):
         expected = state.pose.dcm @ state.landmarks[i] - truth.pose.dcm @ truth.landmarks[i]
-        assert np.allclose(map_error(state, truth, i), expected, atol=1e-13)
+        assert np.allclose(errs[i], expected, atol=1e-13)
 
 
 def test_relative_map_error_zero_at_truth(rng):
@@ -87,11 +85,12 @@ def test_relative_map_error_gauge_invariant(rng):
 def test_relative_map_error_matches_transcription(rng):
     state = ObserverState(random_pose(rng), rng.normal(size=(4, 3)))
     truth = make_truth(random_pose(rng), rng.normal(size=(4, 3)))
+    errs = relative_map_errors(state, truth)
     for i in range(4):
         expected = state.pose.dcm @ (state.landmarks[i] - state.pose.position) - truth.pose.dcm @ (
             truth.landmarks[i] - truth.pose.position
         )
-        assert np.allclose(relative_map_error(state, truth, i), expected, atol=1e-13)
+        assert np.allclose(errs[i], expected, atol=1e-13)
 
 
 def test_lyapunov_zero_at_identity():
@@ -137,11 +136,3 @@ def test_evaluate_record_fields(rng):
     assert 0.0 <= rec.attitude_error_angle <= np.pi
     assert rec.position_error >= 0.0
 
-
-def test_index_errors(rng):
-    state = ObserverState(random_pose(rng), rng.normal(size=(2, 3)))
-    truth = make_truth(random_pose(rng), rng.normal(size=(2, 3)))
-    with pytest.raises(IndexError):
-        map_error(state, truth, 2)
-    with pytest.raises(IndexError):
-        relative_map_error(state, truth, -1)

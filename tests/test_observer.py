@@ -6,22 +6,24 @@ from se3slam import metrics
 from se3slam.errors import EmptyMap, ZeroVector
 from se3slam.liegroup import Pose, exp_so3, hat, rotation_angle
 from se3slam.observer import (
-    RECONSTRUCTED,
-    TRUE_ATTITUDE,
-    AttitudeSource,
     Gains,
-    MeasurementFrame,
     ObserverState,
     attitude_error,
     corrected_angular_velocity,
     corrected_velocity,
-    innovation,
     innovations,
-    landmark_rate,
+    landmark_rates,
     resolve_attitude,
     step,
 )
-from se3slam.simulator import GroundTruth, NoiseSpec, TrajectorySpec, measure, truth_at
+from se3slam.simulator import (
+    GroundTruth,
+    MeasurementFrame,
+    NoiseSpec,
+    TrajectorySpec,
+    measure,
+    truth_at,
+)
 
 LANDMARKS = np.array(
     [[0.0, 0.0, 0.0], [2.0, -1.0, 0.5], [-1.5, 2.5, 1.0], [0.5, 0.5, -2.0]]
@@ -50,7 +52,7 @@ def random_setup(rng):
     return state, meas
 
 
-def straight_line_innovation(state, meas, i):
+def straight_line_residual(state, meas, i):
     # independent scalar transcription of the residual formula
     c = state.pose.dcm
     p = state.landmarks[i]
@@ -69,26 +71,19 @@ def straight_line_innovation(state, meas, i):
 def test_innovation_zero_at_truth():
     _, state, meas = perfect_setup()
     for i in range(len(LANDMARKS)):
-        assert np.allclose(innovation(state, meas, i), 0.0, atol=1e-14)
+        assert np.allclose(innovations(state, meas)[i], 0.0, atol=1e-14)
 
 
 def test_innovation_direct_substitution():
     state = ObserverState(Pose.identity(), np.array([[1.0, 0, 0]]))
     meas = MeasurementFrame(np.zeros(3), np.zeros(3), np.zeros((1, 3)))
-    assert np.allclose(innovation(state, meas, 0), [1.0, 0.0, 0.0])
+    assert np.allclose(innovations(state, meas)[0], [1.0, 0.0, 0.0])
 
 
 def test_innovation_matches_transcription(rng):
     state, meas = random_setup(rng)
     for i in range(4):
-        assert np.allclose(innovation(state, meas, i), straight_line_innovation(state, meas, i), atol=1e-13)
-        assert np.allclose(innovations(state, meas)[i], innovation(state, meas, i), atol=1e-14)
-
-
-def test_innovation_index_out_of_range():
-    state, meas = random_setup(np.random.default_rng(1))
-    with pytest.raises(IndexError):
-        innovation(state, meas, 4)
+        assert np.allclose(innovations(state, meas)[i], straight_line_residual(state, meas, i), atol=1e-13)
 
 
 def test_attitude_error_zero_when_equal(rng):
@@ -125,7 +120,8 @@ def test_corrected_angular_velocity():
 def test_corrected_velocity_all_corrections_off(rng):
     state, meas = random_setup(rng)
     omega_hat = meas.omega.copy()
-    out = corrected_velocity(state, meas, omega_hat, Gains(1.0, 0.0, 0.0))
+    w = hat(omega_hat - meas.omega)
+    out = corrected_velocity(state, meas, w, innovations(state, meas), Gains(1.0, 0.0, 0.0))
     assert np.allclose(out, meas.velocity, atol=1e-14)
 
 
@@ -136,7 +132,8 @@ def test_corrected_velocity_noise_free_reduction():
     gains = Gains(2.0, 1.0, 12.0)
     e = attitude_error(truth.pose.dcm, state.pose.dcm)
     omega_hat = corrected_angular_velocity(meas, e, gains)
-    out = corrected_velocity(state, meas, omega_hat, gains)
+    w = hat(omega_hat - meas.omega)
+    out = corrected_velocity(state, meas, w, innovations(state, meas), gains)
     # oracle: substitution of the exact measurement model
     expected = meas.velocity - gains.k3 * (truth.pose.dcm @ truth.landmarks[0])
     assert np.allclose(out, expected, atol=1e-12)
@@ -148,21 +145,23 @@ def test_corrected_velocity_matches_transcription(rng):
     gains = Gains(1.5, 0.7, 2.5)
     omega_hat = rng.normal(size=3)
     c = state.pose.dcm
-    total_innov = sum(straight_line_innovation(state, meas, i) for i in range(4))
+    total_innov = sum(straight_line_residual(state, meas, i) for i in range(4))
     expected = (
         meas.velocity
         + np.cross(omega_hat - meas.omega, c @ state.pose.position)
         + gains.k2 * total_innov
         - gains.k3 * (c @ state.pose.position + meas.landmark_obs[0])
     )
-    assert np.allclose(corrected_velocity(state, meas, omega_hat, gains), expected, atol=1e-12)
+    w = hat(omega_hat - meas.omega)
+    out = corrected_velocity(state, meas, w, innovations(state, meas), gains)
+    assert np.allclose(out, expected, atol=1e-12)
 
 
 def test_corrected_velocity_empty_map():
     state = ObserverState(Pose.identity(), np.zeros((0, 3)))
     meas = MeasurementFrame(np.zeros(3), np.zeros(3), np.zeros((0, 3)))
     with pytest.raises(EmptyMap):
-        corrected_velocity(state, meas, np.zeros(3), Gains(1, 1, 1))
+        corrected_velocity(state, meas, hat(np.zeros(3)), innovations(state, meas), Gains(1, 1, 1))
 
 
 def test_landmark_rate_zero_at_truth():
@@ -170,16 +169,17 @@ def test_landmark_rate_zero_at_truth():
     gains = Gains(2.0, 1.0, 12.0)
     e = attitude_error(truth.pose.dcm, state.pose.dcm)
     omega_hat = corrected_angular_velocity(meas, e, gains)
+    rates = landmark_rates(state, hat(omega_hat - meas.omega), innovations(state, meas), gains)
     for i in range(len(LANDMARKS)):
-        assert np.allclose(landmark_rate(state, meas, omega_hat, gains, i), 0.0, atol=1e-13)
+        assert np.allclose(rates[i], 0.0, atol=1e-13)
 
 
 def test_landmark_rate_direct_substitution():
     state = ObserverState(Pose.identity(), np.array([[2.0, 0, 0]]))
     meas = MeasurementFrame(np.zeros(3), np.zeros(3), np.array([[1.0, 0, 0]]))
     # omega_hat == omega, s_tilde = (1,0,0), k2 = 1 -> rate = -(1,0,0)
-    out = landmark_rate(state, meas, np.zeros(3), Gains(1.0, 1.0, 1.0), 0)
-    assert np.allclose(out, [-1.0, 0.0, 0.0])
+    out = landmark_rates(state, hat(np.zeros(3)), innovations(state, meas), Gains(1.0, 1.0, 1.0))
+    assert np.allclose(out[0], [-1.0, 0.0, 0.0])
 
 
 def test_landmark_rate_matches_transcription(rng):
@@ -187,9 +187,10 @@ def test_landmark_rate_matches_transcription(rng):
     gains = Gains(1.0, 0.8, 3.0)
     omega_hat = rng.normal(size=3)
     c = state.pose.dcm
+    rates = landmark_rates(state, hat(omega_hat - meas.omega), innovations(state, meas), gains)
     for i in range(4):
-        alpha = np.cross(omega_hat - meas.omega, c @ state.landmarks[i]) - gains.k2 * straight_line_innovation(state, meas, i)
-        assert np.allclose(landmark_rate(state, meas, omega_hat, gains, i), c.T @ alpha, atol=1e-12)
+        alpha = np.cross(omega_hat - meas.omega, c @ state.landmarks[i]) - gains.k2 * straight_line_residual(state, meas, i)
+        assert np.allclose(rates[i], c.T @ alpha, atol=1e-12)
 
 
 def test_step_equilibrium_on_screw():
@@ -200,7 +201,7 @@ def test_step_equilibrium_on_screw():
     for k in range(200):
         truth = truth_at(spec, k * dt, LANDMARKS)
         meas = measure(truth, NoiseSpec(), np.random.default_rng(0), k * dt)
-        state = step(state, meas, AttitudeSource(TRUE_ATTITUDE, truth.pose.dcm), gains, dt)
+        state = step(state, meas, truth.pose.dcm, gains, dt)
     truth_end = truth_at(spec, 200 * dt, LANDMARKS)
     err = metrics.pose_error(state.pose, truth_end.pose)
     assert rotation_angle(err.dcm) < 1e-9
@@ -225,7 +226,7 @@ def test_step_local_truncation_order():
         for k in range(n):
             truth = truth_at(spec, k * dt, LANDMARKS)
             meas = measure(truth, NoiseSpec(), np.random.default_rng(0), k * dt)
-            state = step(state, meas, AttitudeSource(TRUE_ATTITUDE, truth.pose.dcm), gains, dt)
+            state = step(state, meas, truth.pose.dcm, gains, dt)
         return state
 
     def dist(a, b):
@@ -253,7 +254,7 @@ def test_step_lyapunov_non_increasing_from_perturbation():
     )
     meas = measure(truth, NoiseSpec(), np.random.default_rng(0))
     v_before = metrics.evaluate(state, truth).lyapunov
-    new = step(state, meas, AttitudeSource(TRUE_ATTITUDE, truth.pose.dcm), gains, dt)
+    new = step(state, meas, truth.pose.dcm, gains, dt)
     v_after = metrics.evaluate(new, truth_at(spec, dt, LANDMARKS)).lyapunov
     assert v_after <= v_before + 1e-9 * max(1.0, v_before)
 
@@ -263,7 +264,7 @@ def test_step_zero_gains_is_dead_reckoning(rng):
     meas = MeasurementFrame(rng.normal(size=3), rng.normal(size=3), rng.normal(size=(4, 3)))
     gains = Gains(0.0, 0.0, 0.0)
     dt = 0.01
-    new = step(state, meas, AttitudeSource(TRUE_ATTITUDE, random_rotation(rng)), gains, dt)
+    new = step(state, meas, random_rotation(rng), gains, dt)
     from se3slam.liegroup import exp_se3
 
     expected = state.pose.compose(exp_se3(meas.omega * dt, meas.velocity * dt))
@@ -274,9 +275,9 @@ def test_step_zero_gains_is_dead_reckoning(rng):
 def test_step_preserves_landmark_count_and_is_deterministic(rng):
     state, meas = random_setup(rng)
     gains = Gains(1.0, 1.0, 1.0)
-    src = AttitudeSource(TRUE_ATTITUDE, random_rotation(rng))
-    a = step(state, meas, src, gains, 0.01)
-    b = step(state, meas, src, gains, 0.01)
+    c_ba = random_rotation(rng)
+    a = step(state, meas, c_ba, gains, 0.01)
+    b = step(state, meas, c_ba, gains, 0.01)
     assert a.num_landmarks == state.num_landmarks
     assert np.array_equal(a.pose.dcm, b.pose.dcm)
     assert np.array_equal(a.pose.position, b.pose.position)
@@ -288,13 +289,13 @@ def test_step_rotation_stays_orthonormal(rng):
     gains = Gains(1.0, 1.0, 1.0)
     for _ in range(500):
         meas = MeasurementFrame(rng.normal(size=3), rng.normal(size=3), rng.normal(size=(4, 3)))
-        state = step(state, meas, AttitudeSource(TRUE_ATTITUDE, random_rotation(rng)), gains, 0.005)
+        state = step(state, meas, random_rotation(rng), gains, 0.005)
     assert np.linalg.norm(state.pose.dcm.T @ state.pose.dcm - np.eye(3)) < 1e-12
 
 
 def test_resolve_attitude_reconstructed_and_fallback(rng):
     truth, state, meas = perfect_setup(t=0.4)
-    c, ok = resolve_attitude(state, meas, AttitudeSource(RECONSTRUCTED))
+    c, ok = resolve_attitude(state, meas)
     assert ok
     assert rotation_angle(c @ truth.pose.dcm.T) < 1e-9
     # collinear observations: falls back to the supplied attitude and flags it
@@ -305,7 +306,7 @@ def test_resolve_attitude_reconstructed_and_fallback(rng):
         state.pose, state.pose.position + np.tile(np.array([[1.0, 0, 0]]), (4, 1)), 0.0
     )
     fb = np.eye(3)
-    c2, ok2 = resolve_attitude(bad_state, bad, AttitudeSource(RECONSTRUCTED), fallback=fb)
+    c2, ok2 = resolve_attitude(bad_state, bad, fallback=fb)
     assert not ok2
     assert c2 is fb
 
@@ -317,8 +318,8 @@ def test_resolve_attitude_zero_direction_takes_fallback():
     landmarks[2] = state.pose.position
     at_body = ObserverState(state.pose, landmarks, state.time)
     with pytest.raises(ZeroVector):
-        resolve_attitude(at_body, meas, AttitudeSource(RECONSTRUCTED))
+        resolve_attitude(at_body, meas)
     fb = np.eye(3)
-    c, ok = resolve_attitude(at_body, meas, AttitudeSource(RECONSTRUCTED), fallback=fb)
+    c, ok = resolve_attitude(at_body, meas, fallback=fb)
     assert not ok
     assert c is fb

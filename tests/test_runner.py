@@ -5,9 +5,9 @@ import pytest
 
 from conftest import SCENARIO_DIR
 from se3slam.metrics import ErrorRecord, evaluate
-from se3slam.observer import RECONSTRUCTED, TRUE_ATTITUDE, AttitudeSource, resolve_attitude, step
+from se3slam.observer import resolve_attitude, step
 from se3slam.runner import csv_lines, initial_conditions, run, sweep, write_csv
-from se3slam.scenario import load_scenario, set_parameter
+from se3slam.scenario import RECONSTRUCTED, load_scenario, set_parameter
 from se3slam.simulator import TrajectorySpec, measure, truth_at
 
 
@@ -155,13 +155,11 @@ def reference_records(scenario):
         truth = truth_at(traj, k * dt, landmarks)
         meas = measure(truth, scenario.noise, rng_noise, k * dt)
         if scenario.attitude_mode == RECONSTRUCTED:
-            source = AttitudeSource(RECONSTRUCTED)
-            c_ba, ok = resolve_attitude(state, meas, source, fallback=last_good)
+            c_ba, ok = resolve_attitude(state, meas, fallback=last_good)
             last_good = c_ba if ok else last_good
         else:
-            source = AttitudeSource(TRUE_ATTITUDE, truth.pose.dcm)
             c_ba, ok = truth.pose.dcm, True
-        state = step(state, meas, source, scenario.gains, dt, c_ba=c_ba)
+        state = step(state, meas, c_ba, scenario.gains, dt)
         records.append(evaluate(state, truth_at(traj, (k + 1) * dt, landmarks), ok))
     return records
 

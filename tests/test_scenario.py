@@ -5,7 +5,7 @@ import yaml
 
 from conftest import SCENARIO_DIR
 from se3slam.errors import ConfigInvalid, UnknownParameter
-from se3slam.scenario import load_scenario, parse_scenario, set_parameter
+from se3slam.scenario import MAX_STEPS, load_scenario, parse_scenario, set_parameter
 
 BUNDLED = ["fig3_noisefree", "fig3_noisy", "reconstructed", "heavytail"]
 
@@ -151,3 +151,25 @@ def test_set_parameter_non_finite_names_sweep_path(base_doc, path, message):
     scenario = parse_scenario(base_doc)
     with pytest.raises(ConfigInvalid, match=f"^{message}"):
         set_parameter(scenario, path, float("nan"))
+
+
+def test_set_parameter_int_field_needs_integral_value(base_doc):
+    scenario = parse_scenario(base_doc)
+    for value in (1.5, float("inf")):
+        with pytest.raises(ConfigInvalid, match="^seed: expected an integer"):
+            set_parameter(scenario, "seed", value)
+    updated = set_parameter(scenario, "seed", 2.0)
+    assert updated.seed == 2 and isinstance(updated.seed, int)
+
+
+def test_step_count_is_bounded(base_doc):
+    base_doc["dt"] = 1.0
+    base_doc["duration"] = float(MAX_STEPS)
+    assert parse_scenario(base_doc).duration == MAX_STEPS
+    base_doc["duration"] = MAX_STEPS + 1.0
+    with pytest.raises(ConfigInvalid, match=r"^duration/dt: 1e\+06 steps exceed"):
+        parse_scenario(base_doc)
+    # a ratio that overflows to infinity is rejected the same way
+    base_doc["duration"], base_doc["dt"] = 1.0e300, 1.0e-300
+    with pytest.raises(ConfigInvalid, match="^duration/dt: inf steps exceed"):
+        parse_scenario(base_doc)

@@ -1,6 +1,12 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import se3slam
 from conftest import random_rotation
 from se3slam.errors import NonFiniteState
 from se3slam.liegroup import Pose, exp_so3, hat
@@ -164,3 +170,22 @@ def test_place_landmarks_validation():
         place_landmarks(0, [0, 0, 0], [1, 1, 1], np.random.default_rng(0))
     with pytest.raises(ValueError):
         place_landmarks(3, [0, 0, 0], [-1, 1, 1], np.random.default_rng(0))
+
+
+def test_simulator_does_not_import_observer():
+    # a fresh interpreter, so modules loaded by other tests do not count;
+    # measure() builds a MeasurementFrame, so that type must live here too
+    code = (
+        "import sys\n"
+        "import numpy as np\n"
+        "from se3slam.simulator import NoiseSpec, TrajectorySpec, measure, truth_at\n"
+        "truth = truth_at(TrajectorySpec('static'), 0.0, [[1.0, 0.0, 0.0]])\n"
+        "measure(truth, NoiseSpec(), np.random.default_rng(0))\n"
+        "print('se3slam.observer' in sys.modules)\n"
+    )
+    src = str(Path(se3slam.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "False"
