@@ -65,6 +65,15 @@ def _slug(text: str) -> str:
     return re.sub(r"[^A-Za-z0-9_.-]+", "_", text)
 
 
+def _value_text(value: float) -> str:
+    """``value`` in %g form with as many digits as it takes to read back exactly."""
+    for digits in range(6, 17):
+        text = f"{value:.{digits}g}"
+        if float(text) == value:
+            return text
+    return f"{value:.17g}"
+
+
 def _cmd_run(args) -> int:
     # Load every file first, so a bad file or a name clash stops before any run.
     loaded = [load_scenario(path) for path in args.scenarios]
@@ -102,14 +111,18 @@ def _cmd_sweep(args) -> int:
     if not values:
         print("error: --values is empty", file=sys.stderr)
         return 2
+    texts = [_value_text(v) for v in values]
+    if len(set(texts)) < len(texts):
+        print("error: --values repeats a value; its outputs would collide", file=sys.stderr)
+        return 2
     results = sweep(scenario, args.param, values)
     args.out.mkdir(parents=True, exist_ok=True)
-    for value, result in zip(values, results):
-        stem = f"{scenario.name}__{_slug(args.param)}_{value:g}"
+    for text, result in zip(texts, results):
+        stem = f"{scenario.name}__{_slug(args.param)}_{text}"
         write_csv(result.records, args.out / f"{stem}.csv", args.decimate)
         write_summary(result, args.out / f"{stem}_summary.txt")
         print(
-            f"{args.param}={value:g}: final_V={result.summary.final.lyapunov:.6g} "
+            f"{args.param}={text}: final_V={result.summary.final.lyapunov:.6g} "
             f"final_att_err={result.summary.final.attitude_error_angle:.6g}"
         )
     return 0

@@ -57,7 +57,7 @@ def initial_conditions(scenario: Scenario):
         landmarks = np.array(layout.positions, dtype=float)
     else:
         landmarks = place_landmarks(
-            layout.count, layout.box_min, layout.box_max, np.random.default_rng(lm_seq)
+            layout.count, layout.box.min, layout.box.max, np.random.default_rng(lm_seq)
         )
 
     truth0 = truth_at(scenario.trajectory, 0.0, landmarks)
@@ -79,7 +79,6 @@ def initial_conditions(scenario: Scenario):
 
 def run(scenario: Scenario, scenario_hash: str | None = None) -> RunResult:
     """Execute the full simulate/estimate/score loop for one scenario."""
-    scenario.validate()
     landmarks, state, rng_noise = initial_conditions(scenario)
     dt = scenario.dt
     n_steps = int(round(scenario.duration / dt))
@@ -116,8 +115,11 @@ def run(scenario: Scenario, scenario_hash: str | None = None) -> RunResult:
 
 
 def sweep(base: Scenario, param_path: str, values) -> list[RunResult]:
-    """One deterministic run per value, index-aligned with the input list."""
-    return [run(set_parameter(base, param_path, v)) for v in values]
+    """One deterministic run per value, index-aligned with the input list.
+
+    Every value's scenario is built, and so checked, before the first run."""
+    scenarios = [set_parameter(base, param_path, v) for v in values]
+    return [run(scenario) for scenario in scenarios]
 
 
 # 17 significant digits round-trip every float64 exactly.

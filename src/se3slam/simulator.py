@@ -22,6 +22,8 @@ NOISE_FAMILIES = ("none", "gaussian", "student_t", "uniform")
 # family; incommensurate-ish so the motion explores all axes.
 TUMBLE_FREQ_RATIOS = (1.0, 0.6, 1.4)
 
+Vec3 = tuple[float, float, float]
+
 
 @dataclass(frozen=True)
 class TrajectorySpec:
@@ -38,7 +40,7 @@ class TrajectorySpec:
     radius: float = 0.0
     angular_rate: float = 0.0  # rad/s
     vertical_rate: float = 0.0  # m/s
-    tumble_amplitude: tuple[float, float, float] = (0.0, 0.0, 0.0)  # rad
+    tumble_amplitude: Vec3 = (0.0, 0.0, 0.0)  # rad
     initial_pose: Pose = field(default_factory=Pose.identity)
 
     def __post_init__(self):
@@ -57,7 +59,7 @@ class ChannelNoise:
     family: str = "none"
     scale: float = 0.0
     dof: float = 3.0  # student_t only
-    bias: tuple[float, float, float] = (0.0, 0.0, 0.0)
+    bias: Vec3 = (0.0, 0.0, 0.0)
 
     def __post_init__(self):
         if self.family not in NOISE_FAMILIES:

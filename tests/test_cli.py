@@ -91,6 +91,24 @@ def test_sweep_cli(short_scenario, tmp_path, capsys):
     assert files == ["fig3_noisefree__gains.k1_1.csv", "fig3_noisefree__gains.k1_2.csv"]
 
 
+def test_sweep_names_round_trip_values(short_scenario, tmp_path, capsys):
+    out = tmp_path / "sweep"
+    argv = ["sweep", str(short_scenario), "--param", "seed", "--values", "1000000,1000001"]
+    assert main(argv + ["--out", str(out)]) == 0
+    files = sorted(p.name for p in out.glob("*.csv"))
+    assert files == ["fig3_noisefree__seed_1000001.csv", "fig3_noisefree__seed_1e+06.csv"]
+    stdout = capsys.readouterr().out
+    assert "seed=1e+06: " in stdout and "seed=1000001: " in stdout
+
+
+def test_sweep_rejects_repeated_value(short_scenario, tmp_path, capsys):
+    out = tmp_path / "sweep"
+    argv = ["sweep", str(short_scenario), "--param", "gains.k1", "--values", "1,2,1.0"]
+    assert main(argv + ["--out", str(out)]) == 2
+    assert "error: --values repeats a value" in capsys.readouterr().err
+    assert not out.exists()  # rejected before any run
+
+
 def test_sweep_unknown_param(short_scenario, capsys, tmp_path):
     code = main(
         ["sweep", str(short_scenario), "--param", "gains.k9", "--values", "1.0", "--out", str(tmp_path)]

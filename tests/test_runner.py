@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from conftest import SCENARIO_DIR
+from se3slam import runner
+from se3slam.errors import ConfigInvalid
 from se3slam.metrics import ErrorRecord, evaluate
 from se3slam.observer import resolve_attitude, step
 from se3slam.runner import csv_lines, initial_conditions, run, sweep, write_csv
@@ -103,6 +105,14 @@ def test_sweep_singleton_matches_run(short):
     swept = sweep(short, "gains.k1", [3.0])
     assert len(swept) == 1
     assert csv_lines(swept[0].records) == csv_lines(direct.records)
+
+
+def test_sweep_checks_every_value_before_running(noisefree, monkeypatch):
+    calls = []
+    monkeypatch.setattr(runner, "run", calls.append)
+    with pytest.raises(ConfigInvalid, match="^dt: must be > 0"):
+        sweep(noisefree, "dt", [0.005, -1])
+    assert calls == []
 
 
 def test_sweep_zero_noise_matches_noisefree(noisefree):

@@ -1,13 +1,26 @@
 import copy
 
+import numpy as np
 import pytest
 import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import SCENARIO_DIR
 from se3slam.errors import ConfigInvalid, UnknownParameter
-from se3slam.scenario import MAX_STEPS, load_scenario, parse_scenario, set_parameter
+from se3slam.scenario import (
+    MAX_STEPS,
+    TRUE_ATTITUDE,
+    InitialEstimate,
+    Scenario,
+    load_scenario,
+    parse_scenario,
+    set_parameter,
+)
+from se3slam.simulator import NoiseSpec
 
 BUNDLED = ["fig3_noisefree", "fig3_noisy", "reconstructed", "heavytail"]
+BUNDLED_DOCS = [yaml.safe_load((SCENARIO_DIR / f"{name}.yaml").read_text()) for name in BUNDLED]
 
 
 @pytest.fixture
@@ -173,3 +186,88 @@ def test_step_count_is_bounded(base_doc):
     base_doc["duration"], base_doc["dt"] = 1.0e300, 1.0e-300
     with pytest.raises(ConfigInvalid, match="^duration/dt: inf steps exceed"):
         parse_scenario(base_doc)
+
+
+@pytest.mark.parametrize(
+    "key, value, message",
+    [
+        ("attitude_error_axis", [0, 0, 0], "attitude_error_axis needs a finite non-zero norm"),
+        ("landmark_offset_scale", -1.0, "landmark_offset_scale must be >= 0"),
+    ],
+)
+def test_initial_estimate_checks_its_fields(base_doc, key, value, message):
+    base_doc["initial_estimate"].update(attitude_error_rad=0.5, **{key: value})
+    with pytest.raises(ConfigInvalid, match=f"^initial_estimate: {message}"):
+        parse_scenario(base_doc)
+
+
+def test_set_parameter_checks_initial_estimate(base_doc):
+    base_doc["initial_estimate"].update(attitude_error_rad=0.0, attitude_error_axis=[0, 0, 0])
+    scenario = parse_scenario(base_doc)  # no rotation, so no axis is needed
+    path = "initial_estimate.attitude_error_rad"
+    with pytest.raises(ConfigInvalid, match=f"^{path}: attitude_error_axis needs"):
+        set_parameter(scenario, path, 0.5)
+    path = "initial_estimate.landmark_offset_scale"
+    with pytest.raises(ConfigInvalid, match=f"^{path}: landmark_offset_scale must be >= 0"):
+        set_parameter(scenario, path, -1.0)
+
+
+def test_minimal_document_takes_dataclass_defaults():
+    doc = {
+        "schema_version": 1,
+        "name": "minimal",
+        "duration": 1.0,
+        "dt": 0.1,
+        "gains": {"k1": 1.0, "k2": 1.0, "k3": 1.0},
+        "trajectory": {"family": "static"},
+        "landmarks": {"positions": [[0, 0, 0]]},
+    }
+    scenario = parse_scenario(doc)
+    assert scenario.noise == NoiseSpec()
+    assert scenario.initial_estimate == InitialEstimate()
+    assert scenario.seed == 0
+    assert scenario.attitude_mode == TRUE_ATTITUDE
+    spec = scenario.trajectory
+    assert (spec.radius, spec.angular_rate, spec.vertical_rate) == (0.0, 0.0, 0.0)
+    assert spec.tumble_amplitude == (0.0, 0.0, 0.0)
+    np.testing.assert_array_equal(spec.initial_pose.matrix, np.eye(4))
+
+
+def _slots(node):
+    """(container, key) of every value in a parsed document, nested ones included."""
+    keys = node.keys() if isinstance(node, dict) else range(len(node))
+    for key in list(keys):
+        yield node, key
+        if isinstance(node[key], (dict, list)):
+            yield from _slots(node[key])
+
+
+JUNK = st.sampled_from(
+    [None, True, False, "x", "1.5", [], [1.0], [1.0, 2.0], float("nan"), float("inf"), -float("inf")]
+)
+
+
+@st.composite
+def mutated_documents(draw):
+    doc = copy.deepcopy(draw(st.sampled_from(BUNDLED_DOCS)))
+    for _ in range(draw(st.integers(1, 3))):
+        container, key = draw(st.sampled_from(list(_slots(doc))))
+        action = draw(st.sampled_from(["delete", "add", "replace"]))
+        if action == "delete":
+            del container[key]
+        elif action == "add":
+            mapping = draw(st.sampled_from([doc] + [v for _, v in _slots(doc) if isinstance(v, dict)]))
+            mapping[draw(st.one_of(st.text(max_size=8), st.integers()))] = draw(JUNK)
+        else:
+            container[key] = draw(JUNK)
+    return doc
+
+
+@settings(max_examples=300, deadline=None)
+@given(mutated_documents())
+def test_mutated_documents_parse_or_raise_config_invalid(doc):
+    try:
+        scenario = parse_scenario(doc)
+    except ConfigInvalid:
+        return
+    assert isinstance(scenario, Scenario)
