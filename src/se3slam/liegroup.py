@@ -47,23 +47,82 @@ def vee(m) -> np.ndarray:
     return np.array([m[2, 1], m[0, 2], m[1, 0]])
 
 
-def _so3_terms(axis_angle):
-    """(a, b, c, K, K @ K) for K = hat(v), theta = |v|: a = sin(theta)/theta,
-    b = (1 - cos(theta))/theta^2 and c = (theta - sin(theta))/theta^3.
+def _small_angle_coefficients(theta, power):
+    """(a, b, c) below SMALL_ANGLE: their series about theta = 0."""
+    theta2 = power(theta, 2)
+    return 1.0 - theta2 / 6.0, 0.5 - theta2 / 24.0, 1.0 / 6.0 - theta2 / 120.0
 
-    Raises NonFiniteState when theta is not finite: a NaN entry, or finite
-    entries whose norm overflows, would otherwise give NaN coefficients.
+
+def _trig_coefficients(theta, power):
+    """(a, b, c) = (sin(theta)/theta, (1 - cos(theta))/theta^2, (theta - sin(theta))/theta^3)."""
+    sin = np.sin(theta)
+    return sin / theta, (1.0 - np.cos(theta)) / power(theta, 2), (theta - sin) / power(theta, 3)
+
+
+def _so3_terms(axis_angle):
+    """(a, b, c, K, K @ K) for one rotation vector v, with K = hat(v),
+    theta = |v| and (a, b, c) from the coefficient functions above.
+
+    Raises NonFiniteState when theta is not finite (a NaN entry, or finite
+    entries whose norm overflows, would give NaN coefficients) or when theta^3
+    overflows.
     """
     v = np.asarray(axis_angle, dtype=float)
     theta = float(np.linalg.norm(v))
     if not math.isfinite(theta):
         raise NonFiniteState(f"rotation vector has no finite norm: {v.tolist()}")
     k = hat(v)
-    if theta < SMALL_ANGLE:
-        a, b, c = 1.0 - theta**2 / 6.0, 0.5 - theta**2 / 24.0, 1.0 / 6.0 - theta**2 / 120.0
-    else:
-        sin = np.sin(theta)
-        a, b, c = sin / theta, (1.0 - np.cos(theta)) / theta**2, (theta - sin) / theta**3
+    coefficients = _small_angle_coefficients if theta < SMALL_ANGLE else _trig_coefficients
+    try:
+        a, b, c = coefficients(theta, pow)
+    except OverflowError:
+        raise NonFiniteState(f"rotation angle {theta:g} overflows the SO(3) series") from None
+    return a, b, c, k, k @ k
+
+
+def vector_norm(v):
+    """Euclidean norm over the last axis of v, with the bits np.linalg.norm
+    gives a single 1-D vector (a dot product, not a sum of squares)."""
+    return np.sqrt((v[..., None, :] @ v[..., :, None])[..., 0, 0])
+
+
+# Flat indices of the off-diagonal entries of hat(v), the component of v in
+# each and its sign: hat(v) = [[0, -z, y], [z, 0, -x], [-y, x, 0]].
+_HAT_SLOTS = [1, 2, 3, 5, 6, 7]
+_HAT_SOURCES = [2, 1, 2, 0, 1, 0]
+_HAT_SIGNS = np.array([-1.0, 1.0, 1.0, -1.0, -1.0, 1.0])
+
+
+def _hat_stacked(v) -> np.ndarray:
+    """hat over the leading axes of v (..., 3); a product with -1 is exact."""
+    k = np.zeros(v.shape[:-1] + (9,))
+    k[..., _HAT_SLOTS] = v[..., _HAT_SOURCES] * _HAT_SIGNS
+    return k.reshape(v.shape[:-1] + (3, 3))
+
+
+def _so3_terms_stacked(axis_angle):
+    """_so3_terms over the leading axes of axis_angle (..., 3): a, b and c
+    come shaped (..., 1, 1) and K, K @ K (..., 3, 3). Each slice has the
+    bits _so3_terms gives that vector alone; theta^3 may overflow to inf here
+    (c is then 0), and only a theta without a finite norm raises.
+    """
+    v = np.asarray(axis_angle, dtype=float)
+    # An overflowing norm is rejected below; theta^2 and theta^3 may overflow.
+    with np.errstate(over="ignore"):
+        theta = vector_norm(v)
+        finite = np.isfinite(theta)
+        if not finite.all():
+            bad = v.reshape(-1, 3)[~finite.reshape(-1)][0]
+            raise NonFiniteState(f"rotation vector has no finite norm: {bad.tolist()}")
+        small = theta < SMALL_ANGLE
+        if small.any():
+            series = _small_angle_coefficients(np.where(small, theta, 0.0), np.float_power)
+            trig = _trig_coefficients(np.where(small, 1.0, theta), np.float_power)
+            coefficients = (np.where(small, s, t) for s, t in zip(series, trig))
+        else:
+            coefficients = _trig_coefficients(theta, np.float_power)
+    a, b, c = (x[..., None, None] for x in coefficients)
+    k = _hat_stacked(v)
     return a, b, c, k, k @ k
 
 
@@ -73,19 +132,21 @@ def _series(p, q, k, kk) -> np.ndarray:
 
 
 def exp_so3(axis_angle) -> np.ndarray:
-    """Rodrigues rotation matrix for the axis-angle vector."""
-    a, b, _, k, kk = _so3_terms(axis_angle)
+    """Rodrigues rotation matrix of an axis-angle vector (3,), or the stack
+    of them (..., 3, 3) for rotation vectors (..., 3)."""
+    a, b, _, k, kk = _so3_terms_stacked(axis_angle)
     return _series(a, b, k, kk)
 
 
-def _left_jacobian_so3(axis_angle) -> np.ndarray:
-    _, b, c, k, kk = _so3_terms(axis_angle)
-    return _series(b, c, k, kk)
+def exp_so3_with_right_jacobian(axis_angle):
+    """(exp_so3(a), Jr(a)) from one evaluation of the SO(3) terms, where Jr is
+    the right Jacobian: d/dt exp(hat(a)) = exp(hat(a)) hat(Jr(a) da/dt).
 
-
-def right_jacobian_so3(axis_angle) -> np.ndarray:
-    """Right Jacobian of SO(3): d/dt exp(hat(a)) = exp(hat(a)) hat(Jr(a) da/dt)."""
-    return _left_jacobian_so3(np.negative(np.asarray(axis_angle, dtype=float)))
+    Jr(a) is the left Jacobian I + b K + c K^2 at -a; b and c are even in a,
+    hat(-a) = -K, and (-K)(-K) = K K exactly. Over leading axes like exp_so3.
+    """
+    a, b, c, k, kk = _so3_terms_stacked(axis_angle)
+    return _series(a, b, k, kk), _series(b, c, -k, kk)
 
 
 def is_rotation(m, tol: float = ROTATION_TOL) -> bool:
@@ -113,10 +174,12 @@ def reorthonormalize(m) -> np.ndarray:
     return u @ vt
 
 
-def rotation_angle(r) -> float:
-    """Rotation angle in [0, pi] from the trace, clamped for numerical safety."""
-    cos = (np.asarray(r, dtype=float).trace() - 1.0) / 2.0
-    return float(np.arccos(min(max(cos, -1.0), 1.0)))
+def rotation_angle(r):
+    """Rotation angle in [0, pi] from the trace, clamped for numerical safety:
+    a float for one matrix (3, 3), an array for a stack (..., 3, 3)."""
+    cos = (np.trace(np.asarray(r, dtype=float), axis1=-2, axis2=-1) - 1.0) / 2.0
+    angle = np.arccos(np.clip(cos, -1.0, 1.0))
+    return float(angle) if angle.ndim == 0 else angle
 
 
 def compose_raw(dcm_a, position_a, dcm_b, position_b):
@@ -130,10 +193,12 @@ def inverse_raw(dcm, position):
 
 
 def homogeneous(dcm, position) -> np.ndarray:
-    """4x4 homogeneous matrix of a pose given as raw arrays."""
-    out = np.eye(4)
-    out[:3, :3] = dcm.T
-    out[:3, 3] = position
+    """4x4 homogeneous matrix of a pose given as raw arrays, over any leading
+    axes of dcm (..., 3, 3) and position (..., 3)."""
+    out = np.zeros(dcm.shape[:-2] + (4, 4))
+    out[..., :3, :3] = np.swapaxes(dcm, -1, -2)
+    out[..., :3, 3] = position
+    out[..., 3, 3] = 1.0
     return out
 
 
@@ -181,9 +246,11 @@ def exp_se3(omega, v) -> Pose:
 
     The rotation block equals exp_so3(omega); the translation block is the
     SO(3) left Jacobian applied to v. Both share one evaluation of the SO(3)
-    terms. A twist whose omega has a finite norm gives a rotation by
+    terms, in the one-vector form (a stack costs more than this call for a
+    single twist). A twist whose omega has a finite norm gives a rotation by
     construction, so only finiteness is checked: a non-finite v, or an omega
-    without a finite norm, raises NonFiniteState.
+    without a finite norm or whose angle overflows the series, raises
+    NonFiniteState.
     """
     v = np.asarray(v, dtype=float)
     if not np.isfinite(v).all():

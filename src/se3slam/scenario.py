@@ -33,6 +33,9 @@ RECONSTRUCTED = "reconstructed"
 
 # Upper bound on duration / dt: a run keeps one ErrorRecord per step in memory.
 MAX_STEPS = 10**6
+# Upper bound on the landmark count: every step works on (l, 3) arrays, and
+# every ErrorRecord keeps two l-vectors.
+MAX_LANDMARKS = 10**4
 
 
 @dataclass(frozen=True)
@@ -132,6 +135,12 @@ class Scenario:
             raise ConfigInvalid(
                 f"duration/dt: {steps:.6g} steps exceed the limit of {MAX_STEPS}"
             )
+        if self.landmarks.num_landmarks > MAX_LANDMARKS:
+            key = "count" if self.landmarks.positions is None else "positions"
+            raise ConfigInvalid(
+                f"landmarks.{key}: {self.landmarks.num_landmarks} landmarks exceed "
+                f"the limit of {MAX_LANDMARKS}"
+            )
         if self.attitude_mode not in (TRUE_ATTITUDE, RECONSTRUCTED):
             raise ConfigInvalid(
                 f"attitude_mode: must be '{TRUE_ATTITUDE}' or '{RECONSTRUCTED}'"
@@ -216,9 +225,10 @@ def _float(value, path: str) -> float:
 
 
 def _vec3(value, path: str) -> Vec3:
+    """A 3-element list, each entry read as a float field."""
     if not isinstance(value, (list, tuple)) or len(value) != 3:
         raise ConfigInvalid(f"{path}: expected a 3-element list")
-    return tuple(_float(x, path) for x in value)
+    return tuple(_read(float, x, f"{path}[{i}]") for i, x in enumerate(value))
 
 
 def _trajectory(data: dict, path: str) -> TrajectorySpec:
@@ -239,7 +249,7 @@ def parse_scenario(data: dict) -> Scenario:
     if isinstance(data, dict):
         data = dict(data)
         version = data.pop("schema_version", None)
-        if version != SCHEMA_VERSION:
+        if type(version) is not int or version != SCHEMA_VERSION:
             raise ConfigInvalid(f"schema_version: expected {SCHEMA_VERSION}, got {version!r}")
     return _build(Scenario, data, "")
 

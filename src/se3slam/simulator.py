@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import NonFiniteState
-from .liegroup import Pose, exp_so3, right_jacobian_so3
+from .liegroup import Pose, exp_so3, exp_so3_with_right_jacobian
 
 FAMILIES = ("static", "circle", "helix", "tumble")
 NOISE_FAMILIES = ("none", "gaussian", "student_t", "uniform")
@@ -79,12 +79,22 @@ class NoiseSpec:
 
 @dataclass(frozen=True)
 class GroundTruth:
-    """True pose, body rates, and landmark positions at one instant."""
+    """True pose, body rates, and landmark positions at one instant, or at n
+    instants stacked along a leading axis of the pose and rate fields."""
 
     pose: Pose
-    omega_body: np.ndarray  # rad/s
-    velocity_body: np.ndarray  # m/s
+    omega_body: np.ndarray  # rad/s, (3,) or (n, 3)
+    velocity_body: np.ndarray  # m/s, (3,) or (n, 3)
     landmarks: np.ndarray  # (l, 3), datum frame
+
+    def row(self, i: int) -> "GroundTruth":
+        """The truth at the i-th instant of a stacked truth."""
+        return GroundTruth(
+            Pose.unchecked(self.pose.dcm[i], self.pose.position[i]),
+            self.omega_body[i],
+            self.velocity_body[i],
+            self.landmarks,
+        )
 
 
 @dataclass(frozen=True)
@@ -104,54 +114,73 @@ class MeasurementFrame:
         )
 
 
-def _translation(spec: TrajectorySpec, t: float) -> tuple[np.ndarray, np.ndarray]:
-    """Datum-frame position offset from the initial position, and its rate."""
+def _translation(spec: TrajectorySpec, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Datum-frame position offsets from the initial position, and their rates,
+    at the times t (n,): two (n, 3) arrays."""
     w, r, c = spec.angular_rate, spec.radius, spec.vertical_rate
     th = w * t
-    offset = np.array([r * (np.cos(th) - 1.0), r * np.sin(th), c * t])
-    rate = np.array([-r * w * np.sin(th), r * w * np.cos(th), c])
+    sin, cos = np.sin(th), np.cos(th)
+    offset, rate = np.empty((2, len(t), 3))
+    offset[:, 0], offset[:, 1], offset[:, 2] = r * (cos - 1.0), r * sin, c * t
+    rate[:, 0], rate[:, 1], rate[:, 2] = -r * w * sin, r * w * cos, c
     return offset, rate
 
 
-def truth_at(spec: TrajectorySpec, t: float, landmarks=None) -> GroundTruth:
-    """Closed-form ground truth at time t >= 0.
+def truth_at(spec: TrajectorySpec, t, landmarks=None) -> GroundTruth:
+    """Closed-form ground truth at time t >= 0, or at each time of a 1-D array t.
+
+    For an array of n times the pose and body-rate fields gain a leading axis
+    of length n (``GroundTruth.row`` picks one instant) and the landmarks are
+    shared; a scalar t is the one-time case of the same arithmetic, so row i
+    of a stacked truth has the bits of the truth at t[i] alone.
 
     The spec's fields are finite (its constructor checks them), so the pose is
     a product of rotations by construction and is not validated again. Finite
     fields can still overflow: an axis-angle without a finite norm raises
-    NonFiniteState in exp_so3, and so does a non-finite position.
+    NonFiniteState in exp_so3, and a non-finite position raises NonFiniteState
+    naming the first time it occurs at.
     """
-    if not 0.0 <= t < np.inf:
-        raise ValueError("t must be finite and >= 0")
+    times = np.asarray(t, dtype=float)
+    if times.ndim > 1:
+        raise ValueError("t must be a scalar or a 1-D array of times")
+    ts = times.reshape(-1)
+    bad = ~((ts >= 0.0) & (ts < np.inf))
+    if bad.any():
+        raise ValueError(f"t must be finite and >= 0, got {float(ts[bad][0])}")
     if landmarks is None:
         landmarks = np.zeros((0, 3))
     landmarks = np.atleast_2d(np.asarray(landmarks, dtype=float))
     c0 = spec.initial_pose.dcm
     r0 = spec.initial_pose.position
+    n = len(ts)
 
     if spec.family == "static":
-        return GroundTruth(spec.initial_pose, np.zeros(3), np.zeros(3), landmarks)
+        dcm = np.broadcast_to(c0, (n, 3, 3))
+        position = np.broadcast_to(r0, (n, 3))
+        omega = np.zeros((n, 3))
+        v_body = np.zeros((n, 3))
+    else:
+        offset, rdot = _translation(spec, ts)
+        position = r0 + offset
+        if not np.isfinite(position).all():
+            first = np.argmin(np.isfinite(position).all(axis=-1))
+            raise NonFiniteState(f"non-finite ground-truth position at t={float(ts[first])}")
+        if spec.family in ("circle", "helix"):
+            omega = np.zeros((n, 3))
+            omega[:, 2] = spec.angular_rate
+            rot = exp_so3(omega * ts[:, None])  # C_ba(t).T = C0.T @ rot
+        else:  # tumble
+            amp = np.asarray(spec.tumble_amplitude, dtype=float)
+            nu = spec.angular_rate * np.asarray(TUMBLE_FREQ_RATIOS)
+            a = amp * np.sin(nu * ts[:, None])
+            adot = amp * nu * np.cos(nu * ts[:, None])
+            rot, jacobian = exp_so3_with_right_jacobian(a)
+            omega = (jacobian @ adot[:, :, None])[:, :, 0]
+        dcm = np.swapaxes(rot, -1, -2) @ c0
+        v_body = (dcm @ rdot[:, :, None])[:, :, 0]
 
-    offset, rdot = _translation(spec, t)
-    position = r0 + offset
-    if not np.isfinite(position).all():
-        raise NonFiniteState(f"non-finite ground-truth position at t={t}")
-
-    if spec.family in ("circle", "helix"):
-        omega = np.array([0.0, 0.0, spec.angular_rate])
-        rot = exp_so3(omega * t)  # C_ba(t).T = C0.T @ rot
-        dcm = rot.T @ c0
-    else:  # tumble
-        amp = np.asarray(spec.tumble_amplitude, dtype=float)
-        ratios = np.asarray(TUMBLE_FREQ_RATIOS)
-        nu = spec.angular_rate * ratios
-        a = amp * np.sin(nu * t)
-        adot = amp * nu * np.cos(nu * t)
-        dcm = exp_so3(a).T @ c0
-        omega = right_jacobian_so3(a) @ adot
-
-    v_body = dcm @ rdot
-    return GroundTruth(Pose.unchecked(dcm, position), omega, v_body, landmarks)
+    truth = GroundTruth(Pose.unchecked(dcm, position), omega, v_body, landmarks)
+    return truth.row(0) if times.ndim == 0 else truth
 
 
 def _sample(channel: ChannelNoise, rng: np.random.Generator, shape) -> np.ndarray:

@@ -1,6 +1,11 @@
+import contextlib
+import io
+import os
 import shutil
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import SCENARIO_DIR
 from se3slam.cli import main
@@ -171,6 +176,24 @@ def test_validate_rejects_too_many_steps(short_scenario, capsys):
     assert "error: duration/dt: 2e+13 steps exceed the limit of 1000000" in capsys.readouterr().err
 
 
+def test_validate_rejects_too_many_landmarks(short_scenario, capsys):
+    text = short_scenario.read_text()
+    start = text.index("landmarks:")
+    end = text.index("noise:")
+    layout = "landmarks:\n  count: 1000000000\n  box: {min: [-1, -1, -1], max: [1, 1, 1]}\n\n"
+    short_scenario.write_text(text[:start] + layout + text[end:])
+    assert main(["validate", str(short_scenario)]) == 2
+    err = capsys.readouterr().err
+    assert "error: landmarks.count: 1000000000 landmarks exceed the limit of 10000" in err
+
+
+def test_huge_attitude_gain_ends_in_non_finite_state(short_scenario, tmp_path, capsys):
+    # k1 * dt = 5e106 rad: the increment's angle overflows the SO(3) series
+    short_scenario.write_text(short_scenario.read_text().replace("k1: 2.0", "k1: 1.0e+108"))
+    assert main(["run", str(short_scenario), "--out", str(tmp_path)]) == 2
+    assert "error: non-finite pose increment at t=0.0" in capsys.readouterr().err
+
+
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 def test_large_gain_ends_in_non_finite_state(tmp_path, capsys):
     # k3 * dt = 5e3 multiplies the position error each step until it overflows
@@ -198,3 +221,74 @@ def test_bad_integer_arguments_are_usage_errors(short_scenario, tmp_path, capsys
     err = capsys.readouterr().err
     assert err.startswith("usage:")
     assert "must be >=" in err
+
+
+TINY = """\
+schema_version: 1
+name: tiny
+duration: 0.1
+dt: 0.05
+gains: {k1: 1.0, k2: 1.0, k3: 1.0}
+trajectory: {family: circle, radius: 1.0, angular_rate: 0.5}
+landmarks: {count: 3, box: {min: [-1, -1, -1], max: [1, 1, 1]}}
+"""
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    """A directory of tiny scenario files, the fuzz test's working directory:
+    ``run`` writes its outputs to the current directory unless --out is given."""
+    root = tmp_path_factory.mktemp("cli_fuzz")
+    (root / "tiny.yaml").write_text(TINY)
+    (root / "reconstructed.yaml").write_text(
+        TINY.replace("name: tiny", "name: recon") + "attitude_mode: reconstructed\n"
+    )
+    (root / "bad.yaml").write_text(TINY.replace("schema_version: 1", "schema_version: 2"))
+    (root / "garbage.yaml").write_text("{[: not yaml")
+    (root / "a_file").write_text("")
+    (root / "a_dir").mkdir()
+    return root
+
+
+# Argument vectors built from pools of valid and invalid tokens; free text
+# stands in for anything else a shell can pass (no NUL, no lone surrogates).
+FREE_TEXT = st.text(
+    st.characters(blacklist_categories=("Cs",), blacklist_characters="\x00"), max_size=6
+)
+COMMANDS = st.sampled_from(["run", "sweep", "validate", "bogus"])
+FILES = st.sampled_from(
+    ["tiny.yaml", "reconstructed.yaml", "bad.yaml", "garbage.yaml", "missing.yaml", "a_dir"]
+)
+OPTIONS = st.sampled_from(["--out", "--seed", "--decimate", "--param", "--values", "--help"])
+VALUES = st.sampled_from(
+    [
+        "out", "a_file", "0", "1", "3", "-1", "1.5", "x", "99999999999999999999", "gains.k1",
+        "dt", "duration", "seed", "landmarks.count", "noise.omega.scale", "name", "gains.k9",
+        "1,2", "0.5,2", "nan", "inf,1", "1e400", ",", "-3",
+    ]
+) | FREE_TEXT
+
+
+@st.composite
+def argument_vectors(draw):
+    argv = [draw(COMMANDS)] + draw(st.lists(FILES, max_size=2))
+    for option, value in draw(st.lists(st.tuples(OPTIONS, VALUES), max_size=3)):
+        argv += [option, value]
+    return argv + draw(st.lists(VALUES, max_size=1))
+
+
+@settings(max_examples=150, deadline=None)
+@given(argument_vectors())
+def test_cli_fuzz_exits_0_or_2(fuzz_dir, argv):
+    out, err = io.StringIO(), io.StringIO()
+    cwd = os.getcwd()
+    os.chdir(fuzz_dir)
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+    except SystemExit as exc:  # argparse: usage errors and --help
+        code = exc.code
+    finally:
+        os.chdir(cwd)
+    assert code in (0, 2), (argv, err.getvalue())
+    assert "Traceback" not in err.getvalue()

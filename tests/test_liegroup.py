@@ -8,12 +8,14 @@ from conftest import random_rotation
 from se3slam.errors import DegenerateMatrix, NonFiniteState, NotSkewSymmetric
 from se3slam.liegroup import (
     Pose,
+    _so3_terms,
+    _so3_terms_stacked,
     exp_se3,
     exp_so3,
+    exp_so3_with_right_jacobian,
     hat,
     is_rotation,
     reorthonormalize,
-    right_jacobian_so3,
     rotation_angle,
     vee,
 )
@@ -108,6 +110,49 @@ def test_exp_rejects_rotation_without_finite_norm(omega):
         exp_se3(omega, [0.0, 0.0, 0.0])
 
 
+def test_exp_se3_rejects_angle_that_overflows_the_series():
+    # theta^3 overflows above ~5.6e102 in the one-vector form; the stacked form
+    # (ground truth) gets c = 0 and still a rotation
+    with pytest.raises(NonFiniteState, match=r"overflows the SO\(3\) series"):
+        exp_se3([1e103, 0.0, 0.0], [0.0, 0.0, 0.0])
+    assert is_rotation(exp_so3([1e103, 0.0, 0.0]))
+
+
+rotation_vectors = st.one_of(
+    vec3,
+    vec3.map(lambda v: v * 1e-12),  # |v| < SMALL_ANGLE = 1e-8: the series branch
+    st.just(np.zeros(3)),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(rotation_vectors, min_size=1, max_size=12))
+def test_stacked_so3_terms_match_scalar_bit_for_bit(vectors):
+    stack = np.array(vectors)
+    stacked = _so3_terms_stacked(stack)
+    rotations, jacobians = exp_so3_with_right_jacobian(stack)
+    assert np.array_equal(rotations, exp_so3(stack))
+    for i, v in enumerate(vectors):
+        scalar = _so3_terms(v)
+        for got, want in zip(stacked, scalar):
+            assert np.array_equal(got[i], np.broadcast_to(want, got[i].shape))
+        a, b, _, k, kk = scalar
+        assert np.array_equal(rotations[i], np.eye(3) + a * k + b * kk)
+        assert np.array_equal(rotations[i], exp_so3(v))
+        # the right Jacobian as the left Jacobian I + b K + c K^2 at -v
+        _, b, c, k, kk = _so3_terms(-v)
+        assert np.array_equal(jacobians[i], np.eye(3) + b * k + c * kk)
+
+
+def test_stacked_rotation_angle_matches_per_matrix(rng):
+    rotations = np.array([random_rotation(rng) for _ in range(20)] + [np.eye(3)])
+    angles = rotation_angle(rotations)
+    assert angles.shape == (21,)
+    for angle, r in zip(angles, rotations):
+        assert angle == rotation_angle(r)
+        assert isinstance(rotation_angle(r), float)
+
+
 def _expm_oracle(omega, v):
     twist = np.zeros((4, 4))
     twist[:3, :3] = hat(omega)
@@ -182,7 +227,8 @@ def test_right_jacobian_finite_difference(rng):
     da = rng.normal(size=3)
     h = 1e-6
     num = (exp_so3(a + h * da) - exp_so3(a - h * da)) / (2 * h)
-    ana = exp_so3(a) @ hat(right_jacobian_so3(a) @ da)
+    rotation, jacobian = exp_so3_with_right_jacobian(a)
+    ana = rotation @ hat(jacobian @ da)
     assert np.allclose(num, ana, atol=1e-8)
 
 

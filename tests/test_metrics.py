@@ -10,6 +10,7 @@ from se3slam.metrics import (
     relative_map_errors,
 )
 from se3slam.observer import ObserverState
+from se3slam.runner import csv_lines
 from se3slam.simulator import GroundTruth
 
 
@@ -136,3 +137,34 @@ def test_evaluate_record_fields(rng):
     assert 0.0 <= rec.attitude_error_angle <= np.pi
     assert rec.position_error >= 0.0
 
+
+
+def test_stacked_evaluate_matches_per_record(rng):
+    n, l = 9, 4
+    est = [random_pose(rng) for _ in range(n)]
+    tru = [random_pose(rng) for _ in range(n)]
+    guesses = rng.normal(size=(n, l, 3))
+    times = np.cumsum(rng.uniform(0.0, 0.1, n))
+    oks = rng.uniform(size=n) < 0.5
+    landmarks = rng.normal(size=(l, 3))
+    state = ObserverState(
+        Pose.unchecked(np.array([p.dcm for p in est]), np.array([p.position for p in est])),
+        guesses,
+        times,
+    )
+    truth = GroundTruth(
+        Pose.unchecked(np.array([p.dcm for p in tru]), np.array([p.position for p in tru])),
+        np.zeros((n, 3)),
+        np.zeros((n, 3)),
+        landmarks,
+    )
+    records = evaluate(state, truth, oks)
+    singles = [
+        evaluate(ObserverState(est[i], guesses[i], float(times[i])), truth.row(i), bool(oks[i]))
+        for i in range(n)
+    ]
+    assert len(records) == n
+    # 17 significant digits: equal CSV rows are equal bits
+    assert csv_lines(records) == csv_lines(singles)
+    assert all(type(r.time) is float and type(r.lyapunov) is float for r in records)
+    assert [r.attitude_source_ok for r in records] == oks.tolist()

@@ -5,11 +5,11 @@ import pytest
 
 from conftest import SCENARIO_DIR
 from se3slam import runner
-from se3slam.errors import ConfigInvalid
+from se3slam.errors import ConfigInvalid, NonFiniteState
 from se3slam.metrics import ErrorRecord, evaluate
-from se3slam.observer import resolve_attitude, step
+from se3slam.observer import Gains, resolve_attitude, step
 from se3slam.runner import csv_lines, initial_conditions, run, sweep, write_csv
-from se3slam.scenario import RECONSTRUCTED, load_scenario, set_parameter
+from se3slam.scenario import RECONSTRUCTED, Box, LandmarkLayout, load_scenario, set_parameter
 from se3slam.simulator import TrajectorySpec, measure, truth_at
 
 
@@ -185,14 +185,69 @@ def _tumble(scenario):
     return dataclasses.replace(scenario, trajectory=spec)
 
 
+BOX = Box((-5.0, -5.0, -5.0), (5.0, 5.0, 5.0))
+
+
+def _many_landmarks(scenario):
+    """1000 landmarks: 16-record blocks, so 60 steps cross 3 block boundaries."""
+    layout = LandmarkLayout(count=1000, box=BOX)
+    return dataclasses.replace(_tumble(scenario), landmarks=layout, duration=60 * scenario.dt)
+
+
+def _many_steps(scenario):
+    """8 landmarks: 256-record blocks, so 900 steps cross 3 block boundaries."""
+    return dataclasses.replace(scenario, duration=900 * scenario.dt)
+
+
+def _records_and_block(scenario):
+    n_records = int(round(scenario.duration / scenario.dt)) + 1
+    return n_records, runner.block_records(scenario.landmarks.num_landmarks)
+
+
 @pytest.mark.parametrize(
     "name, variant",
-    [("fig3_noisy", None), ("heavytail", None), ("reconstructed", None), ("heavytail", _tumble)],
-    ids=["fig3_noisy", "heavytail", "reconstructed", "heavytail_tumble"],
+    [
+        ("fig3_noisy", None),
+        ("heavytail", None),
+        ("reconstructed", None),
+        ("heavytail", _tumble),
+        ("heavytail", _many_landmarks),
+        ("reconstructed", _many_steps),
+    ],
+    ids=[
+        "fig3_noisy",
+        "heavytail",
+        "reconstructed",
+        "heavytail_tumble",
+        "heavytail_tumble_many_landmarks",
+        "reconstructed_many_steps",
+    ],
 )
 def test_run_matches_reference_loop(name, variant):
     scenario, _ = load_scenario(SCENARIO_DIR / f"{name}.yaml")
     scenario = dataclasses.replace(scenario, duration=1.0)
     if variant is not None:
         scenario = variant(scenario)
+    if variant in (_many_landmarks, _many_steps):
+        n_records, block = _records_and_block(scenario)
+        assert n_records > 3 * block and n_records % block  # ends in a partial block
     assert csv_lines(run(scenario).records) == csv_lines(reference_records(scenario))
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_truth_overflow_mid_run_names_first_bad_time(noisefree):
+    # Ungained, the estimate dead-reckons along the truth and stays finite up to
+    # t = 179.5; the truth's c * t overflows first at t = 180, in a later block.
+    spec = TrajectorySpec("helix", vertical_rate=1e306)
+    scenario = dataclasses.replace(
+        noisefree,
+        trajectory=spec,
+        gains=Gains(0.0, 0.0, 0.0),
+        landmarks=LandmarkLayout(count=256, box=BOX),
+        dt=0.5,
+        duration=200.0,
+    )
+    _, block = _records_and_block(scenario)
+    assert 360 > 3 * block
+    with pytest.raises(NonFiniteState, match=r"position at t=180\.0$"):
+        run(scenario)

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from conftest import SCENARIO_DIR
 from se3slam.errors import ConfigInvalid, UnknownParameter
 from se3slam.scenario import (
+    MAX_LANDMARKS,
     MAX_STEPS,
     TRUE_ATTITUDE,
     InitialEstimate,
@@ -59,6 +60,45 @@ def test_wrong_schema_version(base_doc):
     base_doc["schema_version"] = 2
     with pytest.raises(ConfigInvalid, match="schema_version"):
         parse_scenario(base_doc)
+
+
+@pytest.mark.parametrize("version", [True, 1.0, "1"])
+def test_schema_version_must_be_the_integer_one(base_doc, version):
+    base_doc["schema_version"] = version
+    with pytest.raises(ConfigInvalid, match="^schema_version: expected 1"):
+        parse_scenario(base_doc)
+
+
+@pytest.mark.parametrize(
+    "section, key, index",
+    [("initial_estimate", "position_offset", 0), ("trajectory", "initial_position", 1)],
+)
+@pytest.mark.parametrize("entry", ["0.8", True, None, [1.0]])
+def test_vector_entries_follow_the_float_rules(base_doc, section, key, index, entry):
+    vector = [0.8, -0.5, 0.4]
+    vector[index] = entry
+    base_doc[section][key] = vector
+    with pytest.raises(ConfigInvalid, match=rf"^{section}.{key}\[{index}\]: expected float"):
+        parse_scenario(base_doc)
+
+
+def test_landmark_position_entries_follow_the_float_rules(base_doc):
+    base_doc["landmarks"]["positions"][2] = [1.0, False, 2.0]
+    with pytest.raises(ConfigInvalid, match=r"^landmarks.positions\[2\]\[1\]: expected float"):
+        parse_scenario(base_doc)
+
+
+def test_landmark_count_is_bounded(base_doc):
+    box = {"min": [-1, -1, -1], "max": [1, 1, 1]}
+    base_doc["landmarks"] = {"count": MAX_LANDMARKS, "box": box}
+    scenario = parse_scenario(base_doc)
+    assert scenario.landmarks.num_landmarks == MAX_LANDMARKS
+    base_doc["landmarks"]["count"] = 10**9
+    message = f"^landmarks.count: 1000000000 landmarks exceed the limit of {MAX_LANDMARKS}$"
+    with pytest.raises(ConfigInvalid, match=message):
+        parse_scenario(base_doc)
+    with pytest.raises(ConfigInvalid, match=message):
+        set_parameter(scenario, "landmarks.count", 1e9)
 
 
 def test_dt_must_not_exceed_duration(base_doc):
@@ -257,9 +297,10 @@ def mutated_documents(draw):
             del container[key]
         elif action == "add":
             mapping = draw(st.sampled_from([doc] + [v for _, v in _slots(doc) if isinstance(v, dict)]))
-            mapping[draw(st.one_of(st.text(max_size=8), st.integers()))] = draw(JUNK)
+            mapping[draw(st.one_of(st.text(max_size=8), st.integers()))] = copy.deepcopy(draw(JUNK))
         else:
-            container[key] = draw(JUNK)
+            # a copy: one shared JUNK list put inside itself would make the document cyclic
+            container[key] = copy.deepcopy(draw(JUNK))
     return doc
 
 

@@ -5,6 +5,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import se3slam
 from conftest import random_rotation
@@ -89,6 +91,45 @@ def test_truth_rejects_overflow_of_finite_fields(spec, t):
     assert np.isfinite(truth_at(spec, 0.0).pose.dcm).all()
     with pytest.raises(NonFiniteState):
         truth_at(spec, t)
+
+
+def test_stacked_truth_rejects_bad_times():
+    with pytest.raises(ValueError, match="got -1.0$"):
+        truth_at(ALL_SPECS[1], np.array([0.0, 0.5, -1.0, np.nan]))
+    with pytest.raises(ValueError, match="1-D"):
+        truth_at(ALL_SPECS[1], np.zeros((2, 2)))
+
+
+def test_stacked_truth_names_first_non_finite_time():
+    # c * t overflows once t exceeds 179.77; t = 179.5 is still finite
+    spec = TrajectorySpec("helix", vertical_rate=1e306)
+    assert np.isfinite(truth_at(spec, np.arange(360) * 0.5).pose.position).all()
+    with np.errstate(over="ignore"), pytest.raises(
+        NonFiniteState, match=r"position at t=180\.0$"
+    ):
+        truth_at(spec, np.arange(400) * 0.5)
+
+
+times = st.one_of(
+    st.just(0.0),
+    st.floats(1e-12, 1e-9),  # rotation angles below SMALL_ANGLE
+    st.floats(0.0, 100.0),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(ALL_SPECS), st.lists(times, min_size=1, max_size=16))
+def test_stacked_truth_matches_per_time_bit_for_bit(spec, ts):
+    landmarks = np.array([[1.0, 2.0, 3.0], [-1.0, 0.5, 0.0]])
+    stacked = truth_at(spec, np.array(ts), landmarks)
+    assert stacked.pose.dcm.shape == (len(ts), 3, 3)
+    for i, t in enumerate(ts):
+        row, one = stacked.row(i), truth_at(spec, t, landmarks)
+        assert np.array_equal(row.pose.dcm, one.pose.dcm)
+        assert np.array_equal(row.pose.position, one.pose.position)
+        assert np.array_equal(row.omega_body, one.omega_body)
+        assert np.array_equal(row.velocity_body, one.velocity_body)
+        assert np.array_equal(row.landmarks, one.landmarks)
 
 
 def test_measure_identity_pose():
