@@ -139,10 +139,7 @@ def main(argv=None) -> int:
     handlers = {"run": _cmd_run, "sweep": _cmd_sweep, "validate": _cmd_validate}
     try:
         return handlers[args.command](args)
-    except Se3SlamError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (Se3SlamError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -9,10 +9,9 @@ Conventions:
       rotation block.
 
 Validation happens where poses enter from outside: the public ``Pose(...)``
-constructor, ``compose`` and ``inverse`` check their results. The raw-array
-functions ``compose_raw``, ``inverse_raw`` and ``homogeneous`` carry the same
-arithmetic without checks, for code whose inputs are rotations and finite
-vectors by construction.
+constructor checks its fields. The raw-array functions ``compose_raw`` (the
+pose product) and ``homogeneous`` (the 4x4 matrix) carry no checks, for code
+whose inputs are rotations and finite vectors by construction.
 """
 
 from __future__ import annotations
@@ -187,11 +186,6 @@ def compose_raw(dcm_a, position_a, dcm_b, position_b):
     return dcm_b @ dcm_a, dcm_a.T @ position_b + position_a
 
 
-def inverse_raw(dcm, position):
-    """(dcm, position) of the inverse of a pose given as raw arrays."""
-    return dcm.T, -(dcm @ position)
-
-
 def homogeneous(dcm, position) -> np.ndarray:
     """4x4 homogeneous matrix of a pose given as raw arrays, over any leading
     axes of dcm (..., 3, 3) and position (..., 3)."""
@@ -232,13 +226,6 @@ class Pose:
     @property
     def matrix(self) -> np.ndarray:
         return homogeneous(self.dcm, self.position)
-
-    def compose(self, other: "Pose") -> "Pose":
-        """Homogeneous-matrix product self.matrix @ other.matrix."""
-        return Pose(*compose_raw(self.dcm, self.position, other.dcm, other.position))
-
-    def inverse(self) -> "Pose":
-        return Pose(*inverse_raw(self.dcm, self.position))
 
 
 def exp_se3(omega, v) -> Pose:

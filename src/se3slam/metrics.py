@@ -7,11 +7,14 @@ Error definitions:
       minus the same from the truth; blind to a shared datum-frame shift of
       the estimated pose and map (the unobservable gauge).
     * energy      V = 0.5 * ||I4 - Xtilde||_F^2 + sum_i ||ptilde_i||^2
+
+An ``ErrorRecord`` holds them at one instant, or at n instants stacked along a
+leading axis of every field, as ``GroundTruth`` does.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -22,15 +25,27 @@ from .simulator import GroundTruth
 
 @dataclass(frozen=True)
 class ErrorRecord:
-    """Per-step error summary; serialized as one CSV row by the runner."""
+    """Errors at one instant, or at n instants stacked along a leading axis;
+    the runner writes one CSV row per instant."""
 
-    time: float
-    lyapunov: float
-    attitude_error_angle: float  # rad
-    position_error: float  # m, norm of the pose-error translation
-    map_error: np.ndarray  # (l,) norms, m
-    relative_map_error: np.ndarray  # (l,) norms, m
-    attitude_source_ok: bool
+    time: np.ndarray  # s, () or (n,)
+    lyapunov: np.ndarray  # () or (n,)
+    attitude_error_angle: np.ndarray  # rad, () or (n,)
+    position_error: np.ndarray  # m, norm of the pose-error translation, () or (n,)
+    map_error: np.ndarray  # m, landmark norms, (l,) or (n, l)
+    relative_map_error: np.ndarray  # m, landmark norms, (l,) or (n, l)
+    attitude_source_ok: np.ndarray  # bool, () or (n,)
+
+    def __len__(self) -> int:
+        return len(self.time)
+
+    def columns(self) -> list[np.ndarray]:
+        """The fields in declaration order, which is the CSV's column order."""
+        return [getattr(self, f.name) for f in fields(self)]
+
+    def row(self, i: int) -> "ErrorRecord":
+        """The record of the i-th instant of a stacked record."""
+        return ErrorRecord(*(c[i] for c in self.columns()))
 
 
 def _t(m: np.ndarray) -> np.ndarray:
@@ -45,7 +60,7 @@ def _column(m: np.ndarray, v: np.ndarray) -> np.ndarray:
 
 def _pose_error_raw(est_dcm, est_position, true_dcm, true_position):
     """(dcm, position) of Xhat @ X^-1 over any leading axes, unvalidated: the
-    arithmetic of compose_raw and inverse_raw."""
+    arithmetic of compose_raw with the inverse (C.T, -C @ p) of the truth."""
     inv_position = -_column(true_dcm, true_position)
     return _t(true_dcm) @ est_dcm, _column(_t(est_dcm), inv_position) + est_position
 
@@ -79,35 +94,25 @@ def lyapunov(pose_err: Pose, map_errs) -> float:
 
 
 def evaluate(state: ObserverState, truth: GroundTruth, attitude_source_ok=True):
-    """Error record of one instant, computed on the raw pose arrays.
+    """Error record of one instant, or of n instants stacked along a leading axis.
 
     For a block of n instants, ``state`` holds stacked estimates (pose fields
     (n, 3, 3) and (n, 3), landmarks (n, l, 3), times (n,)), ``truth`` the
-    stacked truth at the same times and ``attitude_source_ok`` n flags; the
-    result is then the list of the n records, each with the bits of the
-    single-instant call.
+    stacked truth at the same times and ``attitude_source_ok`` n flags; every
+    field of the record then has the leading axis n, and each row has the bits
+    of the single-instant call. ``time`` and ``attitude_source_ok`` are the
+    inputs themselves, not copies.
     """
     err_dcm, err_position = _pose_error_raw(
         state.pose.dcm, state.pose.position, truth.pose.dcm, truth.pose.position
     )
     m = map_errors(state, truth)
-    energy = _energy(err_dcm, err_position, m)
-    angle = rotation_angle(err_dcm)
-    position_error = vector_norm(err_position)
-    map_error = np.linalg.norm(m, axis=-1)
-    relative_map_error = np.linalg.norm(relative_map_errors(state, truth), axis=-1)
-    if np.ndim(state.time) == 0:
-        return ErrorRecord(
-            state.time, float(energy), angle, float(position_error),
-            map_error, relative_map_error, attitude_source_ok,
-        )
-    columns = (state.time, energy, angle, position_error)
-    return [
-        ErrorRecord(*row)
-        for row in zip(
-            *(np.asarray(c).tolist() for c in columns),
-            map_error,
-            relative_map_error,
-            np.asarray(attitude_source_ok).tolist(),
-        )
-    ]
+    return ErrorRecord(
+        state.time,
+        _energy(err_dcm, err_position, m),
+        rotation_angle(err_dcm),
+        vector_norm(err_position),
+        np.linalg.norm(m, axis=-1),
+        np.linalg.norm(relative_map_errors(state, truth), axis=-1),
+        attitude_source_ok,
+    )

@@ -3,6 +3,7 @@
 A run is a pure function of (scenario, seed): landmark placement, initial
 estimate offsets, and measurement noise each draw from an independent child
 stream of a single PCG64 seed sequence, so repeated runs are bit-identical.
+A run keeps its errors as one stacked ``ErrorRecord``, one row per instant.
 """
 
 from __future__ import annotations
@@ -20,8 +21,8 @@ from .simulator import measure, place_landmarks, truth_at
 
 # Records scored per block (see block_records). 2048 landmark rows of (l, 3)
 # estimates are 48 kB, so a block's buffers and scoring temporaries stay small
-# next to the records; 4096 rows ran no faster and raised the peak RSS of the
-# 8-landmark runs by another 0.25 MB.
+# next to the run's record columns; 4096 rows ran no faster and raised the peak
+# RSS of the 8-landmark runs by another 0.25 MB.
 BLOCK_LANDMARK_ROWS = 2048
 MIN_BLOCK_RECORDS = 16
 
@@ -40,18 +41,16 @@ class RunSummary:
             "lyapunov": lambda r: r.lyapunov,
             "attitude": lambda r: r.attitude_error_angle,
             "position": lambda r: r.position_error,
-            "map": lambda r: float(np.max(r.map_error)) if len(r.map_error) else 0.0,
-            "relative_map": lambda r: float(np.max(r.relative_map_error))
-            if len(r.relative_map_error)
-            else 0.0,
+            "map": lambda r: np.max(r.map_error, initial=0.0),
+            "relative_map": lambda r: np.max(r.relative_map_error, initial=0.0),
         }[metric]
-        num, den = pick(self.initial), pick(self.final)
+        num, den = float(pick(self.initial)), float(pick(self.final))
         return np.inf if den == 0.0 else num / den
 
 
 @dataclass(frozen=True)
 class RunResult:
-    records: list[ErrorRecord]
+    records: ErrorRecord  # stacked, one row per instant
     summary: RunSummary
     provenance: dict
 
@@ -97,7 +96,8 @@ def run(scenario: Scenario, scenario_hash: str | None = None) -> RunResult:
     Records are made in blocks of ``block_records`` consecutive instants. Only
     the observer's feedback (measure, attitude solve, step) runs one step at a
     time; the block's ground truth comes from one ``truth_at`` over its times,
-    and its records from one ``evaluate`` over the stored estimates.
+    and its records from one ``evaluate`` over the stored estimates. The
+    blocks' columns are concatenated once, into the run's stacked record.
     """
     landmarks, state, rng_noise = initial_conditions(scenario)
     spec, noise, gains, dt = scenario.trajectory, scenario.noise, scenario.gains, scenario.dt
@@ -110,15 +110,16 @@ def run(scenario: Scenario, scenario_hash: str | None = None) -> RunResult:
     dcm = np.empty((rows, 3, 3))
     position = np.empty((rows, 3))
     estimates = np.empty((rows,) + landmarks.shape)
-    times = np.empty(rows)
-    oks = np.empty(rows, dtype=bool)
-    records: list[ErrorRecord] = []
+    blocks = []
 
     # Record k scores the state after step k - 1 against the truth at k * dt;
     # that truth also drives the measurement of step k.
     for start in range(0, n_records, rows):
         stop = min(start + rows, n_records)
+        n = stop - start
         truth = truth_at(spec, np.arange(start, stop) * dt, landmarks)
+        # New for each block: its record keeps them as its time and flag columns.
+        times, oks = np.empty(n), np.empty(n, dtype=bool)
         for i, k in enumerate(range(start, stop)):
             ok = True
             if k:
@@ -138,11 +139,11 @@ def run(scenario: Scenario, scenario_hash: str | None = None) -> RunResult:
             times[i] = state.time
             oks[i] = ok
             previous = truth.row(i)
-        n = stop - start
-        block = ObserverState(Pose.unchecked(dcm[:n], position[:n]), estimates[:n], times[:n])
-        records += evaluate(block, truth, oks[:n])
+        block = ObserverState(Pose.unchecked(dcm[:n], position[:n]), estimates[:n], times)
+        blocks.append(evaluate(block, truth, oks).columns())
 
-    summary = RunSummary(records[0], records[-1], n_records - 1, degenerate)
+    records = ErrorRecord(*map(np.concatenate, zip(*blocks)))
+    summary = RunSummary(records.row(0), records.row(-1), n_records - 1, degenerate)
     provenance = {
         "scenario": scenario.name,
         "seed": scenario.seed,
@@ -164,33 +165,29 @@ def sweep(base: Scenario, param_path: str, values) -> list[RunResult]:
 _fmt = "{:.17g}".format
 
 
-def csv_lines(records: list[ErrorRecord], decimate: int = 1) -> list[str]:
-    """CSV serialization: every ``decimate``-th record plus the final one."""
+def csv_lines(records: ErrorRecord, decimate: int = 1) -> list[str]:
+    """CSV serialization of a stacked record: every ``decimate``-th row plus
+    the final one, each row formatted by one %-format of all its values."""
     if decimate < 1:
         raise ValueError("decimate must be >= 1")
-    n_lm = len(records[0].map_error)
+    n, n_lm = records.map_error.shape
     header = (
         ["t", "V", "att_err_rad", "pos_err_m"]
         + [f"map_err_{i + 1}" for i in range(n_lm)]
         + [f"rel_map_err_{i + 1}" for i in range(n_lm)]
         + ["att_source_ok"]
     )
-    kept = records[::decimate]
-    if kept[-1] is not records[-1]:
-        kept.append(records[-1])
-    lines = [",".join(header)]
-    for r in kept:
-        values = [r.time, r.lyapunov, r.attitude_error_angle, r.position_error]
-        values += r.map_error.tolist()
-        values += r.relative_map_error.tolist()
-        flag = ",1" if r.attitude_source_ok else ",0"
-        lines.append(",".join(map(_fmt, values)) + flag)
-    return lines
+    kept = sorted({*range(0, n, decimate), n - 1})
+    *floats, flags = records.columns()  # the CSV's column order
+    values = np.column_stack([c[kept] for c in floats])
+    row = ",".join(["%.17g"] * values.shape[1] + ["%d"])
+    lines = [row % (*v.tolist(), ok) for v, ok in zip(values, flags[kept].tolist())]
+    return [",".join(header)] + lines
 
 
-def write_csv(records: list[ErrorRecord], path, decimate: int = 1) -> None:
+def write_csv(records: ErrorRecord, path, decimate: int = 1) -> None:
     with open(path, "w", newline="\n") as fh:
-        fh.write("\n".join(csv_lines(records, decimate)) + "\n")
+        fh.writelines(line + "\n" for line in csv_lines(records, decimate))
 
 
 def summary_lines(result: RunResult) -> list[str]:

@@ -13,6 +13,7 @@ from __future__ import annotations
 import dataclasses
 import functools
 import hashlib
+import math
 import types
 import typing
 from dataclasses import dataclass, field
@@ -31,10 +32,10 @@ SCHEMA_VERSION = 1
 TRUE_ATTITUDE = "true_attitude"
 RECONSTRUCTED = "reconstructed"
 
-# Upper bound on duration / dt: a run keeps one ErrorRecord per step in memory.
+# Upper bound on duration / dt: a run keeps one row of errors per step in memory.
 MAX_STEPS = 10**6
 # Upper bound on the landmark count: every step works on (l, 3) arrays, and
-# every ErrorRecord keeps two l-vectors.
+# every row of a run's errors keeps two l-vectors.
 MAX_LANDMARKS = 10**4
 
 
@@ -213,8 +214,19 @@ def _read(kind, value, path: str):
         return tuple(_vec3(v, f"{path}[{i}]") for i, v in enumerate(value))
     accepted = (int, float) if kind is float else kind  # YAML writes 2.0 as 2 too
     if isinstance(value, bool) or not isinstance(value, accepted):
-        raise ConfigInvalid(f"{path}: expected {kind.__name__}")
+        message = f"{path}: expected {kind.__name__}, got {type(value).__name__} {value!r}"
+        if kind is float and isinstance(value, str) and _is_number(value):
+            message += "; write it unquoted, with a dot and a signed exponent (1.0e+6, not 1.0e6)"
+        raise ConfigInvalid(message)
     return _float(value, path) if kind is float else value
+
+
+def _is_number(text: str) -> bool:
+    """Whether float() reads the text: YAML 1.1 reads 1.0e6 and 1e+6 as strings."""
+    try:
+        return math.isfinite(float(text))
+    except ValueError:
+        return False
 
 
 def _float(value, path: str) -> float:

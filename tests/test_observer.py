@@ -265,10 +265,11 @@ def test_step_zero_gains_is_dead_reckoning(rng):
     gains = Gains(0.0, 0.0, 0.0)
     dt = 0.01
     new = step(state, meas, random_rotation(rng), gains, dt)
-    from se3slam.liegroup import exp_se3
+    from se3slam.liegroup import compose_raw, exp_se3, homogeneous
 
-    expected = state.pose.compose(exp_se3(meas.omega * dt, meas.velocity * dt))
-    assert np.allclose(new.pose.matrix, expected.matrix, atol=1e-12)
+    increment = exp_se3(meas.omega * dt, meas.velocity * dt)
+    expected = compose_raw(state.pose.dcm, state.pose.position, increment.dcm, increment.position)
+    assert np.allclose(new.pose.matrix, homogeneous(*expected), atol=1e-12)
     assert np.allclose(new.landmarks, state.landmarks, atol=1e-15)
 
 

@@ -3,7 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from conftest import SCENARIO_DIR
+from conftest import SCENARIO_DIR, stack_records
 from se3slam import runner
 from se3slam.errors import ConfigInvalid, NonFiniteState
 from se3slam.metrics import ErrorRecord, evaluate
@@ -29,13 +29,12 @@ def test_record_count_includes_t0(noisefree):
     result = run(scenario)
     assert result.summary.steps == 2
     assert len(result.records) == 3
-    assert result.records[0].time == 0.0
+    assert result.records.time[0] == 0.0
 
 
 def test_records_time_ordered(short):
     result = run(short)
-    times = [r.time for r in result.records]
-    assert all(b > a for a, b in zip(times, times[1:]))
+    assert np.all(np.diff(result.records.time) > 0)
 
 
 def test_run_deterministic(short):
@@ -46,9 +45,8 @@ def test_run_deterministic(short):
 
 def test_summary_final_matches_last_record(short):
     result = run(short)
-    last = result.records[-1]
-    assert result.summary.final is last
-    assert result.summary.final.lyapunov == last.lyapunov
+    for got, column in zip(result.summary.final.columns(), result.records.columns()):
+        assert np.array_equal(got, column[-1])
 
 
 def test_csv_shape_and_header(short):
@@ -76,26 +74,28 @@ def test_csv_roundtrip_lossless(short, tmp_path):
     path = tmp_path / "out.csv"
     write_csv(result.records, path)
     data = np.genfromtxt(path, delimiter=",", names=True)
-    assert data["V"][0] == result.records[0].lyapunov
-    assert data["t"][-1] == result.records[-1].time
+    assert data["V"][0] == result.records.lyapunov[0]
+    assert data["t"][-1] == result.records.time[-1]
     edge = ErrorRecord(
-        time=0.1,
-        lyapunov=5e-324,
-        attitude_error_angle=np.float64(1.0) / 3.0,
-        position_error=1e300,
-        map_error=np.array([-0.0, np.inf, np.nan]),
-        relative_map_error=np.array([2.0**-1030, 1.7976931348623157e308, 123456789.123456789]),
-        attitude_source_ok=False,
+        time=np.array([0.1]),
+        lyapunov=np.array([5e-324]),
+        attitude_error_angle=np.array([np.float64(1.0) / 3.0]),
+        position_error=np.array([1e300]),
+        map_error=np.array([[-0.0, np.inf, np.nan]]),
+        relative_map_error=np.array([[2.0**-1030, 1.7976931348623157e308, 123456789.123456789]]),
+        attitude_source_ok=np.array([False]),
     )
-    assert path.read_text().splitlines()[1:] == [_per_field_row(r) for r in result.records]
-    assert csv_lines([edge])[1] == _per_field_row(edge)
+    rows = [_per_field_row(result.records.row(i)) for i in range(len(result.records))]
+    assert path.read_text().splitlines()[1:] == rows
+    assert csv_lines(edge)[1] == _per_field_row(edge.row(0))
 
 
 def test_decimation_keeps_final(short):
     result = run(short)
     lines = csv_lines(result.records, decimate=7)
-    kept = len(result.records[::7])
-    expect = kept if result.records[::7][-1] is result.records[-1] else kept + 1
+    n = len(result.records)
+    kept = range(n)[::7]
+    expect = len(kept) if kept[-1] == n - 1 else len(kept) + 1
     assert len(lines) == expect + 1
     assert lines[-1] == csv_lines(result.records)[-1]
 
@@ -156,7 +156,8 @@ def test_provenance_fields(short):
 
 
 def reference_records(scenario):
-    """The run loop written plainly over the public API, two truth evaluations per step."""
+    """The run loop written plainly over the public API, two truth evaluations per
+    step, scored one instant at a time; the records are stacked for comparison."""
     landmarks, state, rng_noise = initial_conditions(scenario)
     traj, dt = scenario.trajectory, scenario.dt
     records = [evaluate(state, truth_at(traj, 0.0, landmarks))]
@@ -171,7 +172,7 @@ def reference_records(scenario):
             c_ba, ok = truth.pose.dcm, True
         state = step(state, meas, c_ba, scenario.gains, dt)
         records.append(evaluate(state, truth_at(traj, (k + 1) * dt, landmarks), ok))
-    return records
+    return stack_records(records)
 
 
 def _tumble(scenario):

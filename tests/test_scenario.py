@@ -24,6 +24,9 @@ BUNDLED = ["fig3_noisefree", "fig3_noisy", "reconstructed", "heavytail"]
 BUNDLED_DOCS = [yaml.safe_load((SCENARIO_DIR / f"{name}.yaml").read_text()) for name in BUNDLED]
 
 
+HINT = "; write it unquoted, with a dot and a signed exponent (1.0e+6, not 1.0e6)"
+
+
 @pytest.fixture
 def base_doc():
     with open(SCENARIO_DIR / "fig3_noisefree.yaml") as fh:
@@ -73,13 +76,17 @@ def test_schema_version_must_be_the_integer_one(base_doc, version):
     "section, key, index",
     [("initial_estimate", "position_offset", 0), ("trajectory", "initial_position", 1)],
 )
-@pytest.mark.parametrize("entry", ["0.8", True, None, [1.0]])
+@pytest.mark.parametrize("entry", ["0.8", True, None, [1.0], "1.0e6"])
 def test_vector_entries_follow_the_float_rules(base_doc, section, key, index, entry):
     vector = [0.8, -0.5, 0.4]
     vector[index] = entry
     base_doc[section][key] = vector
-    with pytest.raises(ConfigInvalid, match=rf"^{section}.{key}\[{index}\]: expected float"):
+    got = f"got {type(entry).__name__} {entry!r}"
+    with pytest.raises(ConfigInvalid, match=rf"^{section}.{key}\[{index}\]: expected float") as info:
         parse_scenario(base_doc)
+    # a string that float() reads, as YAML 1.1 reads 1.0e6, gets a syntax hint
+    hint = HINT if isinstance(entry, str) else ""
+    assert str(info.value).endswith(got + hint)
 
 
 def test_landmark_position_entries_follow_the_float_rules(base_doc):
