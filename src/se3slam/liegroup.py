@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -34,49 +35,34 @@ _I3 = np.eye(3)
 
 def hat(v) -> np.ndarray:
     """Skew-symmetric matrix S with S @ w == cross(v, w)."""
-    x, y, z = np.asarray(v, dtype=float).tolist()
-    return np.array([[0.0, -z, y], [z, 0.0, -x], [-y, x, 0.0]])
+    x, y, z = map(float, v)
+    return np.array([0.0, -z, y, z, 0.0, -x, -y, x, 0.0]).reshape(3, 3)
 
 
 def vee(m) -> np.ndarray:
-    """Inverse of hat. Raises NotSkewSymmetric if m + m.T exceeds tolerance."""
-    m = np.asarray(m, dtype=float)
-    if np.linalg.norm(m + m.T) > SKEW_TOL:
+    """Inverse of hat (3x3 array or nested rows); NotSkewSymmetric if |m + m.T|_F > SKEW_TOL."""
+    (m00, m01, m02), (m10, m11, m12), (m20, m21, m22) = m
+    d01, d02, d12 = m01 + m10, m02 + m20, m12 + m21
+    sym = 4.0 * (m00 * m00 + m11 * m11 + m22 * m22) + 2.0 * (d01 * d01 + d02 * d02 + d12 * d12)
+    if math.sqrt(sym) > SKEW_TOL:
         raise NotSkewSymmetric(f"matrix is not skew-symmetric within {SKEW_TOL}")
-    return np.array([m[2, 1], m[0, 2], m[1, 0]])
+    return np.array([m21, m02, m10], dtype=float)
 
 
-def _small_angle_coefficients(theta, power):
+# ``lib`` of the coefficient functions: the math module for one angle, this for an array.
+_NUMPY = SimpleNamespace(pow=np.float_power, sin=np.sin, cos=np.cos)
+
+
+def _small_angle_coefficients(theta, lib):
     """(a, b, c) below SMALL_ANGLE: their series about theta = 0."""
-    theta2 = power(theta, 2)
+    theta2 = lib.pow(theta, 2)
     return 1.0 - theta2 / 6.0, 0.5 - theta2 / 24.0, 1.0 / 6.0 - theta2 / 120.0
 
 
-def _trig_coefficients(theta, power):
+def _trig_coefficients(theta, lib):
     """(a, b, c) = (sin(theta)/theta, (1 - cos(theta))/theta^2, (theta - sin(theta))/theta^3)."""
-    sin = np.sin(theta)
-    return sin / theta, (1.0 - np.cos(theta)) / power(theta, 2), (theta - sin) / power(theta, 3)
-
-
-def _so3_terms(axis_angle):
-    """(a, b, c, K, K @ K) for one rotation vector v, with K = hat(v),
-    theta = |v| and (a, b, c) from the coefficient functions above.
-
-    Raises NonFiniteState when theta is not finite (a NaN entry, or finite
-    entries whose norm overflows, would give NaN coefficients) or when theta^3
-    overflows.
-    """
-    v = np.asarray(axis_angle, dtype=float)
-    theta = float(np.linalg.norm(v))
-    if not math.isfinite(theta):
-        raise NonFiniteState(f"rotation vector has no finite norm: {v.tolist()}")
-    k = hat(v)
-    coefficients = _small_angle_coefficients if theta < SMALL_ANGLE else _trig_coefficients
-    try:
-        a, b, c = coefficients(theta, pow)
-    except OverflowError:
-        raise NonFiniteState(f"rotation angle {theta:g} overflows the SO(3) series") from None
-    return a, b, c, k, k @ k
+    s = lib.sin(theta)
+    return s / theta, (1.0 - lib.cos(theta)) / lib.pow(theta, 2), (theta - s) / lib.pow(theta, 3)
 
 
 def vector_norm(v):
@@ -85,26 +71,17 @@ def vector_norm(v):
     return np.sqrt((v[..., None, :] @ v[..., :, None])[..., 0, 0])
 
 
-# Flat indices of the off-diagonal entries of hat(v), the component of v in
-# each and its sign: hat(v) = [[0, -z, y], [z, 0, -x], [-y, x, 0]].
-_HAT_SLOTS = [1, 2, 3, 5, 6, 7]
-_HAT_SOURCES = [2, 1, 2, 0, 1, 0]
-_HAT_SIGNS = np.array([-1.0, 1.0, 1.0, -1.0, -1.0, 1.0])
-
-
 def _hat_stacked(v) -> np.ndarray:
-    """hat over the leading axes of v (..., 3); a product with -1 is exact."""
-    k = np.zeros(v.shape[:-1] + (9,))
-    k[..., _HAT_SLOTS] = v[..., _HAT_SOURCES] * _HAT_SIGNS
-    return k.reshape(v.shape[:-1] + (3, 3))
+    """hat over the leading axes of v (..., 3), laid out as in hat."""
+    x, y, z, zero = v[..., 0], v[..., 1], v[..., 2], np.zeros(v.shape[:-1])
+    return np.stack([zero, -z, y, z, zero, -x, -y, x, zero], axis=-1).reshape(v.shape[:-1] + (3, 3))
 
 
 def _so3_terms_stacked(axis_angle):
-    """_so3_terms over the leading axes of axis_angle (..., 3): a, b and c
-    come shaped (..., 1, 1) and K, K @ K (..., 3, 3). Each slice has the
-    bits _so3_terms gives that vector alone; theta^3 may overflow to inf here
-    (c is then 0), and only a theta without a finite norm raises.
-    """
+    """(a, b, c, K, K @ K) over the leading axes of rotation vectors v (..., 3),
+    with K = hat(v), theta = |v|, a, b and c shaped (..., 1, 1); each slice has
+    the bits numpy gives that vector alone. theta^3 may overflow to inf (c is
+    then 0); only a theta without a finite norm raises NonFiniteState."""
     v = np.asarray(axis_angle, dtype=float)
     # An overflowing norm is rejected below; theta^2 and theta^3 may overflow.
     with np.errstate(over="ignore"):
@@ -115,11 +92,11 @@ def _so3_terms_stacked(axis_angle):
             raise NonFiniteState(f"rotation vector has no finite norm: {bad.tolist()}")
         small = theta < SMALL_ANGLE
         if small.any():
-            series = _small_angle_coefficients(np.where(small, theta, 0.0), np.float_power)
-            trig = _trig_coefficients(np.where(small, 1.0, theta), np.float_power)
+            series = _small_angle_coefficients(np.where(small, theta, 0.0), _NUMPY)
+            trig = _trig_coefficients(np.where(small, 1.0, theta), _NUMPY)
             coefficients = (np.where(small, s, t) for s, t in zip(series, trig))
         else:
-            coefficients = _trig_coefficients(theta, np.float_power)
+            coefficients = _trig_coefficients(theta, _NUMPY)
     a, b, c = (x[..., None, None] for x in coefficients)
     k = _hat_stacked(v)
     return a, b, c, k, k @ k
@@ -148,20 +125,19 @@ def exp_so3_with_right_jacobian(axis_angle):
     return _series(a, b, k, kk), _series(b, c, -k, kk)
 
 
+def rotation_drift(m) -> float:
+    """|m @ m.T - I|_F (= |m.T @ m - I|_F) of a 3x3 float array, in floats."""
+    (a, b, c), (d, e, f), (g, h, i) = m.tolist()
+    ad, ag, dg = a * d + b * e + c * f, a * g + b * h + c * i, d * g + e * h + f * i
+    aa, dd, gg = a * a + b * b + c * c - 1, d * d + e * e + f * f - 1, g * g + h * h + i * i - 1
+    return math.sqrt(aa * aa + dd * dd + gg * gg + 2.0 * (ad * ad + ag * ag + dg * dg))
+
+
 def is_rotation(m, tol: float = ROTATION_TOL) -> bool:
     m = np.asarray(m, dtype=float)
     if m.shape != (3, 3) or not np.all(np.isfinite(m)):
         return False
-    if np.linalg.norm(m.T @ m - _I3) > tol:
-        return False
-    return abs(np.linalg.det(m) - 1.0) <= tol
-
-
-def check_rotation(m, tol: float = ROTATION_TOL) -> np.ndarray:
-    m = np.asarray(m, dtype=float)
-    if not is_rotation(m, tol):
-        raise ValueError("matrix violates rotation invariants (orthonormality / det)")
-    return m
+    return rotation_drift(m) <= tol and abs(np.linalg.det(m) - 1.0) <= tol
 
 
 def reorthonormalize(m) -> np.ndarray:
@@ -174,10 +150,12 @@ def reorthonormalize(m) -> np.ndarray:
 
 
 def rotation_angle(r):
-    """Rotation angle in [0, pi] from the trace, clamped for numerical safety:
-    a float for one matrix (3, 3), an array for a stack (..., 3, 3)."""
-    cos = (np.trace(np.asarray(r, dtype=float), axis1=-2, axis2=-1) - 1.0) / 2.0
-    angle = np.arccos(np.clip(cos, -1.0, 1.0))
+    """Rotation angle atan2(|vee(R - R.T)| / 2, (tr R - 1) / 2) in [0, pi], exact
+    near 0 too: a float for one matrix, elementwise (same bits) for a stack."""
+    r = np.asarray(r, dtype=float)
+    cos = (np.trace(r, axis1=-2, axis2=-1) - 1.0) / 2.0
+    x, y, z = r[..., 2, 1] - r[..., 1, 2], r[..., 0, 2] - r[..., 2, 0], r[..., 1, 0] - r[..., 0, 1]
+    angle = np.arctan2(0.5 * np.sqrt(x * x + y * y + z * z), cos)
     return float(angle) if angle.ndim == 0 else angle
 
 
@@ -204,7 +182,10 @@ class Pose:
     position: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "dcm", check_rotation(self.dcm))
+        dcm = np.asarray(self.dcm, dtype=float)
+        if not is_rotation(dcm):
+            raise ValueError("matrix violates rotation invariants (orthonormality / det)")
+        object.__setattr__(self, "dcm", dcm)
         p = np.asarray(self.position, dtype=float)
         if p.shape != (3,) or not np.all(np.isfinite(p)):
             raise ValueError("position must be a finite 3-vector")
@@ -229,18 +210,32 @@ class Pose:
 
 
 def exp_se3(omega, v) -> Pose:
-    """Matrix exponential of the twist [[hat(omega), v], [0, 0]] as a Pose.
-
-    The rotation block equals exp_so3(omega); the translation block is the
-    SO(3) left Jacobian applied to v. Both share one evaluation of the SO(3)
-    terms, in the one-vector form (a stack costs more than this call for a
-    single twist). A twist whose omega has a finite norm gives a rotation by
-    construction, so only finiteness is checked: a non-finite v, or an omega
-    without a finite norm or whose angle overflows the series, raises
-    NonFiniteState.
-    """
-    v = np.asarray(v, dtype=float)
-    if not np.isfinite(v).all():
+    """Matrix exponential of the twist [[hat(omega), v], [0, 0]] as a Pose: with
+    K = hat(omega), exp(K) = I + a K + b K^2 and the left Jacobian I + b K + c K^2
+    applied to v (Sola et al., arXiv:1812.01537), in Python floats, equal to
+    exp_so3 up to rounding. A non-finite v, or an omega without a finite norm
+    or whose angle overflows the series, raises NonFiniteState."""
+    v0, v1, v2 = map(float, v)
+    if not (math.isfinite(v0) and math.isfinite(v1) and math.isfinite(v2)):
         raise NonFiniteState("twist must be finite")
-    a, b, c, k, kk = _so3_terms(omega)
-    return Pose.unchecked(_series(a, b, k, kk).T, _series(b, c, k, kk) @ v)
+    x, y, z = map(float, omega)
+    theta = math.sqrt(x * x + y * y + z * z)
+    if not math.isfinite(theta):
+        raise NonFiniteState(f"rotation vector has no finite norm: {[x, y, z]}")
+    coefficients = _small_angle_coefficients if theta < SMALL_ANGLE else _trig_coefficients
+    try:
+        a, b, c = coefficients(theta, math)
+    except OverflowError:
+        raise NonFiniteState(f"rotation angle {theta:g} overflows the SO(3) series") from None
+    bxy, bxz, byz = b * x * y, b * x * z, b * y * z
+    ax, ay, az = a * x, a * y, a * z
+    dcm = np.array([  # exp(K).T, with K^2 = omega omega^T - theta^2 I
+        1.0 - b * (y * y + z * z), bxy + az, bxz - ay,
+        bxy - az, 1.0 - b * (x * x + z * z), byz + ax,
+        bxz + ay, byz - ax, 1.0 - b * (x * x + y * y),
+    ]).reshape(3, 3)
+    # K v = omega x v, so the Jacobian gives v + b (omega x v) + c omega x (omega x v).
+    u0, u1, u2 = y * v2 - z * v1, z * v0 - x * v2, x * v1 - y * v0
+    t0, t1, t2 = y * u2 - z * u1, z * u0 - x * u2, x * u1 - y * u0
+    position = np.array([v0 + b * u0 + c * t0, v1 + b * u1 + c * t1, v2 + b * u2 + c * t2])
+    return Pose.unchecked(dcm, position)

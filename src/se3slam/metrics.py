@@ -23,10 +23,10 @@ from .observer import ObserverState
 from .simulator import GroundTruth
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ErrorRecord:
     """Errors at one instant, or at n instants stacked along a leading axis;
-    the runner writes one CSV row per instant."""
+    the runner writes one CSV row per instant. Records compare by identity (eq=False)."""
 
     time: np.ndarray  # s, () or (n,)
     lyapunov: np.ndarray  # () or (n,)

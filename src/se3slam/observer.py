@@ -17,21 +17,26 @@ equation below is one function of this module, and ``step`` composes them:
 where W = hat(omega_hat - omega_meas), C_ea is the datum-to-body map of the
 *estimated* pose and C_ba the attitude used by the corrections (the true one,
 or the one ``resolve_attitude`` reconstructs from the landmarks).
-Discretization is Lie-Euler on SE(3) for the pose (keeps the estimate on the
-group) and explicit Euler for the landmarks; all correction terms are
-evaluated at the pre-step state.
+Discretization is Lie-Euler on SE(3) for the pose, which keeps C_ea on SO(3)
+to rounding (``step`` projects it back only on drift), and explicit Euler for
+the landmarks, with every correction at the pre-step state. 3-vectors pass as
+Python floats; numpy runs the (l, 3) terms, from P_hat @ C_ea.T formed once.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import attitude as attitude_mod
 from .errors import DegenerateGeometry, EmptyMap, NonFiniteState
-from .liegroup import Pose, compose_raw, exp_se3, hat, reorthonormalize, vee
-from .simulator import MeasurementFrame
+from .liegroup import Pose, compose_raw, exp_se3, hat, reorthonormalize, rotation_drift, vee
+from .simulator import MeasurementFrame, Vec3
+
+# |C C^T - I|_F above which step projects onto SO(3); 1e5 steps drift ~4e-14.
+DRIFT_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -66,51 +71,43 @@ class ObserverState:
         return self.landmarks.shape[0]
 
 
-def innovations(state: ObserverState, meas: MeasurementFrame) -> np.ndarray:
-    """All landmark residuals stacked as an (l, 3) array."""
-    c_ea = state.pose.dcm
-    return (state.landmarks - state.pose.position) @ c_ea.T - meas.landmark_obs
+def innovations(body_landmarks: np.ndarray, body_position, meas: MeasurementFrame) -> np.ndarray:
+    """All landmark residuals stacked as an (l, 3) array, from the estimates in
+    the body frame: body_landmarks = P_hat @ C_ea.T, body_position = C_ea @ r_hat."""
+    return body_landmarks - body_position - meas.landmark_obs
 
 
-def attitude_error(c_ba: np.ndarray, c_ea: np.ndarray) -> np.ndarray:
+def attitude_error(c_ba: np.ndarray, c_ea: np.ndarray) -> Vec3:
     """vee of the skew part of C_ba @ C_ea.T; zero iff the attitudes agree."""
-    m = c_ba @ c_ea.T
-    return vee(0.5 * (m - m.T))
+    (_, m01, m02), (m10, _, m12), (m20, m21, _) = (c_ba @ c_ea.T).tolist()
+    s01, s02, s12 = 0.5 * (m01 - m10), 0.5 * (m02 - m20), 0.5 * (m12 - m21)
+    return tuple(vee([[0.0, s01, s02], [-s01, 0.0, s12], [-s02, -s12, 0.0]]).tolist())
 
 
-def corrected_angular_velocity(
-    meas: MeasurementFrame, e: np.ndarray, gains: Gains
-) -> np.ndarray:
-    return meas.omega - gains.k1 * e
+def corrected_angular_velocity(meas: MeasurementFrame, e, gains: Gains) -> Vec3:
+    (o0, o1, o2), (e0, e1, e2), k1 = meas.omega.tolist(), e, gains.k1
+    return o0 - k1 * e0, o1 - k1 * e1, o2 - k1 * e2
 
 
-def corrected_velocity(
-    state: ObserverState,
-    meas: MeasurementFrame,
-    w: np.ndarray,
-    s_tilde: np.ndarray,
-    gains: Gains,
-) -> np.ndarray:
-    """Velocity input of the pose update, given w = hat(omega_hat - omega_meas)
-    and the innovations; the k3 term anchors on landmark 0."""
-    if state.num_landmarks == 0:
+def corrected_velocity(meas: MeasurementFrame, w, body_position, s_tilde, gains: Gains) -> Vec3:
+    """Velocity input of the pose update, given w = hat(omega_hat - omega_meas),
+    body_position = C_ea @ r_hat and the innovations; k3 anchors on landmark 0."""
+    if len(s_tilde) == 0:
         raise EmptyMap("corrected_velocity needs at least one landmark")
-    body_pos = state.pose.dcm @ state.pose.position
+    (x, y, z), (w0, w1, w2), (w3, w4, w5), (w6, w7, w8) = body_position, *w.tolist()
+    (v0, v1, v2), (s0, s1, s2) = meas.velocity.tolist(), s_tilde.sum(axis=0).tolist()
+    (a0, a1, a2), k2, k3 = meas.landmark_obs[0].tolist(), gains.k2, gains.k3
     return (
-        meas.velocity
-        + w @ body_pos
-        + gains.k2 * s_tilde.sum(axis=0)
-        - gains.k3 * (body_pos + meas.landmark_obs[0])
+        v0 + (w0 * x + w1 * y + w2 * z) + k2 * s0 - k3 * (x + a0),
+        v1 + (w3 * x + w4 * y + w5 * z) + k2 * s1 - k3 * (y + a1),
+        v2 + (w6 * x + w7 * y + w8 * z) + k2 * s2 - k3 * (z + a2),
     )
 
 
-def landmark_rates(
-    state: ObserverState, w: np.ndarray, s_tilde: np.ndarray, gains: Gains
-) -> np.ndarray:
-    """(l, 3) datum-frame velocities of the landmark estimates, given
-    w = hat(omega_hat - omega_meas) and the innovations."""
-    c_ea = state.pose.dcm
-    return ((state.landmarks @ c_ea.T) @ w.T - gains.k2 * s_tilde) @ c_ea
+def landmark_rates(body_landmarks, w, s_tilde, c_ea, gains: Gains) -> np.ndarray:
+    """(l, 3) datum-frame velocities of the landmark estimates, given body_landmarks
+    = P_hat @ C_ea.T, w = hat(omega_hat - omega_meas) and the innovations."""
+    return (body_landmarks @ w.T - gains.k2 * s_tilde) @ c_ea
 
 
 def resolve_attitude(
@@ -142,33 +139,30 @@ def step(
     dt: float,
 ) -> ObserverState:
     """Advance the estimate by one time step of length dt, with c_ba the
-    datum-to-body attitude used by the corrections.
-
-    The pose moves on raw arrays: the Lie-Euler increment is checked finite
-    before it is applied, the result is projected back onto SO(3), and the
-    new pose and map are checked finite; no pose is validated on the way.
-    """
+    datum-to-body attitude used by the corrections. The increment is checked
+    finite before it is applied and the new pose and map after; the attitude
+    is projected onto SO(3) only when its drift exceeds DRIFT_TOL."""
     if dt <= 0.0:
         raise ValueError("dt must be positive")
 
-    c_ea = state.pose.dcm
-    e = attitude_error(c_ba, c_ea)
-    omega_hat = corrected_angular_velocity(meas, e, gains)
-    w = hat(omega_hat - meas.omega)
-    s_tilde = innovations(state, meas)
-    v_hat = corrected_velocity(state, meas, w, s_tilde, gains)
+    c_ea, position = state.pose.dcm, state.pose.position
+    body_landmarks, body_position = state.landmarks @ c_ea.T, (c_ea @ position).tolist()
+    o0, o1, o2 = corrected_angular_velocity(meas, attitude_error(c_ba, c_ea), gains)
+    m0, m1, m2 = meas.omega.tolist()
+    w = hat((o0 - m0, o1 - m1, o2 - m2))
+    s_tilde = innovations(body_landmarks, body_position, meas)
+    v0, v1, v2 = corrected_velocity(meas, w, body_position, s_tilde, gains)
 
-    # exp_se3 rejects a non-finite increment, so NaN never reaches the SVD of
-    # the projection.
     try:
-        motion = exp_se3(omega_hat * dt, v_hat * dt)
+        motion = exp_se3((o0 * dt, o1 * dt, o2 * dt), (v0 * dt, v1 * dt, v2 * dt))
     except NonFiniteState:
         raise NonFiniteState(f"non-finite pose increment at t={state.time}") from None
-    dcm, position = compose_raw(c_ea, state.pose.position, motion.dcm, motion.position)
-    dcm = reorthonormalize(dcm)
+    dcm, position = compose_raw(c_ea, position, motion.dcm, motion.position)
+    if rotation_drift(dcm) > DRIFT_TOL:
+        dcm = reorthonormalize(dcm)
 
-    new_landmarks = state.landmarks + dt * landmark_rates(state, w, s_tilde, gains)
+    new_landmarks = state.landmarks + dt * landmark_rates(body_landmarks, w, s_tilde, c_ea, gains)
 
-    if not (np.isfinite(new_landmarks).all() and np.isfinite(position).all()):
+    if not (np.isfinite(new_landmarks).all() and all(map(math.isfinite, position.tolist()))):
         raise NonFiniteState(f"non-finite state after step at t={state.time}")
     return ObserverState(Pose.unchecked(dcm, position), new_landmarks, state.time + dt)

@@ -8,6 +8,7 @@ A run keeps its errors as one stacked ``ErrorRecord``, one row per instant.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,6 +26,8 @@ from .simulator import measure, place_landmarks, truth_at
 # RSS of the 8-landmark runs by another 0.25 MB.
 BLOCK_LANDMARK_ROWS = 2048
 MIN_BLOCK_RECORDS = 16
+# Values formatted and written at a time: a block's text stays near 100 kB.
+CSV_BLOCK_VALUES = 4096
 
 
 @dataclass(frozen=True)
@@ -165,29 +168,37 @@ def sweep(base: Scenario, param_path: str, values) -> list[RunResult]:
 _fmt = "{:.17g}".format
 
 
-def csv_lines(records: ErrorRecord, decimate: int = 1) -> list[str]:
-    """CSV serialization of a stacked record: every ``decimate``-th row plus
-    the final one, each row formatted by one %-format of all its values."""
+def _csv_blocks(records: ErrorRecord, decimate: int):
+    """The CSV's lines in lists: the header, then about CSV_BLOCK_VALUES values' rows at a time."""
     if decimate < 1:
         raise ValueError("decimate must be >= 1")
     n, n_lm = records.map_error.shape
-    header = (
-        ["t", "V", "att_err_rad", "pos_err_m"]
-        + [f"map_err_{i + 1}" for i in range(n_lm)]
-        + [f"rel_map_err_{i + 1}" for i in range(n_lm)]
-        + ["att_source_ok"]
-    )
+    maps = [f"map_err_{i + 1}" for i in range(n_lm)]
+    header = ["t", "V", "att_err_rad", "pos_err_m", *maps, *["rel_" + m for m in maps]]
     kept = sorted({*range(0, n, decimate), n - 1})
     *floats, flags = records.columns()  # the CSV's column order
-    values = np.column_stack([c[kept] for c in floats])
-    row = ",".join(["%.17g"] * values.shape[1] + ["%d"])
-    lines = [row % (*v.tolist(), ok) for v, ok in zip(values, flags[kept].tolist())]
-    return [",".join(header)] + lines
+    row = ",".join(["%.17g"] * len(header) + ["%d"])
+
+    def block(idx):
+        values = np.column_stack([c[idx] for c in floats]).tolist()
+        return [row % (*v, ok) for v, ok in zip(values, flags[idx].tolist())]
+
+    size = max(1, CSV_BLOCK_VALUES // (len(header) + 1))
+    blocks = (kept[i : i + size] for i in range(0, len(kept), size))
+    return itertools.chain([[",".join(header + ["att_source_ok"])]], map(block, blocks))
+
+
+def csv_lines(records: ErrorRecord, decimate: int = 1) -> list[str]:
+    """CSV serialization of a stacked record, one string per line: the header,
+    then every ``decimate``-th row plus the final one, each by one %-format."""
+    return [line for lines in _csv_blocks(records, decimate) for line in lines]
 
 
 def write_csv(records: ErrorRecord, path, decimate: int = 1) -> None:
+    """Write ``csv_lines`` a block of rows at a time, never the whole text at once."""
+    blocks = _csv_blocks(records, decimate)
     with open(path, "w", newline="\n") as fh:
-        fh.writelines(line + "\n" for line in csv_lines(records, decimate))
+        fh.writelines("\n".join(lines) + "\n" for lines in blocks)
 
 
 def summary_lines(result: RunResult) -> list[str]:

@@ -7,9 +7,13 @@ from hypothesis import strategies as st
 from conftest import random_rotation
 from se3slam.errors import DegenerateMatrix, NonFiniteState, NotSkewSymmetric
 from se3slam.liegroup import (
+    _NUMPY,
+    SKEW_TOL,
+    SMALL_ANGLE,
     Pose,
-    _so3_terms,
+    _small_angle_coefficients,
     _so3_terms_stacked,
+    _trig_coefficients,
     compose_raw,
     exp_se3,
     exp_so3,
@@ -54,6 +58,15 @@ def test_hat_antisymmetry(v, w):
 
 def test_vee_zero():
     assert np.array_equal(vee(np.zeros((3, 3))), np.zeros(3))
+
+
+def test_vee_skew_check_is_a_frobenius_bound_at_skew_tol():
+    # m + m.T = 2 eps I has Frobenius norm 2 sqrt(3) eps
+    k = hat([0.3, -1.2, 2.0])
+    edge = SKEW_TOL / (2.0 * np.sqrt(3.0))
+    assert np.array_equal(vee(k + 0.9 * edge * np.eye(3)), [0.3, -1.2, 2.0])
+    with pytest.raises(NotSkewSymmetric):
+        vee(k + 1.1 * edge * np.eye(3))
 
 
 def test_vee_rejects_symmetric():
@@ -125,6 +138,17 @@ rotation_vectors = st.one_of(
     vec3.map(lambda v: v * 1e-12),  # |v| < SMALL_ANGLE = 1e-8: the series branch
     st.just(np.zeros(3)),
 )
+
+
+def _so3_terms(v):
+    """(a, b, c, K, K @ K) of one rotation vector evaluated alone with numpy:
+    the reference whose bits each slice of the stacked terms must have."""
+    v = np.asarray(v, dtype=float)
+    theta = float(np.linalg.norm(v))
+    coefficients = _small_angle_coefficients if theta < SMALL_ANGLE else _trig_coefficients
+    a, b, c = coefficients(theta, _NUMPY)
+    k = hat(v)
+    return a, b, c, k, k @ k
 
 
 @settings(max_examples=60, deadline=None)
@@ -221,6 +245,27 @@ def test_rotation_angle_unsigned():
 def test_rotation_angle_roundtrip(theta, axis):
     axis = axis / np.linalg.norm(axis)
     assert abs(rotation_angle(exp_so3(theta * axis)) - theta) < 1e-9
+
+
+@pytest.mark.parametrize("theta", [1e-10, np.pi - 1e-6])
+def test_rotation_angle_relative_accuracy(theta):
+    # arccos of the trace alone reads 0 for 1e-10 and is off by ~1e-10 near pi
+    r = exp_so3(theta * np.array([0.48, -0.6, 0.64]))
+    assert abs(rotation_angle(r) - theta) <= 1e-14 * theta
+    assert abs(rotation_angle(r[None])[0] - theta) <= 1e-14 * theta
+
+
+@settings(max_examples=60, deadline=None)
+@given(rotation_vectors, vec3)
+def test_exp_se3_agrees_with_stacked_so3(omega, v):
+    # exp_se3 works in floats; the stacked numpy path gives exp(hat(omega)) and
+    # the left Jacobian as the right Jacobian at -omega. The two round |omega|
+    # differently, and an angle error of ~1e-16 |omega| moves every entry by as much.
+    pose = exp_se3(omega, v)
+    tol = 1e-14 * (1.0 + np.linalg.norm(omega))
+    assert np.allclose(pose.dcm, exp_so3(omega).T, rtol=0.0, atol=tol)
+    _, left_jacobian = exp_so3_with_right_jacobian(-omega)
+    assert np.allclose(pose.position, left_jacobian @ v, rtol=0.0, atol=tol * (1.0 + np.linalg.norm(v)))
 
 
 def test_right_jacobian_finite_difference(rng):

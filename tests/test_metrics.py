@@ -3,6 +3,7 @@ import numpy as np
 from conftest import random_rotation, stack_records
 from se3slam.liegroup import Pose, compose_raw, exp_so3, homogeneous
 from se3slam.metrics import (
+    ErrorRecord,
     evaluate,
     lyapunov,
     map_errors,
@@ -170,3 +171,12 @@ def test_stacked_evaluate_matches_per_record(rng):
     assert records.attitude_source_ok.tolist() == oks.tolist()
     last = records.row(-1)
     assert last.lyapunov == singles[-1].lyapunov and last.time == times[-1]
+
+
+def test_error_record_equality_is_identity():
+    # the generated == compared the array fields as a tuple and raised
+    scalars = [np.array([x, x]) for x in (0.0, 2.0, 0.5, 0.3)]
+    records = ErrorRecord(*scalars, np.ones((2, 2)), np.ones((2, 2)), np.array([True, False]))
+    assert records == records
+    assert records.row(0) != records.row(0)
+    assert records.row(0) != "record"

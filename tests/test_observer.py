@@ -1,11 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import random_rotation
 from se3slam import metrics
-from se3slam.errors import EmptyMap, ZeroVector
-from se3slam.liegroup import Pose, exp_so3, hat, rotation_angle
+from se3slam.errors import EmptyMap, NonFiniteState, ZeroVector
+from se3slam.liegroup import Pose, compose_raw, exp_se3, exp_so3, hat, reorthonormalize, rotation_angle
 from se3slam.observer import (
+    DRIFT_TOL,
     Gains,
     ObserverState,
     attitude_error,
@@ -52,6 +55,11 @@ def random_setup(rng):
     return state, meas
 
 
+def body(state):
+    """The estimates resolved in the body frame: (P_hat @ C_ea.T, C_ea @ r_hat)."""
+    return state.landmarks @ state.pose.dcm.T, state.pose.dcm @ state.pose.position
+
+
 def straight_line_residual(state, meas, i):
     # independent scalar transcription of the residual formula
     c = state.pose.dcm
@@ -71,19 +79,20 @@ def straight_line_residual(state, meas, i):
 def test_innovation_zero_at_truth():
     _, state, meas = perfect_setup()
     for i in range(len(LANDMARKS)):
-        assert np.allclose(innovations(state, meas)[i], 0.0, atol=1e-14)
+        assert np.allclose(innovations(*body(state), meas)[i], 0.0, atol=1e-14)
 
 
 def test_innovation_direct_substitution():
     state = ObserverState(Pose.identity(), np.array([[1.0, 0, 0]]))
     meas = MeasurementFrame(np.zeros(3), np.zeros(3), np.zeros((1, 3)))
-    assert np.allclose(innovations(state, meas)[0], [1.0, 0.0, 0.0])
+    assert np.allclose(innovations(*body(state), meas)[0], [1.0, 0.0, 0.0])
 
 
 def test_innovation_matches_transcription(rng):
     state, meas = random_setup(rng)
     for i in range(4):
-        assert np.allclose(innovations(state, meas)[i], straight_line_residual(state, meas, i), atol=1e-13)
+        expected = straight_line_residual(state, meas, i)
+        assert np.allclose(innovations(*body(state), meas)[i], expected, atol=1e-13)
 
 
 def test_attitude_error_zero_when_equal(rng):
@@ -100,7 +109,7 @@ def test_attitude_error_sine_magnitude():
 
 def test_attitude_error_antisymmetric(rng):
     a, b = random_rotation(rng), random_rotation(rng)
-    assert np.allclose(attitude_error(a, b), -attitude_error(b, a), atol=1e-14)
+    assert np.allclose(attitude_error(a, b), -np.array(attitude_error(b, a)), atol=1e-14)
 
 
 def test_corrected_angular_velocity():
@@ -114,14 +123,16 @@ def test_corrected_angular_velocity():
     e = np.array([0.3, -0.1, 0.2])
     single = corrected_angular_velocity(meas0, e, gains)
     double = corrected_angular_velocity(meas0, 2 * e, gains)
-    assert np.allclose(double, 2 * single)
+    assert np.allclose(double, 2 * np.array(single))
 
 
 def test_corrected_velocity_all_corrections_off(rng):
     state, meas = random_setup(rng)
     omega_hat = meas.omega.copy()
     w = hat(omega_hat - meas.omega)
-    out = corrected_velocity(state, meas, w, innovations(state, meas), Gains(1.0, 0.0, 0.0))
+    out = corrected_velocity(
+        meas, w, body(state)[1], innovations(*body(state), meas), Gains(1.0, 0.0, 0.0)
+    )
     assert np.allclose(out, meas.velocity, atol=1e-14)
 
 
@@ -133,7 +144,7 @@ def test_corrected_velocity_noise_free_reduction():
     e = attitude_error(truth.pose.dcm, state.pose.dcm)
     omega_hat = corrected_angular_velocity(meas, e, gains)
     w = hat(omega_hat - meas.omega)
-    out = corrected_velocity(state, meas, w, innovations(state, meas), gains)
+    out = corrected_velocity(meas, w, body(state)[1], innovations(*body(state), meas), gains)
     # oracle: substitution of the exact measurement model
     expected = meas.velocity - gains.k3 * (truth.pose.dcm @ truth.landmarks[0])
     assert np.allclose(out, expected, atol=1e-12)
@@ -153,7 +164,7 @@ def test_corrected_velocity_matches_transcription(rng):
         - gains.k3 * (c @ state.pose.position + meas.landmark_obs[0])
     )
     w = hat(omega_hat - meas.omega)
-    out = corrected_velocity(state, meas, w, innovations(state, meas), gains)
+    out = corrected_velocity(meas, w, body(state)[1], innovations(*body(state), meas), gains)
     assert np.allclose(out, expected, atol=1e-12)
 
 
@@ -161,7 +172,9 @@ def test_corrected_velocity_empty_map():
     state = ObserverState(Pose.identity(), np.zeros((0, 3)))
     meas = MeasurementFrame(np.zeros(3), np.zeros(3), np.zeros((0, 3)))
     with pytest.raises(EmptyMap):
-        corrected_velocity(state, meas, hat(np.zeros(3)), innovations(state, meas), Gains(1, 1, 1))
+        corrected_velocity(
+            meas, hat(np.zeros(3)), body(state)[1], innovations(*body(state), meas), Gains(1, 1, 1)
+        )
 
 
 def test_landmark_rate_zero_at_truth():
@@ -169,7 +182,9 @@ def test_landmark_rate_zero_at_truth():
     gains = Gains(2.0, 1.0, 12.0)
     e = attitude_error(truth.pose.dcm, state.pose.dcm)
     omega_hat = corrected_angular_velocity(meas, e, gains)
-    rates = landmark_rates(state, hat(omega_hat - meas.omega), innovations(state, meas), gains)
+    rates = landmark_rates(
+        body(state)[0], hat(omega_hat - meas.omega), innovations(*body(state), meas), state.pose.dcm, gains
+    )
     for i in range(len(LANDMARKS)):
         assert np.allclose(rates[i], 0.0, atol=1e-13)
 
@@ -178,7 +193,9 @@ def test_landmark_rate_direct_substitution():
     state = ObserverState(Pose.identity(), np.array([[2.0, 0, 0]]))
     meas = MeasurementFrame(np.zeros(3), np.zeros(3), np.array([[1.0, 0, 0]]))
     # omega_hat == omega, s_tilde = (1,0,0), k2 = 1 -> rate = -(1,0,0)
-    out = landmark_rates(state, hat(np.zeros(3)), innovations(state, meas), Gains(1.0, 1.0, 1.0))
+    gains = Gains(1.0, 1.0, 1.0)
+    s_tilde = innovations(*body(state), meas)
+    out = landmark_rates(body(state)[0], hat(np.zeros(3)), s_tilde, state.pose.dcm, gains)
     assert np.allclose(out[0], [-1.0, 0.0, 0.0])
 
 
@@ -187,7 +204,9 @@ def test_landmark_rate_matches_transcription(rng):
     gains = Gains(1.0, 0.8, 3.0)
     omega_hat = rng.normal(size=3)
     c = state.pose.dcm
-    rates = landmark_rates(state, hat(omega_hat - meas.omega), innovations(state, meas), gains)
+    rates = landmark_rates(
+        body(state)[0], hat(omega_hat - meas.omega), innovations(*body(state), meas), state.pose.dcm, gains
+    )
     for i in range(4):
         alpha = np.cross(omega_hat - meas.omega, c @ state.landmarks[i]) - gains.k2 * straight_line_residual(state, meas, i)
         assert np.allclose(rates[i], c.T @ alpha, atol=1e-12)
@@ -265,7 +284,7 @@ def test_step_zero_gains_is_dead_reckoning(rng):
     gains = Gains(0.0, 0.0, 0.0)
     dt = 0.01
     new = step(state, meas, random_rotation(rng), gains, dt)
-    from se3slam.liegroup import compose_raw, exp_se3, homogeneous
+    from se3slam.liegroup import homogeneous
 
     increment = exp_se3(meas.omega * dt, meas.velocity * dt)
     expected = compose_raw(state.pose.dcm, state.pose.position, increment.dcm, increment.position)
@@ -292,6 +311,85 @@ def test_step_rotation_stays_orthonormal(rng):
         meas = MeasurementFrame(rng.normal(size=3), rng.normal(size=3), rng.normal(size=(4, 3)))
         state = step(state, meas, random_rotation(rng), gains, 0.005)
     assert np.linalg.norm(state.pose.dcm.T @ state.pose.dcm - np.eye(3)) < 1e-12
+
+
+def _dead_reckoning(state, meas, dt):
+    """compose(X_hat, exp_se3(twist * dt)) as raw (dcm, position): the pose a
+    zero-gain step reaches before any projection."""
+    increment = exp_se3(meas.omega * dt, meas.velocity * dt)
+    return compose_raw(state.pose.dcm, state.pose.position, increment.dcm, increment.position)
+
+
+def test_step_projects_only_a_drifted_attitude(rng):
+    state, meas = random_setup(rng)
+    gains, dt = Gains(0.0, 0.0, 0.0), 0.01
+    # on the group: no projection, the Lie-Euler product itself
+    dcm, position = _dead_reckoning(state, meas, dt)
+    on_group = step(state, meas, np.eye(3), gains, dt)
+    assert np.linalg.norm(dcm @ dcm.T - np.eye(3)) <= DRIFT_TOL
+    assert np.array_equal(on_group.pose.dcm, dcm)
+    assert np.array_equal(on_group.pose.position, position)
+    # 1e-8 off the group: the product is projected back
+    drifted = ObserverState(
+        Pose.unchecked(state.pose.dcm + 1e-8 * rng.normal(size=(3, 3)), state.pose.position),
+        state.landmarks,
+    )
+    dcm, position = _dead_reckoning(drifted, meas, dt)
+    assert np.linalg.norm(dcm @ dcm.T - np.eye(3)) > 1e-9
+    out = step(drifted, meas, np.eye(3), gains, dt)
+    assert np.array_equal(out.pose.dcm, reorthonormalize(dcm))
+    assert np.array_equal(out.pose.position, position)
+    assert np.linalg.norm(out.pose.dcm.T @ out.pose.dcm - np.eye(3)) < 1e-14
+
+
+@pytest.mark.parametrize(
+    "gains, omega, velocity",
+    [
+        # k1 * dt |e| overflows the SO(3) series
+        (Gains(1e108, 1.0, 1.0), np.zeros(3), np.zeros(3)),
+        (Gains(1.0, 1.0, 1.0), np.zeros(3), np.array([np.nan, 0.0, 0.0])),
+        (Gains(1.0, 1.0, 1.0), np.array([np.inf, 0.0, 0.0]), np.zeros(3)),
+    ],
+    ids=["series-overflow", "nan-velocity", "inf-omega"],
+)
+def test_step_non_finite_increment_message(rng, gains, omega, velocity):
+    state, meas = random_setup(rng)
+    state = ObserverState(state.pose, state.landmarks, 0.25)
+    bad = MeasurementFrame(omega, velocity, meas.landmark_obs)
+    with pytest.raises(NonFiniteState, match=r"^non-finite pose increment at t=0\.25$"):
+        step(state, bad, random_rotation(rng), gains, 0.01)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_step_non_finite_state_message(rng):
+    # a finite increment (W acts on the small position), but W acting on the
+    # huge landmark overflows its update
+    state, meas = random_setup(rng)
+    far = ObserverState(state.pose, np.array([[1e300, 0.0, 0.0]]), 0.5)
+    meas = MeasurementFrame(meas.omega, meas.velocity, meas.landmark_obs[:1])
+    with pytest.raises(NonFiniteState, match=r"^non-finite state after step at t=0\.5$"):
+        step(far, meas, random_rotation(rng), Gains(1e10, 0.0, 0.0), 0.01)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.integers(1, 6),
+    st.tuples(st.floats(0.0, 10.0), st.floats(0.0, 10.0), st.floats(0.0, 10.0)),
+    st.floats(1e-4, 0.05),
+    st.sampled_from([0.0, 1e-14, 1e-10, 1e-6]),
+)
+def test_step_output_stays_on_so3(seed, n_landmarks, gains, dt, off_group):
+    rng = np.random.default_rng(seed)
+    dcm = random_rotation(rng) + off_group * rng.normal(size=(3, 3))
+    state = ObserverState(
+        Pose.unchecked(dcm, 5.0 * rng.normal(size=3)), 5.0 * rng.normal(size=(n_landmarks, 3))
+    )
+    meas = MeasurementFrame(
+        3.0 * rng.normal(size=3), 3.0 * rng.normal(size=3), 5.0 * rng.normal(size=(n_landmarks, 3))
+    )
+    out = step(state, meas, random_rotation(rng), Gains(*gains), dt)
+    assert np.linalg.norm(out.pose.dcm.T @ out.pose.dcm - np.eye(3)) <= 1e-12
 
 
 def test_resolve_attitude_reconstructed_and_fallback(rng):

@@ -90,6 +90,20 @@ def test_csv_roundtrip_lossless(short, tmp_path):
     assert csv_lines(edge)[1] == _per_field_row(edge.row(0))
 
 
+def test_write_csv_streams_blocks_with_the_same_rows(short, tmp_path, monkeypatch):
+    records = run(short).records
+    monkeypatch.setattr(runner, "CSV_BLOCK_VALUES", 50)  # two 21-value rows per block
+    for decimate in (1, 3):
+        path = tmp_path / f"every_{decimate}.csv"
+        write_csv(records, path, decimate)
+        kept = sorted({*range(0, len(records), decimate), len(records) - 1})
+        assert path.read_text().splitlines()[1:] == [_per_field_row(records.row(i)) for i in kept]
+        assert path.read_text() == "\n".join(csv_lines(records, decimate)) + "\n"
+    with pytest.raises(ValueError, match="decimate"):
+        write_csv(records, tmp_path / "bad.csv", 0)
+    assert not (tmp_path / "bad.csv").exists()
+
+
 def test_decimation_keeps_final(short):
     result = run(short)
     lines = csv_lines(result.records, decimate=7)
