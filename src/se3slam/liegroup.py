@@ -133,11 +133,11 @@ def rotation_drift(m) -> float:
     return math.sqrt(aa * aa + dd * dd + gg * gg + 2.0 * (ad * ad + ag * ag + dg * dg))
 
 
-def is_rotation(m, tol: float = ROTATION_TOL) -> bool:
+def is_rotation(m) -> bool:
     m = np.asarray(m, dtype=float)
     if m.shape != (3, 3) or not np.all(np.isfinite(m)):
         return False
-    return rotation_drift(m) <= tol and abs(np.linalg.det(m) - 1.0) <= tol
+    return rotation_drift(m) <= ROTATION_TOL and abs(np.linalg.det(m) - 1.0) <= ROTATION_TOL
 
 
 def reorthonormalize(m) -> np.ndarray:
@@ -174,9 +174,10 @@ def homogeneous(dcm, position) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Pose:
-    """SE(3) element: datum->body rotation plus body position in the datum frame."""
+    """SE(3) element: datum->body rotation plus body position in the datum frame.
+    Compares by identity (eq=False): its fields are arrays."""
 
     dcm: np.ndarray
     position: np.ndarray
@@ -199,10 +200,6 @@ class Pose:
         object.__setattr__(pose, "dcm", dcm)
         object.__setattr__(pose, "position", position)
         return pose
-
-    @classmethod
-    def identity(cls) -> "Pose":
-        return cls(_I3.copy(), np.zeros(3))
 
     @property
     def matrix(self) -> np.ndarray:

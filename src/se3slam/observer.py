@@ -54,9 +54,10 @@ class Gains:
                 raise ValueError(f"gain {name} must be finite and >= 0, got {value}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ObserverState:
-    """Pose estimate plus landmark-position estimates (datum frame, meters)."""
+    """Pose estimate plus landmark-position estimates (datum frame, meters).
+    Compares by identity (eq=False): its fields are arrays."""
 
     pose: Pose
     landmarks: np.ndarray  # (l, 3)
@@ -65,10 +66,6 @@ class ObserverState:
     def __post_init__(self):
         lm = np.atleast_2d(np.asarray(self.landmarks, dtype=float))
         object.__setattr__(self, "landmarks", lm)
-
-    @property
-    def num_landmarks(self) -> int:
-        return self.landmarks.shape[0]
 
 
 def innovations(body_landmarks: np.ndarray, body_position, meas: MeasurementFrame) -> np.ndarray:

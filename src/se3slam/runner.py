@@ -126,7 +126,7 @@ def run(scenario: Scenario, scenario_hash: str | None = None) -> RunResult:
         for i, k in enumerate(range(start, stop)):
             ok = True
             if k:
-                meas = measure(previous, noise, rng_noise, (k - 1) * dt)
+                meas = measure(previous, noise, rng_noise)
                 if reconstructed_mode:
                     c_ba, ok = resolve_attitude(state, meas, fallback=last_good)
                     if ok:

@@ -3,9 +3,9 @@
 Format: YAML with a mandatory ``schema_version: 1``. Every other key is the
 field of the same name on ``Scenario`` or a nested config dataclass, read as
 its annotated type; absent keys take the field's default, and unknown keys are
-errors, so typos cannot pass silently. The trajectory's ``initial_pose`` is
-written as ``initial_position`` + ``initial_rotation`` (axis-angle). Each
-dataclass checks its fields on construction, so every ``Scenario`` is valid.
+errors, so typos cannot pass silently; no key is an exception to this rule.
+Each dataclass checks its fields on construction, so every ``Scenario`` is
+valid, and none holds an array, so scenarios compare and hash by value.
 """
 
 from __future__ import annotations
@@ -22,8 +22,7 @@ from pathlib import Path
 import numpy as np
 import yaml
 
-from .errors import ConfigInvalid, NonFiniteState, UnknownParameter
-from .liegroup import Pose, exp_so3
+from .errors import ConfigInvalid, UnknownParameter
 from .observer import Gains
 from .simulator import NoiseSpec, TrajectorySpec, Vec3
 
@@ -47,8 +46,11 @@ class Box:
     max: Vec3
 
     def __post_init__(self):
-        if any(h < l for l, h in zip(self.min, self.max)):
-            raise ValueError("max must be >= min componentwise")
+        for low, high in zip(self.min, self.max):
+            if high < low:
+                raise ValueError("max must be >= min componentwise")
+            if np.isfinite([low, high]).all() and not np.isfinite(high - low):
+                raise ValueError(f"max - min overflows: {high:g} - {low:g}")
 
 
 @dataclass(frozen=True)
@@ -94,10 +96,11 @@ class InitialEstimate:
             norm = np.linalg.norm(self.attitude_error_axis)
         if self.attitude_error_rad != 0.0 and not 0.0 < norm < np.inf:
             raise ValueError(f"attitude_error_axis needs a finite non-zero norm, got {norm}")
-        if self.landmark_offset_scale < 0.0:
-            raise ValueError(
-                f"landmark_offset_scale must be >= 0, got {self.landmark_offset_scale}"
-            )
+        scale = self.landmark_offset_scale
+        if scale < 0.0:
+            raise ValueError(f"landmark_offset_scale must be >= 0, got {scale}")
+        if np.isfinite(scale) and not np.isfinite(2.0 * scale):
+            raise ValueError(f"landmark_offset_scale {scale:g} overflows its span 2 * scale")
 
 
 @dataclass(frozen=True)
@@ -173,22 +176,21 @@ def _field_types(cls) -> dict:
     return typing.get_type_hints(cls)
 
 
-def _build(cls, data, path: str, **given):
+def _build(cls, data, path: str):
     """An instance of the config dataclass ``cls`` from the mapping ``data``
-    (found at dotted ``path``), each key read as the field of the same name;
-    ``given`` fields are passed through and are not document keys."""
+    (found at dotted ``path``), each key read as the field of the same name."""
     if not isinstance(data, dict):
         raise ConfigInvalid(f"{path or 'document'}: expected a mapping")
     kinds = _field_types(cls)
     prefix = f"{path}." if path else ""
-    unknown = sorted(f"{prefix}{k}" for k in data if k not in kinds or k in given)
+    unknown = sorted(f"{prefix}{k}" for k in data if k not in kinds)
     if unknown:
         raise ConfigInvalid(f"unknown keys: {', '.join(unknown)}")
-    kwargs = dict(given)
+    kwargs = {}
     for f in dataclasses.fields(cls):
         if f.name in data:
             kwargs[f.name] = _read(kinds[f.name], data[f.name], prefix + f.name)
-        elif f.name not in given and f.default is f.default_factory is dataclasses.MISSING:
+        elif f.default is f.default_factory is dataclasses.MISSING:
             raise ConfigInvalid(f"{prefix}{f.name}: required field missing")
     try:
         return cls(**kwargs)
@@ -202,8 +204,6 @@ def _read(kind, value, path: str):
         (kind,) = (k for k in typing.get_args(kind) if k is not type(None))
         if value is None and not dataclasses.is_dataclass(kind):  # a section is a mapping
             return None
-    if kind is TrajectorySpec and isinstance(value, dict):
-        return _trajectory(value, path)
     if dataclasses.is_dataclass(kind):
         return _build(kind, value, path)
     if kind == Vec3:
@@ -241,19 +241,6 @@ def _vec3(value, path: str) -> Vec3:
     if not isinstance(value, (list, tuple)) or len(value) != 3:
         raise ConfigInvalid(f"{path}: expected a 3-element list")
     return tuple(_read(float, x, f"{path}[{i}]") for i, x in enumerate(value))
-
-
-def _trajectory(data: dict, path: str) -> TrajectorySpec:
-    """The document gives ``initial_pose`` as a position and a rotation vector."""
-    data = dict(data)
-    zero = (0.0, 0.0, 0.0)
-    position = _vec3(data.pop("initial_position", zero), f"{path}.initial_position")
-    rotvec = _vec3(data.pop("initial_rotation", zero), f"{path}.initial_rotation")
-    try:
-        pose = Pose(exp_so3(rotvec), np.array(position))
-    except (ValueError, NonFiniteState) as exc:
-        raise ConfigInvalid(f"{path}: {exc}") from None
-    return _build(TrajectorySpec, data, path, initial_pose=pose)
 
 
 def parse_scenario(data: dict) -> Scenario:

@@ -8,7 +8,7 @@ ODE is v_b = C_ba @ dr_a/dt.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -27,12 +27,14 @@ Vec3 = tuple[float, float, float]
 
 @dataclass(frozen=True)
 class TrajectorySpec:
-    """Closed-form trajectory description.
+    """Closed-form trajectory description, with the fields a scenario file writes.
 
-    ``circle``/``helix`` translate along a circle of ``radius`` at
-    ``angular_rate`` (helix additionally climbs at ``vertical_rate``) while
-    yawing at the same rate. ``tumble`` follows the same translational path
-    with a sinusoidal axis-angle attitude of amplitudes ``tumble_amplitude``.
+    The body starts at ``initial_position`` (datum frame) with the datum-to-body
+    attitude exp_so3(``initial_rotation``), an axis-angle vector; ``initial_pose``
+    builds that pose. ``circle``/``helix`` translate along a circle of ``radius``
+    at ``angular_rate`` (helix additionally climbs at ``vertical_rate``) while
+    yawing at the same rate. ``tumble`` follows the same translational path with
+    a sinusoidal axis-angle attitude of amplitudes ``tumble_amplitude``.
     ``static`` holds the initial pose.
     """
 
@@ -41,15 +43,26 @@ class TrajectorySpec:
     angular_rate: float = 0.0  # rad/s
     vertical_rate: float = 0.0  # m/s
     tumble_amplitude: Vec3 = (0.0, 0.0, 0.0)  # rad
-    initial_pose: Pose = field(default_factory=Pose.identity)
+    initial_position: Vec3 = (0.0, 0.0, 0.0)  # m
+    initial_rotation: Vec3 = (0.0, 0.0, 0.0)  # rad, axis-angle
 
     def __post_init__(self):
         if self.family not in FAMILIES:
             raise ValueError(f"unknown trajectory family: {self.family!r}")
-        for name in ("radius", "angular_rate", "vertical_rate", "tumble_amplitude"):
-            value = getattr(self, name)
+        for f in fields(self)[1:]:  # every field but family
+            value = getattr(self, f.name)
             if not np.all(np.isfinite(value)):
-                raise ValueError(f"{name} must be finite, got {value}")
+                raise ValueError(f"{f.name} must be finite, got {value}")
+        try:  # finite entries can still overflow the rotation vector's norm
+            Pose(exp_so3(self.initial_rotation), np.array(self.initial_position, dtype=float))
+        except NonFiniteState as exc:
+            raise ValueError(str(exc)) from None
+
+    @property
+    def initial_pose(self) -> Pose:
+        """The pose at t = 0, unchecked: the constructor checked it once."""
+        rotation, position = self.initial_rotation, self.initial_position
+        return Pose.unchecked(exp_so3(rotation), np.array(position, dtype=float))
 
 
 @dataclass(frozen=True)
@@ -66,6 +79,8 @@ class ChannelNoise:
             raise ValueError(f"unknown noise family: {self.family!r}")
         if self.scale < 0.0:
             raise ValueError("noise scale must be >= 0")
+        if np.isfinite(self.scale) and not np.isfinite(2.0 * self.scale):
+            raise ValueError(f"noise scale {self.scale:g} overflows its span 2 * scale")
         if self.family == "student_t" and self.dof <= 2.0:
             raise ValueError("student_t dof must be > 2")
 
@@ -77,10 +92,11 @@ class NoiseSpec:
     landmark: ChannelNoise = field(default_factory=ChannelNoise)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GroundTruth:
     """True pose, body rates, and landmark positions at one instant, or at n
-    instants stacked along a leading axis of the pose and rate fields."""
+    instants stacked along a leading axis of the pose and rate fields. Compares
+    by identity (eq=False): its fields are arrays."""
 
     pose: Pose
     omega_body: np.ndarray  # rad/s, (3,) or (n, 3)
@@ -97,14 +113,13 @@ class GroundTruth:
         )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MeasurementFrame:
-    """One time step of body-frame sensor data."""
+    """One time step of body-frame sensor data. Compares by identity (eq=False)."""
 
     omega: np.ndarray  # rad/s
     velocity: np.ndarray  # m/s
     landmark_obs: np.ndarray  # (l, 3), m
-    time: float = 0.0
 
     def __post_init__(self):
         object.__setattr__(self, "omega", np.asarray(self.omega, dtype=float))
@@ -150,8 +165,8 @@ def truth_at(spec: TrajectorySpec, t, landmarks=None) -> GroundTruth:
     if landmarks is None:
         landmarks = np.zeros((0, 3))
     landmarks = np.atleast_2d(np.asarray(landmarks, dtype=float))
-    c0 = spec.initial_pose.dcm
-    r0 = spec.initial_pose.position
+    initial = spec.initial_pose
+    c0, r0 = initial.dcm, initial.position
     n = len(ts)
 
     if spec.family == "static":
@@ -196,7 +211,7 @@ def _sample(channel: ChannelNoise, rng: np.random.Generator, shape) -> np.ndarra
     return noise + bias
 
 
-def measure(truth: GroundTruth, noise: NoiseSpec, rng: np.random.Generator, time: float = 0.0):
+def measure(truth: GroundTruth, noise: NoiseSpec, rng: np.random.Generator) -> MeasurementFrame:
     """Body-frame measurement frame: exact model plus configured noise.
 
     Landmark model: s_b_i = C_ba @ (p_a_i - r_a). Sampling order is fixed
@@ -207,7 +222,7 @@ def measure(truth: GroundTruth, noise: NoiseSpec, rng: np.random.Generator, time
     omega_y = truth.omega_body + _sample(noise.omega, rng, (3,))
     velocity_y = truth.velocity_body + _sample(noise.velocity, rng, (3,))
     landmark_y = exact + _sample(noise.landmark, rng, exact.shape)
-    return MeasurementFrame(omega_y, velocity_y, landmark_y, time)
+    return MeasurementFrame(omega_y, velocity_y, landmark_y)
 
 
 def place_landmarks(count: int, box_min, box_max, rng: np.random.Generator) -> np.ndarray:

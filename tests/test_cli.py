@@ -151,6 +151,37 @@ def test_run_rejects_non_finite_field(short_scenario, tmp_path, capsys, old, new
     assert f"error: {message}" in capsys.readouterr().err
 
 
+def _box_layout(text):
+    start, end = text.index("landmarks:"), text.index("noise:")
+    box = "{min: [-1.0e+308, 0.0, 0.0], max: [1.0e+308, 1.0, 1.0]}"
+    return text[:start] + f"landmarks:\n  count: 4\n  box: {box}\n\n" + text[end:]
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (
+            lambda text: text.replace("omega: {family: none}", "omega: {family: uniform, scale: 1.0e+308}"),
+            "noise.omega: noise scale 1e+308 overflows its span 2 * scale",
+        ),
+        (_box_layout, "landmarks.box: max - min overflows: 1e+308 - -1e+308"),
+        (
+            lambda text: text.replace("landmark_offset_scale: 1.0", "landmark_offset_scale: 1.0e+308"),
+            "initial_estimate: landmark_offset_scale 1e+308 overflows its span 2 * scale",
+        ),
+    ],
+    ids=["noise_scale", "landmark_box", "landmark_offset_scale"],
+)
+def test_run_rejects_finite_value_whose_span_overflows(short_scenario, tmp_path, capsys, edit, message):
+    # numpy's uniform sampler raises OverflowError on an infinite span
+    text = short_scenario.read_text()
+    assert edit(text) != text
+    short_scenario.write_text(edit(text))
+    assert main(["validate", str(short_scenario)]) == 2
+    assert main(["run", str(short_scenario), "--out", str(tmp_path)]) == 2
+    assert f"error: {message}" in capsys.readouterr().err
+
+
 def test_sweep_rejects_non_finite_value(short_scenario, tmp_path, capsys):
     code = main(
         ["sweep", str(short_scenario), "--param", "dt", "--values", "nan", "--out", str(tmp_path)]

@@ -12,7 +12,7 @@ from se3slam.metrics import (
 )
 from se3slam.observer import ObserverState
 from se3slam.runner import csv_lines
-from se3slam.simulator import GroundTruth
+from se3slam.simulator import GroundTruth, MeasurementFrame
 
 
 def random_pose(rng):
@@ -31,7 +31,7 @@ def test_pose_error_identity_at_truth(rng):
 
 def test_pose_error_identity_truth(rng):
     p = random_pose(rng)
-    err = pose_error(p, Pose.identity())
+    err = pose_error(p, Pose(np.eye(3), np.zeros(3)))
     assert np.allclose(err.matrix, p.matrix, atol=1e-14)
 
 
@@ -97,7 +97,7 @@ def test_relative_map_error_matches_transcription(rng):
 
 
 def test_lyapunov_zero_at_identity():
-    assert lyapunov(Pose.identity(), np.zeros((0, 3))) == 0.0
+    assert lyapunov(Pose(np.eye(3), np.zeros(3)), np.zeros((0, 3))) == 0.0
 
 
 def test_lyapunov_pure_translation():
@@ -180,3 +180,15 @@ def test_error_record_equality_is_identity():
     assert records == records
     assert records.row(0) != records.row(0)
     assert records.row(0) != "record"
+    # so do the other records of arrays: two equal-valued copies are distinct
+    makers = [
+        lambda: Pose(np.eye(3), np.zeros(3)),
+        lambda: ObserverState(Pose(np.eye(3), np.zeros(3)), np.ones((2, 3))),
+        lambda: make_truth(Pose(np.eye(3), np.zeros(3)), np.ones((2, 3))),
+        lambda: MeasurementFrame(np.zeros(3), np.zeros(3), np.ones((2, 3))),
+    ]
+    for make in makers:
+        one = make()
+        assert one == one
+        assert one != make()
+        assert {one: "value"}[one] == "value"  # hashable, by identity

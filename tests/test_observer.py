@@ -37,14 +37,14 @@ def screw_spec():
     # circular path with matched yaw: a constant body twist, so the truth is
     # exactly reproduced by one-step group integration
     return TrajectorySpec(
-        "circle", radius=2.0, angular_rate=0.5, initial_pose=Pose(np.eye(3), np.array([2.0, 0.0, 0.5]))
+        "circle", radius=2.0, angular_rate=0.5, initial_position=(2.0, 0.0, 0.5)
     )
 
 
 def perfect_setup(t=0.0):
     truth = truth_at(screw_spec(), t, LANDMARKS)
     state = ObserverState(truth.pose, LANDMARKS.copy(), t)
-    meas = measure(truth, NoiseSpec(), np.random.default_rng(0), t)
+    meas = measure(truth, NoiseSpec(), np.random.default_rng(0))
     return truth, state, meas
 
 
@@ -83,7 +83,7 @@ def test_innovation_zero_at_truth():
 
 
 def test_innovation_direct_substitution():
-    state = ObserverState(Pose.identity(), np.array([[1.0, 0, 0]]))
+    state = ObserverState(Pose(np.eye(3), np.zeros(3)), np.array([[1.0, 0, 0]]))
     meas = MeasurementFrame(np.zeros(3), np.zeros(3), np.zeros((1, 3)))
     assert np.allclose(innovations(*body(state), meas)[0], [1.0, 0.0, 0.0])
 
@@ -169,7 +169,7 @@ def test_corrected_velocity_matches_transcription(rng):
 
 
 def test_corrected_velocity_empty_map():
-    state = ObserverState(Pose.identity(), np.zeros((0, 3)))
+    state = ObserverState(Pose(np.eye(3), np.zeros(3)), np.zeros((0, 3)))
     meas = MeasurementFrame(np.zeros(3), np.zeros(3), np.zeros((0, 3)))
     with pytest.raises(EmptyMap):
         corrected_velocity(
@@ -190,7 +190,7 @@ def test_landmark_rate_zero_at_truth():
 
 
 def test_landmark_rate_direct_substitution():
-    state = ObserverState(Pose.identity(), np.array([[2.0, 0, 0]]))
+    state = ObserverState(Pose(np.eye(3), np.zeros(3)), np.array([[2.0, 0, 0]]))
     meas = MeasurementFrame(np.zeros(3), np.zeros(3), np.array([[1.0, 0, 0]]))
     # omega_hat == omega, s_tilde = (1,0,0), k2 = 1 -> rate = -(1,0,0)
     gains = Gains(1.0, 1.0, 1.0)
@@ -219,7 +219,7 @@ def test_step_equilibrium_on_screw():
     dt = 0.01
     for k in range(200):
         truth = truth_at(spec, k * dt, LANDMARKS)
-        meas = measure(truth, NoiseSpec(), np.random.default_rng(0), k * dt)
+        meas = measure(truth, NoiseSpec(), np.random.default_rng(0))
         state = step(state, meas, truth.pose.dcm, gains, dt)
     truth_end = truth_at(spec, 200 * dt, LANDMARKS)
     err = metrics.pose_error(state.pose, truth_end.pose)
@@ -244,7 +244,7 @@ def test_step_local_truncation_order():
         state = state0
         for k in range(n):
             truth = truth_at(spec, k * dt, LANDMARKS)
-            meas = measure(truth, NoiseSpec(), np.random.default_rng(0), k * dt)
+            meas = measure(truth, NoiseSpec(), np.random.default_rng(0))
             state = step(state, meas, truth.pose.dcm, gains, dt)
         return state
 
@@ -298,7 +298,7 @@ def test_step_preserves_landmark_count_and_is_deterministic(rng):
     c_ba = random_rotation(rng)
     a = step(state, meas, c_ba, gains, 0.01)
     b = step(state, meas, c_ba, gains, 0.01)
-    assert a.num_landmarks == state.num_landmarks
+    assert len(a.landmarks) == len(state.landmarks)
     assert np.array_equal(a.pose.dcm, b.pose.dcm)
     assert np.array_equal(a.pose.position, b.pose.position)
     assert np.array_equal(a.landmarks, b.landmarks)

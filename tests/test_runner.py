@@ -154,7 +154,8 @@ def test_sweep_dt_reduces_final_error(noisefree):
         radius=1.5,
         angular_rate=0.9,
         tumble_amplitude=(0.4, 0.3, 0.5),
-        initial_pose=noisefree.trajectory.initial_pose,
+        initial_position=noisefree.trajectory.initial_position,
+        initial_rotation=noisefree.trajectory.initial_rotation,
     )
     scenario = dataclasses.replace(noisefree, trajectory=tumble, duration=8.0)
     results = sweep(scenario, "dt", [0.01, 0.001])
@@ -178,7 +179,7 @@ def reference_records(scenario):
     last_good = None
     for k in range(int(round(scenario.duration / dt))):
         truth = truth_at(traj, k * dt, landmarks)
-        meas = measure(truth, scenario.noise, rng_noise, k * dt)
+        meas = measure(truth, scenario.noise, rng_noise)
         if scenario.attitude_mode == RECONSTRUCTED:
             c_ba, ok = resolve_attitude(state, meas, fallback=last_good)
             last_good = c_ba if ok else last_good
@@ -195,7 +196,8 @@ def _tumble(scenario):
         radius=2.0,
         angular_rate=0.5,
         tumble_amplitude=(0.6, 0.4, 0.5),
-        initial_pose=scenario.trajectory.initial_pose,
+        initial_position=scenario.trajectory.initial_position,
+        initial_rotation=scenario.trajectory.initial_rotation,
     )
     return dataclasses.replace(scenario, trajectory=spec)
 

@@ -41,6 +41,22 @@ def test_bundled_scenarios_load(name):
     assert scenario.landmarks.num_landmarks == 8
 
 
+@pytest.mark.parametrize("name", BUNDLED)
+def test_scenarios_compare_and_hash_by_value(name):
+    path = SCENARIO_DIR / f"{name}.yaml"
+    first, _ = load_scenario(path)
+    second, _ = load_scenario(path)
+    assert first is not second
+    assert first == second and hash(first) == hash(second)
+    assert {first: name}[second] == name
+
+
+def test_set_parameter_seed_gives_a_different_scenario(base_doc):
+    s = parse_scenario(base_doc)
+    assert set_parameter(s, "seed", s.seed + 1) != s
+    assert set_parameter(s, "seed", s.seed) == s
+
+
 def test_unknown_top_level_key(base_doc):
     base_doc["gian"] = 1
     with pytest.raises(ConfigInvalid, match="unknown keys.*gian"):
@@ -196,6 +212,13 @@ def test_trajectory_errors_carry_section_path(base_doc):
     base_doc["trajectory"]["initial_rotation"] = [1e200, 0.0, 0.0]
     with pytest.raises(ConfigInvalid, match="^trajectory: rotation vector has no finite norm"):
         parse_scenario(base_doc)
+    base_doc["trajectory"]["initial_rotation"] = [0.0, float("nan"), 0.0]
+    with pytest.raises(ConfigInvalid, match="^trajectory: initial_rotation must be finite"):
+        parse_scenario(base_doc)
+    base_doc["trajectory"]["initial_rotation"] = [0.0, 0.0, 0.0]
+    base_doc["trajectory"]["initial_position"] = [0.0, 0.0, float("inf")]
+    with pytest.raises(ConfigInvalid, match="^trajectory: initial_position must be finite"):
+        parse_scenario(base_doc)
 
 
 @pytest.mark.parametrize(
@@ -277,6 +300,7 @@ def test_minimal_document_takes_dataclass_defaults():
     spec = scenario.trajectory
     assert (spec.radius, spec.angular_rate, spec.vertical_rate) == (0.0, 0.0, 0.0)
     assert spec.tumble_amplitude == (0.0, 0.0, 0.0)
+    assert spec.initial_position == spec.initial_rotation == (0.0, 0.0, 0.0)
     np.testing.assert_array_equal(spec.initial_pose.matrix, np.eye(4))
 
 
@@ -314,8 +338,12 @@ def mutated_documents(draw):
 @settings(max_examples=300, deadline=None)
 @given(mutated_documents())
 def test_mutated_documents_parse_or_raise_config_invalid(doc):
+    again = copy.deepcopy(doc)
     try:
         scenario = parse_scenario(doc)
     except ConfigInvalid:
         return
     assert isinstance(scenario, Scenario)
+    # a Scenario is a plain value: a second parse of the same document equals it
+    second = parse_scenario(again)
+    assert second == scenario and hash(second) == hash(scenario)

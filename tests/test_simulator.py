@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 import se3slam
 from conftest import random_rotation
 from se3slam.errors import NonFiniteState
-from se3slam.liegroup import Pose, exp_so3, hat
+from se3slam.liegroup import Pose, hat
 from se3slam.simulator import (
     ChannelNoise,
     NoiseSpec,
@@ -22,12 +22,12 @@ from se3slam.simulator import (
 )
 
 ALL_SPECS = [
-    TrajectorySpec("static", initial_pose=Pose(exp_so3([0.1, 0.2, -0.3]), np.array([1.0, 2.0, 3.0]))),
+    TrajectorySpec("static", initial_position=(1.0, 2.0, 3.0), initial_rotation=(0.1, 0.2, -0.3)),
     TrajectorySpec("circle", radius=1.0, angular_rate=1.0),
     TrajectorySpec("helix", radius=2.0, angular_rate=0.7, vertical_rate=0.3,
-                   initial_pose=Pose(exp_so3([0.0, 0.0, 0.4]), np.array([0.5, 0.0, 0.0]))),
+                   initial_position=(0.5, 0.0, 0.0), initial_rotation=(0.0, 0.0, 0.4)),
     TrajectorySpec("tumble", radius=1.5, angular_rate=0.9, tumble_amplitude=(0.4, 0.3, 0.5),
-                   initial_pose=Pose(exp_so3([0.2, -0.1, 0.0]), np.zeros(3))),
+                   initial_rotation=(0.2, -0.1, 0.0)),
 ]
 
 
