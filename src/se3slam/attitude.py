@@ -30,10 +30,10 @@ def collinearity_rank(datum_vectors) -> int:
     if vecs.size == 0:
         return 0
     norms = np.linalg.norm(vecs, axis=1)
-    vecs = vecs[norms >= ZERO_NORM]
-    if len(vecs) == 0:
+    keep = norms >= ZERO_NORM
+    if not keep.any():
         return 0
-    unit = vecs / np.linalg.norm(vecs, axis=1)[:, None]
+    unit = vecs[keep] / norms[keep, None]
     s = np.linalg.svd(unit, compute_uv=False)
     return int(np.sum(s > COLLINEARITY_ANGLE * s[0]))
 

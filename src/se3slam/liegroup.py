@@ -3,15 +3,16 @@
 Conventions:
     * hat(v) is the skew-symmetric matrix of the right-handed cross product,
       hat(v) @ w == cross(v, w).
-    * A ``Pose`` stores ``dcm`` mapping datum-frame coordinates to body-frame
+    * A pose is ``dcm`` mapping datum-frame coordinates to body-frame
       coordinates, plus the body origin ``position`` resolved in the datum
       frame. The equivalent 4x4 homogeneous matrix carries ``dcm.T`` in its
       rotation block.
 
-Validation happens where poses enter from outside: the public ``Pose(...)``
-constructor checks its fields. The raw-array functions ``compose_raw`` (the
-pose product) and ``homogeneous`` (the 4x4 matrix) carry no checks, for code
-whose inputs are rotations and finite vectors by construction.
+Inside the package a pose is the plain pair of arrays (dcm, position):
+``exp_se3`` returns one, and ``compose_raw`` (the pose product) and
+``homogeneous`` (the 4x4 matrix) take them, with no checks, for code whose
+inputs are rotations and finite vectors by construction. ``Pose`` is the
+checked public value: its constructor validates both fields.
 """
 
 from __future__ import annotations
@@ -192,22 +193,13 @@ class Pose:
             raise ValueError("position must be a finite 3-vector")
         object.__setattr__(self, "position", p)
 
-    @classmethod
-    def unchecked(cls, dcm: np.ndarray, position: np.ndarray) -> "Pose":
-        """Pose from float arrays that are a rotation and a finite 3-vector by
-        construction; skips the checks of ``Pose(...)``."""
-        pose = object.__new__(cls)
-        object.__setattr__(pose, "dcm", dcm)
-        object.__setattr__(pose, "position", position)
-        return pose
-
     @property
     def matrix(self) -> np.ndarray:
         return homogeneous(self.dcm, self.position)
 
 
-def exp_se3(omega, v) -> Pose:
-    """Matrix exponential of the twist [[hat(omega), v], [0, 0]] as a Pose: with
+def exp_se3(omega, v) -> tuple[np.ndarray, np.ndarray]:
+    """Matrix exponential of the twist [[hat(omega), v], [0, 0]] as (dcm, position): with
     K = hat(omega), exp(K) = I + a K + b K^2 and the left Jacobian I + b K + c K^2
     applied to v (Sola et al., arXiv:1812.01537), in Python floats, equal to
     exp_so3 up to rounding. A non-finite v, or an omega without a finite norm
@@ -235,4 +227,4 @@ def exp_se3(omega, v) -> Pose:
     u0, u1, u2 = y * v2 - z * v1, z * v0 - x * v2, x * v1 - y * v0
     t0, t1, t2 = y * u2 - z * u1, z * u0 - x * u2, x * u1 - y * u0
     position = np.array([v0 + b * u0 + c * t0, v1 + b * u1 + c * t1, v2 + b * u2 + c * t2])
-    return Pose.unchecked(dcm, position)
+    return dcm, position

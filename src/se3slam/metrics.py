@@ -9,7 +9,10 @@ Error definitions:
     * energy      V = 0.5 * ||I4 - Xtilde||_F^2 + sum_i ||ptilde_i||^2
 
 An ``ErrorRecord`` holds them at one instant, or at n instants stacked along a
-leading axis of every field, as ``GroundTruth`` does.
+leading axis of every field, as ``GroundTruth`` does. ``evaluate`` works on the
+plain (dcm, position) arrays of ``ObserverState`` and ``GroundTruth``;
+``pose_error`` and ``lyapunov`` are the public one-pose forms, on checked
+``Pose`` values.
 """
 
 from __future__ import annotations
@@ -72,13 +75,13 @@ def pose_error(estimate: Pose, truth: Pose) -> Pose:
 
 def map_errors(state: ObserverState, truth: GroundTruth) -> np.ndarray:
     """(..., l, 3) array of C_ea @ phat_i - C_ba @ p_i."""
-    return state.landmarks @ _t(state.pose.dcm) - truth.landmarks @ _t(truth.pose.dcm)
+    return state.landmarks @ _t(state.dcm) - truth.landmarks @ _t(truth.dcm)
 
 
 def relative_map_errors(state: ObserverState, truth: GroundTruth) -> np.ndarray:
     """(..., l, 3) array of estimated-relative minus true-relative landmark positions."""
-    est = (state.landmarks - state.pose.position[..., None, :]) @ _t(state.pose.dcm)
-    tru = (truth.landmarks - truth.pose.position[..., None, :]) @ _t(truth.pose.dcm)
+    est = (state.landmarks - state.position[..., None, :]) @ _t(state.dcm)
+    tru = (truth.landmarks - truth.position[..., None, :]) @ _t(truth.dcm)
     return est - tru
 
 
@@ -96,16 +99,14 @@ def lyapunov(pose_err: Pose, map_errs) -> float:
 def evaluate(state: ObserverState, truth: GroundTruth, attitude_source_ok=True):
     """Error record of one instant, or of n instants stacked along a leading axis.
 
-    For a block of n instants, ``state`` holds stacked estimates (pose fields
-    (n, 3, 3) and (n, 3), landmarks (n, l, 3), times (n,)), ``truth`` the
+    For a block of n instants, ``state`` holds stacked estimates (dcm
+    (n, 3, 3), position (n, 3), landmarks (n, l, 3), times (n,)), ``truth`` the
     stacked truth at the same times and ``attitude_source_ok`` n flags; every
     field of the record then has the leading axis n, and each row has the bits
     of the single-instant call. ``time`` and ``attitude_source_ok`` are the
     inputs themselves, not copies.
     """
-    err_dcm, err_position = _pose_error_raw(
-        state.pose.dcm, state.pose.position, truth.pose.dcm, truth.pose.position
-    )
+    err_dcm, err_position = _pose_error_raw(state.dcm, state.position, truth.dcm, truth.position)
     m = map_errors(state, truth)
     return ErrorRecord(
         state.time,

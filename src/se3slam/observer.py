@@ -21,6 +21,8 @@ Discretization is Lie-Euler on SE(3) for the pose, which keeps C_ea on SO(3)
 to rounding (``step`` projects it back only on drift), and explicit Euler for
 the landmarks, with every correction at the pre-step state. 3-vectors pass as
 Python floats; numpy runs the (l, 3) terms, from P_hat @ C_ea.T formed once.
+An ``ObserverState`` holds the pose as the plain arrays C_ea and r_hat and
+checks neither; ``step`` checks the state it returns.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ import numpy as np
 
 from . import attitude as attitude_mod
 from .errors import DegenerateGeometry, EmptyMap, NonFiniteState
-from .liegroup import Pose, compose_raw, exp_se3, hat, reorthonormalize, rotation_drift, vee
+from .liegroup import compose_raw, exp_se3, hat, reorthonormalize, rotation_drift, vee
 from .simulator import MeasurementFrame, Vec3
 
 # |C C^T - I|_F above which step projects onto SO(3); 1e5 steps drift ~4e-14.
@@ -56,12 +58,14 @@ class Gains:
 
 @dataclass(frozen=True, eq=False)
 class ObserverState:
-    """Pose estimate plus landmark-position estimates (datum frame, meters).
-    Compares by identity (eq=False): its fields are arrays."""
+    """Pose estimate (dcm, position) plus landmark-position estimates (datum
+    frame, meters) at one instant, or at n instants stacked along a leading
+    axis of every field. Compares by identity (eq=False): its fields are arrays."""
 
-    pose: Pose
-    landmarks: np.ndarray  # (l, 3)
-    time: float = 0.0
+    dcm: np.ndarray  # datum-to-body, (3, 3) or (n, 3, 3)
+    position: np.ndarray  # m, datum frame, (3,) or (n, 3)
+    landmarks: np.ndarray  # (l, 3) or (n, l, 3)
+    time: float = 0.0  # s, or (n,)
 
     def __post_init__(self):
         lm = np.atleast_2d(np.asarray(self.landmarks, dtype=float))
@@ -119,7 +123,7 @@ def resolve_attitude(
     solution (flagged False); with no fallback the DegenerateGeometry
     propagates.
     """
-    datum = state.landmarks - state.pose.position
+    datum = state.landmarks - state.position
     try:
         return attitude_mod.solve_attitude(meas.landmark_obs, datum), True
     except DegenerateGeometry:
@@ -142,7 +146,7 @@ def step(
     if dt <= 0.0:
         raise ValueError("dt must be positive")
 
-    c_ea, position = state.pose.dcm, state.pose.position
+    c_ea, position = state.dcm, state.position
     body_landmarks, body_position = state.landmarks @ c_ea.T, (c_ea @ position).tolist()
     o0, o1, o2 = corrected_angular_velocity(meas, attitude_error(c_ba, c_ea), gains)
     m0, m1, m2 = meas.omega.tolist()
@@ -154,7 +158,7 @@ def step(
         motion = exp_se3((o0 * dt, o1 * dt, o2 * dt), (v0 * dt, v1 * dt, v2 * dt))
     except NonFiniteState:
         raise NonFiniteState(f"non-finite pose increment at t={state.time}") from None
-    dcm, position = compose_raw(c_ea, position, motion.dcm, motion.position)
+    dcm, position = compose_raw(c_ea, position, *motion)
     if rotation_drift(dcm) > DRIFT_TOL:
         dcm = reorthonormalize(dcm)
 
@@ -162,4 +166,4 @@ def step(
 
     if not (np.isfinite(new_landmarks).all() and all(map(math.isfinite, position.tolist()))):
         raise NonFiniteState(f"non-finite state after step at t={state.time}")
-    return ObserverState(Pose.unchecked(dcm, position), new_landmarks, state.time + dt)
+    return ObserverState(dcm, position, new_landmarks, state.time + dt)

@@ -14,7 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import __version__
-from .liegroup import Pose, exp_so3
+from .errors import NonFiniteState
+from .liegroup import exp_so3
 from .metrics import ErrorRecord, evaluate
 from .observer import ObserverState, resolve_attitude, step
 from .scenario import RECONSTRUCTED, Scenario, set_parameter
@@ -73,16 +74,19 @@ def initial_conditions(scenario: Scenario):
     est = scenario.initial_estimate
     axis = np.asarray(est.attitude_error_axis, dtype=float)
     norm = np.linalg.norm(axis)
-    rotvec = (
-        est.attitude_error_rad * axis / norm if norm > 0.0 else np.zeros(3)
-    )
-    dcm0 = exp_so3(rotvec) @ truth0.pose.dcm
-    position0 = truth0.pose.position + np.asarray(est.position_offset, dtype=float)
+    rotvec = est.attitude_error_rad * axis / norm if norm > 0.0 else np.zeros(3)
+    dcm0 = exp_so3(rotvec) @ truth0.dcm
     rng_init = np.random.default_rng(init_seq)
     offsets = rng_init.uniform(
         -est.landmark_offset_scale, est.landmark_offset_scale, landmarks.shape
     )
-    state0 = ObserverState(Pose(dcm0, position0), landmarks + offsets, 0.0)
+    # dcm0 is a product of rotations, but finite offsets can overflow these sums.
+    with np.errstate(over="ignore", invalid="ignore"):
+        position0 = truth0.position + np.asarray(est.position_offset, dtype=float)
+        estimates0 = landmarks + offsets
+    if not (np.isfinite(position0).all() and np.isfinite(estimates0).all()):
+        raise NonFiniteState("initial_estimate: initial position or map is not finite")
+    state0 = ObserverState(dcm0, position0, estimates0, 0.0)
     return landmarks, state0, np.random.default_rng(noise_seq)
 
 
@@ -101,6 +105,9 @@ def run(scenario: Scenario, scenario_hash: str | None = None) -> RunResult:
     time; the block's ground truth comes from one ``truth_at`` over its times,
     and its records from one ``evaluate`` over the stored estimates. The
     blocks' columns are concatenated once, into the run's stacked record.
+
+    The feedback runs with numpy's overflow and invalid warnings off: ``step``
+    checks each state finite, so a blow-up there ends in NonFiniteState alone.
     """
     landmarks, state, rng_noise = initial_conditions(scenario)
     spec, noise, gains, dt = scenario.trajectory, scenario.noise, scenario.gains, scenario.dt
@@ -123,26 +130,27 @@ def run(scenario: Scenario, scenario_hash: str | None = None) -> RunResult:
         truth = truth_at(spec, np.arange(start, stop) * dt, landmarks)
         # New for each block: its record keeps them as its time and flag columns.
         times, oks = np.empty(n), np.empty(n, dtype=bool)
-        for i, k in enumerate(range(start, stop)):
-            ok = True
-            if k:
-                meas = measure(previous, noise, rng_noise)
-                if reconstructed_mode:
-                    c_ba, ok = resolve_attitude(state, meas, fallback=last_good)
-                    if ok:
-                        last_good = c_ba
+        with np.errstate(over="ignore", invalid="ignore"):
+            for i, k in enumerate(range(start, stop)):
+                ok = True
+                if k:
+                    meas = measure(previous, noise, rng_noise)
+                    if reconstructed_mode:
+                        c_ba, ok = resolve_attitude(state, meas, fallback=last_good)
+                        if ok:
+                            last_good = c_ba
+                        else:
+                            degenerate += 1
                     else:
-                        degenerate += 1
-                else:
-                    c_ba = previous.pose.dcm
-                state = step(state, meas, c_ba, gains, dt)
-            dcm[i] = state.pose.dcm
-            position[i] = state.pose.position
-            estimates[i] = state.landmarks
-            times[i] = state.time
-            oks[i] = ok
-            previous = truth.row(i)
-        block = ObserverState(Pose.unchecked(dcm[:n], position[:n]), estimates[:n], times)
+                        c_ba = previous.dcm
+                    state = step(state, meas, c_ba, gains, dt)
+                dcm[i] = state.dcm
+                position[i] = state.position
+                estimates[i] = state.landmarks
+                times[i] = state.time
+                oks[i] = ok
+                previous = truth.row(i)
+        block = ObserverState(dcm[:n], position[:n], estimates[:n], times)
         blocks.append(evaluate(block, truth, oks).columns())
 
     records = ErrorRecord(*map(np.concatenate, zip(*blocks)))

@@ -3,7 +3,9 @@
 Trajectory families are closed-form in both pose and body rates, so the
 kinematic consistency d/dt X = X @ [[hat(omega), v], [0, 0]] holds without
 numerical differentiation. The body-frame velocity convention forced by that
-ODE is v_b = C_ba @ dr_a/dt.
+ODE is v_b = C_ba @ dr_a/dt. A ``GroundTruth`` holds the true pose as the
+plain arrays (dcm, position) and checks neither: its ``TrajectorySpec``
+checked the fields they come from once, on construction.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from .errors import NonFiniteState
-from .liegroup import Pose, exp_so3, exp_so3_with_right_jacobian
+from .liegroup import exp_so3, exp_so3_with_right_jacobian
 
 FAMILIES = ("static", "circle", "helix", "tumble")
 NOISE_FAMILIES = ("none", "gaussian", "student_t", "uniform")
@@ -30,9 +32,9 @@ class TrajectorySpec:
     """Closed-form trajectory description, with the fields a scenario file writes.
 
     The body starts at ``initial_position`` (datum frame) with the datum-to-body
-    attitude exp_so3(``initial_rotation``), an axis-angle vector; ``initial_pose``
-    builds that pose. ``circle``/``helix`` translate along a circle of ``radius``
-    at ``angular_rate`` (helix additionally climbs at ``vertical_rate``) while
+    attitude exp_so3(``initial_rotation``), an axis-angle vector.
+    ``circle``/``helix`` translate along a circle of ``radius`` at
+    ``angular_rate`` (helix additionally climbs at ``vertical_rate``) while
     yawing at the same rate. ``tumble`` follows the same translational path with
     a sinusoidal axis-angle attitude of amplitudes ``tumble_amplitude``.
     ``static`` holds the initial pose.
@@ -54,15 +56,9 @@ class TrajectorySpec:
             if not np.all(np.isfinite(value)):
                 raise ValueError(f"{f.name} must be finite, got {value}")
         try:  # finite entries can still overflow the rotation vector's norm
-            Pose(exp_so3(self.initial_rotation), np.array(self.initial_position, dtype=float))
+            exp_so3(self.initial_rotation)
         except NonFiniteState as exc:
             raise ValueError(str(exc)) from None
-
-    @property
-    def initial_pose(self) -> Pose:
-        """The pose at t = 0, unchecked: the constructor checked it once."""
-        rotation, position = self.initial_rotation, self.initial_position
-        return Pose.unchecked(exp_so3(rotation), np.array(position, dtype=float))
 
 
 @dataclass(frozen=True)
@@ -94,11 +90,12 @@ class NoiseSpec:
 
 @dataclass(frozen=True, eq=False)
 class GroundTruth:
-    """True pose, body rates, and landmark positions at one instant, or at n
-    instants stacked along a leading axis of the pose and rate fields. Compares
-    by identity (eq=False): its fields are arrays."""
+    """True pose (dcm, position), body rates, and landmark positions at one
+    instant, or at n instants stacked along a leading axis of the pose and rate
+    fields. Compares by identity (eq=False): its fields are arrays."""
 
-    pose: Pose
+    dcm: np.ndarray  # datum-to-body, (3, 3) or (n, 3, 3)
+    position: np.ndarray  # m, datum frame, (3,) or (n, 3)
     omega_body: np.ndarray  # rad/s, (3,) or (n, 3)
     velocity_body: np.ndarray  # m/s, (3,) or (n, 3)
     landmarks: np.ndarray  # (l, 3), datum frame
@@ -106,10 +103,7 @@ class GroundTruth:
     def row(self, i: int) -> "GroundTruth":
         """The truth at the i-th instant of a stacked truth."""
         return GroundTruth(
-            Pose.unchecked(self.pose.dcm[i], self.pose.position[i]),
-            self.omega_body[i],
-            self.velocity_body[i],
-            self.landmarks,
+            self.dcm[i], self.position[i], self.omega_body[i], self.velocity_body[i], self.landmarks
         )
 
 
@@ -165,8 +159,7 @@ def truth_at(spec: TrajectorySpec, t, landmarks=None) -> GroundTruth:
     if landmarks is None:
         landmarks = np.zeros((0, 3))
     landmarks = np.atleast_2d(np.asarray(landmarks, dtype=float))
-    initial = spec.initial_pose
-    c0, r0 = initial.dcm, initial.position
+    c0, r0 = exp_so3(spec.initial_rotation), np.array(spec.initial_position, dtype=float)
     n = len(ts)
 
     if spec.family == "static":
@@ -194,7 +187,7 @@ def truth_at(spec: TrajectorySpec, t, landmarks=None) -> GroundTruth:
         dcm = np.swapaxes(rot, -1, -2) @ c0
         v_body = (dcm @ rdot[:, :, None])[:, :, 0]
 
-    truth = GroundTruth(Pose.unchecked(dcm, position), omega, v_body, landmarks)
+    truth = GroundTruth(dcm, position, omega, v_body, landmarks)
     return truth.row(0) if times.ndim == 0 else truth
 
 
@@ -217,8 +210,8 @@ def measure(truth: GroundTruth, noise: NoiseSpec, rng: np.random.Generator) -> M
     Landmark model: s_b_i = C_ba @ (p_a_i - r_a). Sampling order is fixed
     (omega, velocity, landmarks) so streams are reproducible per seed.
     """
-    c_ba = truth.pose.dcm
-    exact = (truth.landmarks - truth.pose.position) @ c_ba.T
+    c_ba = truth.dcm
+    exact = (truth.landmarks - truth.position) @ c_ba.T
     omega_y = truth.omega_body + _sample(noise.omega, rng, (3,))
     velocity_y = truth.velocity_body + _sample(noise.velocity, rng, (3,))
     landmark_y = exact + _sample(noise.landmark, rng, exact.shape)

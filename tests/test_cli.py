@@ -2,6 +2,7 @@ import contextlib
 import io
 import os
 import shutil
+import warnings
 
 import pytest
 from hypothesis import given, settings
@@ -225,7 +226,6 @@ def test_huge_attitude_gain_ends_in_non_finite_state(short_scenario, tmp_path, c
     assert "error: non-finite pose increment at t=0.0" in capsys.readouterr().err
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 def test_large_gain_ends_in_non_finite_state(tmp_path, capsys):
     # k3 * dt = 5e3 multiplies the position error each step until it overflows
     text = (SCENARIO_DIR / "fig3_noisefree.yaml").read_text()
@@ -234,6 +234,69 @@ def test_large_gain_ends_in_non_finite_state(tmp_path, capsys):
     path.write_text(text)
     assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 2
     assert "error: non-finite" in capsys.readouterr().err
+
+
+def _edit(path, edits):
+    text = path.read_text()
+    for old, new in edits:
+        assert old in text
+        text = text.replace(old, new, 1)
+    path.write_text(text)
+
+
+# Documents that validate but overflow numpy inside the step loop, and the
+# error each ends in: a landmark 1e300 m out whose rate overflows under a huge
+# k1, and a far position estimate or start whose innovations overflow their sum.
+STEP_OVERFLOWS = {
+    "landmark_rates": (
+        [("- [-3.156, -3.241, 3.121]", "- [1.0e+300, 0.0, 0.0]"), ("k1: 2.0", "k1: 1.0e+10")],
+        "non-finite state after step at t=0.0",
+    ),
+    "position_offset": (
+        [("position_offset: [0.8, -0.5, 0.4]", "position_offset: [1.0e+308, -0.5, 0.4]")],
+        "non-finite pose increment at t=0.0",
+    ),
+    "initial_position": (
+        [("initial_position: [2.0, 0.0, 0.5]", "initial_position: [1.7e+308, 0.0, 0.5]")],
+        "non-finite pose increment at t=0.0",
+    ),
+}
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("edits, message", STEP_OVERFLOWS.values(), ids=list(STEP_OVERFLOWS))
+def test_step_overflow_exits_2_with_warnings_as_errors(short_scenario, tmp_path, capsys, edits, message):
+    # the step's finiteness checks report the blow-up, so a RuntimeWarning
+    # turned into an error must not cut in first with a traceback
+    _edit(short_scenario, edits)
+    assert main(["run", str(short_scenario), "--out", str(tmp_path / "out")]) == 2
+    assert f"error: {message}" in capsys.readouterr().err
+
+
+# Documents that validate but whose initial estimate sums past float range:
+# the position (truth plus offset) or the first landmark's estimate.
+INITIAL_OVERFLOWS = {
+    "position": [
+        ("initial_position: [2.0, 0.0, 0.5]", "initial_position: [1.0e+308, 0.0, 0.5]"),
+        ("position_offset: [0.8, -0.5, 0.4]", "position_offset: [1.0e+308, 0.0, 0.0]"),
+    ],
+    "map": [
+        ("- [0.0, 0.0, 0.0]", "- [1.7e+308, 1.7e+308, 1.7e+308]"),
+        ("landmark_offset_scale: 1.0", "landmark_offset_scale: 8.0e+307"),
+    ],
+}
+
+
+@pytest.mark.parametrize("action", ["default", "error"])
+@pytest.mark.parametrize("edits", INITIAL_OVERFLOWS.values(), ids=list(INITIAL_OVERFLOWS))
+def test_overflowing_initial_estimate_exits_2(short_scenario, tmp_path, capsys, edits, action):
+    _edit(short_scenario, edits)
+    assert main(["validate", str(short_scenario)]) == 0
+    with warnings.catch_warnings():
+        warnings.simplefilter(action, RuntimeWarning)
+        code = main(["run", str(short_scenario), "--out", str(tmp_path / "out")])
+    assert code == 2
+    assert "error: initial_estimate: initial position or map is not finite" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(

@@ -19,8 +19,12 @@ def random_pose(rng):
     return Pose(random_rotation(rng), rng.normal(size=3))
 
 
+def make_state(pose, landmarks, time=0.0):
+    return ObserverState(pose.dcm, pose.position, landmarks, time)
+
+
 def make_truth(pose, landmarks):
-    return GroundTruth(pose, np.zeros(3), np.zeros(3), np.atleast_2d(landmarks))
+    return GroundTruth(pose.dcm, pose.position, np.zeros(3), np.zeros(3), np.atleast_2d(landmarks))
 
 
 def test_pose_error_identity_at_truth(rng):
@@ -46,7 +50,7 @@ def test_pose_error_group_law(rng):
 def test_map_error_zero_at_truth(rng):
     pose = random_pose(rng)
     landmarks = rng.normal(size=(3, 3))
-    state = ObserverState(pose, landmarks)
+    state = make_state(pose, landmarks)
     truth = make_truth(pose, landmarks)
     assert np.allclose(map_errors(state, truth), 0.0, atol=1e-14)
 
@@ -54,24 +58,24 @@ def test_map_error_zero_at_truth(rng):
 def test_map_error_identity_attitudes(rng):
     landmarks = rng.normal(size=(2, 3))
     guesses = landmarks + rng.normal(size=(2, 3))
-    state = ObserverState(Pose(np.eye(3), rng.normal(size=3)), guesses)
+    state = make_state(Pose(np.eye(3), rng.normal(size=3)), guesses)
     truth = make_truth(Pose(np.eye(3), rng.normal(size=3)), landmarks)
     assert np.allclose(map_errors(state, truth), guesses - landmarks, atol=1e-14)
 
 
 def test_map_error_matches_transcription(rng):
-    state = ObserverState(random_pose(rng), rng.normal(size=(4, 3)))
+    state = make_state(random_pose(rng), rng.normal(size=(4, 3)))
     truth = make_truth(random_pose(rng), rng.normal(size=(4, 3)))
     errs = map_errors(state, truth)
     for i in range(4):
-        expected = state.pose.dcm @ state.landmarks[i] - truth.pose.dcm @ truth.landmarks[i]
+        expected = state.dcm @ state.landmarks[i] - truth.dcm @ truth.landmarks[i]
         assert np.allclose(errs[i], expected, atol=1e-13)
 
 
 def test_relative_map_error_zero_at_truth(rng):
     pose = random_pose(rng)
     landmarks = rng.normal(size=(3, 3))
-    state = ObserverState(pose, landmarks)
+    state = make_state(pose, landmarks)
     assert np.allclose(relative_map_errors(state, make_truth(pose, landmarks)), 0.0, atol=1e-14)
 
 
@@ -81,17 +85,17 @@ def test_relative_map_error_gauge_invariant(rng):
     landmarks = rng.normal(size=(3, 3))
     truth = make_truth(pose, landmarks)
     shift = rng.normal(size=3)
-    shifted = ObserverState(Pose(pose.dcm, pose.position + shift), landmarks + shift)
+    shifted = ObserverState(pose.dcm, pose.position + shift, landmarks + shift)
     assert np.allclose(relative_map_errors(shifted, truth), 0.0, atol=1e-13)
 
 
 def test_relative_map_error_matches_transcription(rng):
-    state = ObserverState(random_pose(rng), rng.normal(size=(4, 3)))
+    state = make_state(random_pose(rng), rng.normal(size=(4, 3)))
     truth = make_truth(random_pose(rng), rng.normal(size=(4, 3)))
     errs = relative_map_errors(state, truth)
     for i in range(4):
-        expected = state.pose.dcm @ (state.landmarks[i] - state.pose.position) - truth.pose.dcm @ (
-            truth.landmarks[i] - truth.pose.position
+        expected = state.dcm @ (state.landmarks[i] - state.position) - truth.dcm @ (
+            truth.landmarks[i] - truth.position
         )
         assert np.allclose(errs[i], expected, atol=1e-13)
 
@@ -128,7 +132,7 @@ def test_lyapunov_nonnegative(rng):
 def test_evaluate_record_fields(rng):
     pose = random_pose(rng)
     landmarks = rng.normal(size=(2, 3))
-    state = ObserverState(pose, landmarks, time=1.5)
+    state = make_state(pose, landmarks, time=1.5)
     truth = make_truth(random_pose(rng), landmarks)
     rec = evaluate(state, truth, attitude_source_ok=False)
     assert rec.time == 1.5
@@ -149,19 +153,18 @@ def test_stacked_evaluate_matches_per_record(rng):
     oks = rng.uniform(size=n) < 0.5
     landmarks = rng.normal(size=(l, 3))
     state = ObserverState(
-        Pose.unchecked(np.array([p.dcm for p in est]), np.array([p.position for p in est])),
-        guesses,
-        times,
+        np.array([p.dcm for p in est]), np.array([p.position for p in est]), guesses, times
     )
     truth = GroundTruth(
-        Pose.unchecked(np.array([p.dcm for p in tru]), np.array([p.position for p in tru])),
+        np.array([p.dcm for p in tru]),
+        np.array([p.position for p in tru]),
         np.zeros((n, 3)),
         np.zeros((n, 3)),
         landmarks,
     )
     records = evaluate(state, truth, oks)
     singles = [
-        evaluate(ObserverState(est[i], guesses[i], float(times[i])), truth.row(i), bool(oks[i]))
+        evaluate(make_state(est[i], guesses[i], float(times[i])), truth.row(i), bool(oks[i]))
         for i in range(n)
     ]
     assert len(records) == n
@@ -183,7 +186,7 @@ def test_error_record_equality_is_identity():
     # so do the other records of arrays: two equal-valued copies are distinct
     makers = [
         lambda: Pose(np.eye(3), np.zeros(3)),
-        lambda: ObserverState(Pose(np.eye(3), np.zeros(3)), np.ones((2, 3))),
+        lambda: ObserverState(np.eye(3), np.zeros(3), np.ones((2, 3))),
         lambda: make_truth(Pose(np.eye(3), np.zeros(3)), np.ones((2, 3))),
         lambda: MeasurementFrame(np.zeros(3), np.zeros(3), np.ones((2, 3))),
     ]

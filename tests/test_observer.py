@@ -43,28 +43,27 @@ def screw_spec():
 
 def perfect_setup(t=0.0):
     truth = truth_at(screw_spec(), t, LANDMARKS)
-    state = ObserverState(truth.pose, LANDMARKS.copy(), t)
+    state = ObserverState(truth.dcm, truth.position, LANDMARKS.copy(), t)
     meas = measure(truth, NoiseSpec(), np.random.default_rng(0))
     return truth, state, meas
 
 
 def random_setup(rng):
-    pose = Pose(random_rotation(rng), rng.normal(size=3))
-    state = ObserverState(pose, rng.normal(size=(4, 3)), 0.0)
+    state = ObserverState(random_rotation(rng), rng.normal(size=3), rng.normal(size=(4, 3)), 0.0)
     meas = MeasurementFrame(rng.normal(size=3), rng.normal(size=3), rng.normal(size=(4, 3)))
     return state, meas
 
 
 def body(state):
     """The estimates resolved in the body frame: (P_hat @ C_ea.T, C_ea @ r_hat)."""
-    return state.landmarks @ state.pose.dcm.T, state.pose.dcm @ state.pose.position
+    return state.landmarks @ state.dcm.T, state.dcm @ state.position
 
 
 def straight_line_residual(state, meas, i):
     # independent scalar transcription of the residual formula
-    c = state.pose.dcm
+    c = state.dcm
     p = state.landmarks[i]
-    r = state.pose.position
+    r = state.position
     out = np.zeros(3)
     for row in range(3):
         out[row] = (
@@ -83,7 +82,7 @@ def test_innovation_zero_at_truth():
 
 
 def test_innovation_direct_substitution():
-    state = ObserverState(Pose(np.eye(3), np.zeros(3)), np.array([[1.0, 0, 0]]))
+    state = ObserverState(np.eye(3), np.zeros(3), np.array([[1.0, 0, 0]]))
     meas = MeasurementFrame(np.zeros(3), np.zeros(3), np.zeros((1, 3)))
     assert np.allclose(innovations(*body(state), meas)[0], [1.0, 0.0, 0.0])
 
@@ -141,12 +140,12 @@ def test_corrected_velocity_noise_free_reduction():
     # equals k3 * C_ba @ p_1 = 0, so v_hat reduces to the measured velocity
     truth, state, meas = perfect_setup(t=0.7)
     gains = Gains(2.0, 1.0, 12.0)
-    e = attitude_error(truth.pose.dcm, state.pose.dcm)
+    e = attitude_error(truth.dcm, state.dcm)
     omega_hat = corrected_angular_velocity(meas, e, gains)
     w = hat(omega_hat - meas.omega)
     out = corrected_velocity(meas, w, body(state)[1], innovations(*body(state), meas), gains)
     # oracle: substitution of the exact measurement model
-    expected = meas.velocity - gains.k3 * (truth.pose.dcm @ truth.landmarks[0])
+    expected = meas.velocity - gains.k3 * (truth.dcm @ truth.landmarks[0])
     assert np.allclose(out, expected, atol=1e-12)
     assert np.allclose(out, meas.velocity, atol=1e-12)
 
@@ -155,13 +154,13 @@ def test_corrected_velocity_matches_transcription(rng):
     state, meas = random_setup(rng)
     gains = Gains(1.5, 0.7, 2.5)
     omega_hat = rng.normal(size=3)
-    c = state.pose.dcm
+    c = state.dcm
     total_innov = sum(straight_line_residual(state, meas, i) for i in range(4))
     expected = (
         meas.velocity
-        + np.cross(omega_hat - meas.omega, c @ state.pose.position)
+        + np.cross(omega_hat - meas.omega, c @ state.position)
         + gains.k2 * total_innov
-        - gains.k3 * (c @ state.pose.position + meas.landmark_obs[0])
+        - gains.k3 * (c @ state.position + meas.landmark_obs[0])
     )
     w = hat(omega_hat - meas.omega)
     out = corrected_velocity(meas, w, body(state)[1], innovations(*body(state), meas), gains)
@@ -169,7 +168,7 @@ def test_corrected_velocity_matches_transcription(rng):
 
 
 def test_corrected_velocity_empty_map():
-    state = ObserverState(Pose(np.eye(3), np.zeros(3)), np.zeros((0, 3)))
+    state = ObserverState(np.eye(3), np.zeros(3), np.zeros((0, 3)))
     meas = MeasurementFrame(np.zeros(3), np.zeros(3), np.zeros((0, 3)))
     with pytest.raises(EmptyMap):
         corrected_velocity(
@@ -180,22 +179,22 @@ def test_corrected_velocity_empty_map():
 def test_landmark_rate_zero_at_truth():
     truth, state, meas = perfect_setup(t=1.3)
     gains = Gains(2.0, 1.0, 12.0)
-    e = attitude_error(truth.pose.dcm, state.pose.dcm)
+    e = attitude_error(truth.dcm, state.dcm)
     omega_hat = corrected_angular_velocity(meas, e, gains)
     rates = landmark_rates(
-        body(state)[0], hat(omega_hat - meas.omega), innovations(*body(state), meas), state.pose.dcm, gains
+        body(state)[0], hat(omega_hat - meas.omega), innovations(*body(state), meas), state.dcm, gains
     )
     for i in range(len(LANDMARKS)):
         assert np.allclose(rates[i], 0.0, atol=1e-13)
 
 
 def test_landmark_rate_direct_substitution():
-    state = ObserverState(Pose(np.eye(3), np.zeros(3)), np.array([[2.0, 0, 0]]))
+    state = ObserverState(np.eye(3), np.zeros(3), np.array([[2.0, 0, 0]]))
     meas = MeasurementFrame(np.zeros(3), np.zeros(3), np.array([[1.0, 0, 0]]))
     # omega_hat == omega, s_tilde = (1,0,0), k2 = 1 -> rate = -(1,0,0)
     gains = Gains(1.0, 1.0, 1.0)
     s_tilde = innovations(*body(state), meas)
-    out = landmark_rates(body(state)[0], hat(np.zeros(3)), s_tilde, state.pose.dcm, gains)
+    out = landmark_rates(body(state)[0], hat(np.zeros(3)), s_tilde, state.dcm, gains)
     assert np.allclose(out[0], [-1.0, 0.0, 0.0])
 
 
@@ -203,9 +202,9 @@ def test_landmark_rate_matches_transcription(rng):
     state, meas = random_setup(rng)
     gains = Gains(1.0, 0.8, 3.0)
     omega_hat = rng.normal(size=3)
-    c = state.pose.dcm
+    c = state.dcm
     rates = landmark_rates(
-        body(state)[0], hat(omega_hat - meas.omega), innovations(*body(state), meas), state.pose.dcm, gains
+        body(state)[0], hat(omega_hat - meas.omega), innovations(*body(state), meas), state.dcm, gains
     )
     for i in range(4):
         alpha = np.cross(omega_hat - meas.omega, c @ state.landmarks[i]) - gains.k2 * straight_line_residual(state, meas, i)
@@ -220,9 +219,9 @@ def test_step_equilibrium_on_screw():
     for k in range(200):
         truth = truth_at(spec, k * dt, LANDMARKS)
         meas = measure(truth, NoiseSpec(), np.random.default_rng(0))
-        state = step(state, meas, truth.pose.dcm, gains, dt)
+        state = step(state, meas, truth.dcm, gains, dt)
     truth_end = truth_at(spec, 200 * dt, LANDMARKS)
-    err = metrics.pose_error(state.pose, truth_end.pose)
+    err = metrics.pose_error(Pose(state.dcm, state.position), Pose(truth_end.dcm, truth_end.position))
     assert rotation_angle(err.dcm) < 1e-9
     assert np.linalg.norm(err.position) < 1e-9
     assert np.allclose(state.landmarks, LANDMARKS, atol=1e-12)
@@ -235,9 +234,7 @@ def test_step_local_truncation_order():
     )
     gains = Gains(1.0, 1.0, 1.0)
     state0 = ObserverState(
-        Pose(exp_so3([0.1, -0.05, 0.2]), np.array([0.3, -0.2, 0.1])),
-        LANDMARKS + 0.1,
-        0.0,
+        exp_so3([0.1, -0.05, 0.2]), np.array([0.3, -0.2, 0.1]), LANDMARKS + 0.1, 0.0
     )
 
     def advance(dt, n):
@@ -245,12 +242,12 @@ def test_step_local_truncation_order():
         for k in range(n):
             truth = truth_at(spec, k * dt, LANDMARKS)
             meas = measure(truth, NoiseSpec(), np.random.default_rng(0))
-            state = step(state, meas, truth.pose.dcm, gains, dt)
+            state = step(state, meas, truth.dcm, gains, dt)
         return state
 
     def dist(a, b):
-        return rotation_angle(a.pose.dcm @ b.pose.dcm.T) + np.linalg.norm(
-            a.pose.position - b.pose.position
+        return rotation_angle(a.dcm @ b.dcm.T) + np.linalg.norm(
+            a.position - b.position
         )
 
     ref = advance(0.004, 10)
@@ -267,13 +264,14 @@ def test_step_lyapunov_non_increasing_from_perturbation():
     dt = 0.005
     truth = truth_at(spec, 0.0, LANDMARKS)
     state = ObserverState(
-        Pose(exp_so3([0.2, 0.1, -0.3]) @ truth.pose.dcm, truth.pose.position + [0.5, -0.3, 0.2]),
+        exp_so3([0.2, 0.1, -0.3]) @ truth.dcm,
+        truth.position + [0.5, -0.3, 0.2],
         LANDMARKS + np.array([[0.2, -0.1, 0.3]] * len(LANDMARKS)),
         0.0,
     )
     meas = measure(truth, NoiseSpec(), np.random.default_rng(0))
     v_before = metrics.evaluate(state, truth).lyapunov
-    new = step(state, meas, truth.pose.dcm, gains, dt)
+    new = step(state, meas, truth.dcm, gains, dt)
     v_after = metrics.evaluate(new, truth_at(spec, dt, LANDMARKS)).lyapunov
     assert v_after <= v_before + 1e-9 * max(1.0, v_before)
 
@@ -286,9 +284,8 @@ def test_step_zero_gains_is_dead_reckoning(rng):
     new = step(state, meas, random_rotation(rng), gains, dt)
     from se3slam.liegroup import homogeneous
 
-    increment = exp_se3(meas.omega * dt, meas.velocity * dt)
-    expected = compose_raw(state.pose.dcm, state.pose.position, increment.dcm, increment.position)
-    assert np.allclose(new.pose.matrix, homogeneous(*expected), atol=1e-12)
+    expected = compose_raw(state.dcm, state.position, *exp_se3(meas.omega * dt, meas.velocity * dt))
+    assert np.allclose(homogeneous(new.dcm, new.position), homogeneous(*expected), atol=1e-12)
     assert np.allclose(new.landmarks, state.landmarks, atol=1e-15)
 
 
@@ -299,8 +296,8 @@ def test_step_preserves_landmark_count_and_is_deterministic(rng):
     a = step(state, meas, c_ba, gains, 0.01)
     b = step(state, meas, c_ba, gains, 0.01)
     assert len(a.landmarks) == len(state.landmarks)
-    assert np.array_equal(a.pose.dcm, b.pose.dcm)
-    assert np.array_equal(a.pose.position, b.pose.position)
+    assert np.array_equal(a.dcm, b.dcm)
+    assert np.array_equal(a.position, b.position)
     assert np.array_equal(a.landmarks, b.landmarks)
 
 
@@ -310,14 +307,13 @@ def test_step_rotation_stays_orthonormal(rng):
     for _ in range(500):
         meas = MeasurementFrame(rng.normal(size=3), rng.normal(size=3), rng.normal(size=(4, 3)))
         state = step(state, meas, random_rotation(rng), gains, 0.005)
-    assert np.linalg.norm(state.pose.dcm.T @ state.pose.dcm - np.eye(3)) < 1e-12
+    assert np.linalg.norm(state.dcm.T @ state.dcm - np.eye(3)) < 1e-12
 
 
 def _dead_reckoning(state, meas, dt):
     """compose(X_hat, exp_se3(twist * dt)) as raw (dcm, position): the pose a
     zero-gain step reaches before any projection."""
-    increment = exp_se3(meas.omega * dt, meas.velocity * dt)
-    return compose_raw(state.pose.dcm, state.pose.position, increment.dcm, increment.position)
+    return compose_raw(state.dcm, state.position, *exp_se3(meas.omega * dt, meas.velocity * dt))
 
 
 def test_step_projects_only_a_drifted_attitude(rng):
@@ -327,19 +323,18 @@ def test_step_projects_only_a_drifted_attitude(rng):
     dcm, position = _dead_reckoning(state, meas, dt)
     on_group = step(state, meas, np.eye(3), gains, dt)
     assert np.linalg.norm(dcm @ dcm.T - np.eye(3)) <= DRIFT_TOL
-    assert np.array_equal(on_group.pose.dcm, dcm)
-    assert np.array_equal(on_group.pose.position, position)
+    assert np.array_equal(on_group.dcm, dcm)
+    assert np.array_equal(on_group.position, position)
     # 1e-8 off the group: the product is projected back
     drifted = ObserverState(
-        Pose.unchecked(state.pose.dcm + 1e-8 * rng.normal(size=(3, 3)), state.pose.position),
-        state.landmarks,
+        state.dcm + 1e-8 * rng.normal(size=(3, 3)), state.position, state.landmarks
     )
     dcm, position = _dead_reckoning(drifted, meas, dt)
     assert np.linalg.norm(dcm @ dcm.T - np.eye(3)) > 1e-9
     out = step(drifted, meas, np.eye(3), gains, dt)
-    assert np.array_equal(out.pose.dcm, reorthonormalize(dcm))
-    assert np.array_equal(out.pose.position, position)
-    assert np.linalg.norm(out.pose.dcm.T @ out.pose.dcm - np.eye(3)) < 1e-14
+    assert np.array_equal(out.dcm, reorthonormalize(dcm))
+    assert np.array_equal(out.position, position)
+    assert np.linalg.norm(out.dcm.T @ out.dcm - np.eye(3)) < 1e-14
 
 
 @pytest.mark.parametrize(
@@ -354,7 +349,7 @@ def test_step_projects_only_a_drifted_attitude(rng):
 )
 def test_step_non_finite_increment_message(rng, gains, omega, velocity):
     state, meas = random_setup(rng)
-    state = ObserverState(state.pose, state.landmarks, 0.25)
+    state = ObserverState(state.dcm, state.position, state.landmarks, 0.25)
     bad = MeasurementFrame(omega, velocity, meas.landmark_obs)
     with pytest.raises(NonFiniteState, match=r"^non-finite pose increment at t=0\.25$"):
         step(state, bad, random_rotation(rng), gains, 0.01)
@@ -365,7 +360,7 @@ def test_step_non_finite_state_message(rng):
     # a finite increment (W acts on the small position), but W acting on the
     # huge landmark overflows its update
     state, meas = random_setup(rng)
-    far = ObserverState(state.pose, np.array([[1e300, 0.0, 0.0]]), 0.5)
+    far = ObserverState(state.dcm, state.position, np.array([[1e300, 0.0, 0.0]]), 0.5)
     meas = MeasurementFrame(meas.omega, meas.velocity, meas.landmark_obs[:1])
     with pytest.raises(NonFiniteState, match=r"^non-finite state after step at t=0\.5$"):
         step(far, meas, random_rotation(rng), Gains(1e10, 0.0, 0.0), 0.01)
@@ -382,27 +377,25 @@ def test_step_non_finite_state_message(rng):
 def test_step_output_stays_on_so3(seed, n_landmarks, gains, dt, off_group):
     rng = np.random.default_rng(seed)
     dcm = random_rotation(rng) + off_group * rng.normal(size=(3, 3))
-    state = ObserverState(
-        Pose.unchecked(dcm, 5.0 * rng.normal(size=3)), 5.0 * rng.normal(size=(n_landmarks, 3))
-    )
+    state = ObserverState(dcm, 5.0 * rng.normal(size=3), 5.0 * rng.normal(size=(n_landmarks, 3)))
     meas = MeasurementFrame(
         3.0 * rng.normal(size=3), 3.0 * rng.normal(size=3), 5.0 * rng.normal(size=(n_landmarks, 3))
     )
     out = step(state, meas, random_rotation(rng), Gains(*gains), dt)
-    assert np.linalg.norm(out.pose.dcm.T @ out.pose.dcm - np.eye(3)) <= 1e-12
+    assert np.linalg.norm(out.dcm.T @ out.dcm - np.eye(3)) <= 1e-12
 
 
 def test_resolve_attitude_reconstructed_and_fallback(rng):
     truth, state, meas = perfect_setup(t=0.4)
     c, ok = resolve_attitude(state, meas)
     assert ok
-    assert rotation_angle(c @ truth.pose.dcm.T) < 1e-9
+    assert rotation_angle(c @ truth.dcm.T) < 1e-9
     # collinear observations: falls back to the supplied attitude and flags it
     bad = MeasurementFrame(
         meas.omega, meas.velocity, np.tile(np.array([[1.0, 0, 0]]), (4, 1))
     )
     bad_state = ObserverState(
-        state.pose, state.pose.position + np.tile(np.array([[1.0, 0, 0]]), (4, 1)), 0.0
+        state.dcm, state.position, state.position + np.tile(np.array([[1.0, 0, 0]]), (4, 1)), 0.0
     )
     fb = np.eye(3)
     c2, ok2 = resolve_attitude(bad_state, bad, fallback=fb)
@@ -414,8 +407,8 @@ def test_resolve_attitude_zero_direction_takes_fallback():
     # a landmark estimate at the estimated body position has no datum direction
     _, state, meas = perfect_setup(t=0.4)
     landmarks = state.landmarks.copy()
-    landmarks[2] = state.pose.position
-    at_body = ObserverState(state.pose, landmarks, state.time)
+    landmarks[2] = state.position
+    at_body = ObserverState(state.dcm, state.position, landmarks, state.time)
     with pytest.raises(ZeroVector):
         resolve_attitude(at_body, meas)
     fb = np.eye(3)

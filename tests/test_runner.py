@@ -6,6 +6,7 @@ import pytest
 from conftest import SCENARIO_DIR, stack_records
 from se3slam import runner
 from se3slam.errors import ConfigInvalid, NonFiniteState
+from se3slam.liegroup import Pose
 from se3slam.metrics import ErrorRecord, evaluate
 from se3slam.observer import Gains, resolve_attitude, step
 from se3slam.runner import csv_lines, initial_conditions, run, sweep, write_csv
@@ -30,6 +31,20 @@ def test_record_count_includes_t0(noisefree):
     assert result.summary.steps == 2
     assert len(result.records) == 3
     assert result.records.time[0] == 0.0
+
+
+def test_run_builds_no_checked_pose(short, monkeypatch):
+    # inside the package a pose is plain arrays; Pose checks only at the public API
+    calls = []
+    check = Pose.__post_init__
+
+    def counted(pose):
+        calls.append(pose)
+        check(pose)
+
+    monkeypatch.setattr(Pose, "__post_init__", counted)
+    run(short)
+    assert calls == []
 
 
 def test_records_time_ordered(short):
@@ -184,7 +199,7 @@ def reference_records(scenario):
             c_ba, ok = resolve_attitude(state, meas, fallback=last_good)
             last_good = c_ba if ok else last_good
         else:
-            c_ba, ok = truth.pose.dcm, True
+            c_ba, ok = truth.dcm, True
         state = step(state, meas, c_ba, scenario.gains, dt)
         records.append(evaluate(state, truth_at(traj, (k + 1) * dt, landmarks), ok))
     return stack_records(records)

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 import se3slam
 from conftest import random_rotation
 from se3slam.errors import NonFiniteState
-from se3slam.liegroup import Pose, hat
+from se3slam.liegroup import exp_so3, hat, homogeneous
 from se3slam.simulator import (
     ChannelNoise,
     NoiseSpec,
@@ -36,14 +36,15 @@ def test_static_family():
     g = truth_at(spec, 3.7)
     assert np.allclose(g.omega_body, 0.0)
     assert np.allclose(g.velocity_body, 0.0)
-    assert np.allclose(g.pose.matrix, spec.initial_pose.matrix)
+    initial = homogeneous(exp_so3(spec.initial_rotation), np.array(spec.initial_position))
+    assert np.allclose(homogeneous(g.dcm, g.position), initial)
 
 
 def test_circle_periodicity():
     spec = ALL_SPECS[1]
     a = truth_at(spec, 0.0)
     b = truth_at(spec, 2 * np.pi)
-    assert np.allclose(a.pose.matrix, b.pose.matrix, atol=1e-9)
+    assert np.allclose(homogeneous(a.dcm, a.position), homogeneous(b.dcm, b.position), atol=1e-9)
 
 
 @pytest.mark.parametrize("spec", ALL_SPECS, ids=[s.family for s in ALL_SPECS])
@@ -55,10 +56,10 @@ def test_finite_difference_consistency(spec, rng):
         g = truth_at(spec, t)
         gp = truth_at(spec, t + h)
         gm = truth_at(spec, t - h)
-        rdot_num = (gp.pose.position - gm.pose.position) / (2 * h)
-        assert np.allclose(rdot_num, g.pose.dcm.T @ g.velocity_body, atol=1e-6)
-        cdot_num = (gp.pose.dcm.T - gm.pose.dcm.T) / (2 * h)
-        assert np.allclose(cdot_num, g.pose.dcm.T @ hat(g.omega_body), atol=1e-6)
+        rdot_num = (gp.position - gm.position) / (2 * h)
+        assert np.allclose(rdot_num, g.dcm.T @ g.velocity_body, atol=1e-6)
+        cdot_num = (gp.dcm.T - gm.dcm.T) / (2 * h)
+        assert np.allclose(cdot_num, g.dcm.T @ hat(g.omega_body), atol=1e-6)
 
 
 def test_truth_rejects_negative_time():
@@ -88,7 +89,7 @@ def test_trajectory_rejects_non_finite_fields(field):
 )
 def test_truth_rejects_overflow_of_finite_fields(spec, t):
     # finite fields whose attitude or position overflows must not yield NaN truth
-    assert np.isfinite(truth_at(spec, 0.0).pose.dcm).all()
+    assert np.isfinite(truth_at(spec, 0.0).dcm).all()
     with pytest.raises(NonFiniteState):
         truth_at(spec, t)
 
@@ -103,7 +104,7 @@ def test_stacked_truth_rejects_bad_times():
 def test_stacked_truth_names_first_non_finite_time():
     # c * t overflows once t exceeds 179.77; t = 179.5 is still finite
     spec = TrajectorySpec("helix", vertical_rate=1e306)
-    assert np.isfinite(truth_at(spec, np.arange(360) * 0.5).pose.position).all()
+    assert np.isfinite(truth_at(spec, np.arange(360) * 0.5).position).all()
     with np.errstate(over="ignore"), pytest.raises(
         NonFiniteState, match=r"position at t=180\.0$"
     ):
@@ -122,11 +123,11 @@ times = st.one_of(
 def test_stacked_truth_matches_per_time_bit_for_bit(spec, ts):
     landmarks = np.array([[1.0, 2.0, 3.0], [-1.0, 0.5, 0.0]])
     stacked = truth_at(spec, np.array(ts), landmarks)
-    assert stacked.pose.dcm.shape == (len(ts), 3, 3)
+    assert stacked.dcm.shape == (len(ts), 3, 3)
     for i, t in enumerate(ts):
         row, one = stacked.row(i), truth_at(spec, t, landmarks)
-        assert np.array_equal(row.pose.dcm, one.pose.dcm)
-        assert np.array_equal(row.pose.position, one.pose.position)
+        assert np.array_equal(row.dcm, one.dcm)
+        assert np.array_equal(row.position, one.position)
         assert np.array_equal(row.omega_body, one.omega_body)
         assert np.array_equal(row.velocity_body, one.velocity_body)
         assert np.array_equal(row.landmarks, one.landmarks)
@@ -142,12 +143,12 @@ def test_measure_identity_pose():
 def test_measure_matches_transcription(rng):
     from se3slam.simulator import GroundTruth
 
-    pose = Pose(random_rotation(rng), rng.normal(size=3))
+    dcm, position = random_rotation(rng), rng.normal(size=3)
     landmarks = rng.normal(size=(5, 3))
-    g = GroundTruth(pose, rng.normal(size=3), rng.normal(size=3), landmarks)
+    g = GroundTruth(dcm, position, rng.normal(size=3), rng.normal(size=3), landmarks)
     frame = measure(g, NoiseSpec(), np.random.default_rng(0))
     for i in range(5):
-        expected = pose.dcm @ (landmarks[i] - pose.position)
+        expected = dcm @ (landmarks[i] - position)
         assert np.allclose(frame.landmark_obs[i], expected, atol=1e-13)
     assert np.array_equal(frame.omega, g.omega_body)
     assert np.array_equal(frame.velocity, g.velocity_body)
