@@ -35,7 +35,7 @@ import numpy as np
 from . import attitude as attitude_mod
 from .errors import DegenerateGeometry, EmptyMap, NonFiniteState
 from .liegroup import compose_raw, exp_se3, hat, reorthonormalize, rotation_drift, vee
-from .simulator import MeasurementFrame, Vec3
+from .simulator import MeasurementFrame, Vec3, require_finite
 
 # |C C^T - I|_F above which step projects onto SO(3); 1e5 steps drift ~4e-14.
 DRIFT_TOL = 1e-12
@@ -50,10 +50,11 @@ class Gains:
     k3: float
 
     def __post_init__(self):
+        require_finite(self)
         for name in ("k1", "k2", "k3"):
             value = getattr(self, name)
-            if not np.isfinite(value) or value < 0.0:
-                raise ValueError(f"gain {name} must be finite and >= 0, got {value}")
+            if value < 0.0:
+                raise ValueError(f"gain {name} must be >= 0, got {value}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -120,16 +121,19 @@ def resolve_attitude(
     current estimates, plus a health flag.
 
     A degenerate landmark geometry falls back to the caller-supplied previous
-    solution (flagged False); with no fallback the DegenerateGeometry
-    propagates.
+    solution (flagged False); with no fallback an error of the same class
+    names the time and where the datum directions come from.
     """
     datum = state.landmarks - state.position
     try:
         return attitude_mod.solve_attitude(meas.landmark_obs, datum), True
-    except DegenerateGeometry:
+    except DegenerateGeometry as exc:
         if fallback is not None:
             return fallback, False
-        raise
+        raise type(exc)(
+            f"attitude solve at t={state.time}: {exc}; the datum directions are the "
+            "estimated landmarks seen from the estimated position"
+        ) from None
 
 
 def step(

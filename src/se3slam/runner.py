@@ -113,8 +113,7 @@ def run(scenario: Scenario, scenario_hash: str | None = None) -> RunResult:
     spec, noise, gains, dt = scenario.trajectory, scenario.noise, scenario.gains, scenario.dt
     n_records = int(round(scenario.duration / dt)) + 1
     reconstructed_mode = scenario.attitude_mode == RECONSTRUCTED
-    last_good = None
-    degenerate = 0
+    c_ba = None  # in reconstructed mode, the last good attitude solve
 
     rows = block_records(len(landmarks))
     dcm = np.empty((rows, 3, 3))
@@ -136,11 +135,7 @@ def run(scenario: Scenario, scenario_hash: str | None = None) -> RunResult:
                 if k:
                     meas = measure(previous, noise, rng_noise)
                     if reconstructed_mode:
-                        c_ba, ok = resolve_attitude(state, meas, fallback=last_good)
-                        if ok:
-                            last_good = c_ba
-                        else:
-                            degenerate += 1
+                        c_ba, ok = resolve_attitude(state, meas, fallback=c_ba)
                     else:
                         c_ba = previous.dcm
                     state = step(state, meas, c_ba, gains, dt)
@@ -154,6 +149,7 @@ def run(scenario: Scenario, scenario_hash: str | None = None) -> RunResult:
         blocks.append(evaluate(block, truth, oks).columns())
 
     records = ErrorRecord(*map(np.concatenate, zip(*blocks)))
+    degenerate = np.count_nonzero(~records.attitude_source_ok)
     summary = RunSummary(records.row(0), records.row(-1), n_records - 1, degenerate)
     provenance = {
         "scenario": scenario.name,

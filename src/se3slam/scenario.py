@@ -4,8 +4,11 @@ Format: YAML with a mandatory ``schema_version: 1``. Every other key is the
 field of the same name on ``Scenario`` or a nested config dataclass, read as
 its annotated type; absent keys take the field's default, and unknown keys are
 errors, so typos cannot pass silently; no key is an exception to this rule.
-Each dataclass checks its fields on construction, so every ``Scenario`` is
-valid, and none holds an array, so scenarios compare and hash by value.
+Each dataclass checks its own fields on construction, first that every float
+and vector field is finite (``require_finite``), so every ``Scenario`` is
+valid, and none holds an array, so scenarios compare and hash by value. A
+section's error reads ``<section>: <message>``, e.g. ``gains: k1 must be
+finite, got nan``, whether the value came from a file or from ``set_parameter``.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ import yaml
 
 from .errors import ConfigInvalid, UnknownParameter
 from .observer import Gains
-from .simulator import NoiseSpec, TrajectorySpec, Vec3
+from .simulator import NoiseSpec, TrajectorySpec, Vec3, require_finite
 
 SCHEMA_VERSION = 1
 
@@ -46,10 +49,11 @@ class Box:
     max: Vec3
 
     def __post_init__(self):
+        require_finite(self)
         for low, high in zip(self.min, self.max):
             if high < low:
                 raise ValueError("max must be >= min componentwise")
-            if np.isfinite([low, high]).all() and not np.isfinite(high - low):
+            if not np.isfinite(high - low):
                 raise ValueError(f"max - min overflows: {high:g} - {low:g}")
 
 
@@ -62,6 +66,7 @@ class LandmarkLayout:
     box: Box | None = None
 
     def __post_init__(self):
+        require_finite(self)
         if self.positions is not None:
             if self.count is not None or self.box is not None:
                 raise ValueError("give either positions or count+box, not both")
@@ -92,6 +97,7 @@ class InitialEstimate:
     landmark_offset_scale: float = 0.0
 
     def __post_init__(self):
+        require_finite(self)
         with np.errstate(over="ignore"):  # an overflowing norm is rejected below
             norm = np.linalg.norm(self.attitude_error_axis)
         if self.attitude_error_rad != 0.0 and not 0.0 < norm < np.inf:
@@ -99,7 +105,7 @@ class InitialEstimate:
         scale = self.landmark_offset_scale
         if scale < 0.0:
             raise ValueError(f"landmark_offset_scale must be >= 0, got {scale}")
-        if np.isfinite(scale) and not np.isfinite(2.0 * scale):
+        if not np.isfinite(2.0 * scale):
             raise ValueError(f"landmark_offset_scale {scale:g} overflows its span 2 * scale")
 
 
@@ -117,15 +123,10 @@ class Scenario:
     seed: int = 0
 
     def __post_init__(self):
-        # TrajectorySpec and Gains reject non-finite fields when constructed.
-        bad = [
-            path
-            for f in dataclasses.fields(self)
-            if f.name not in ("trajectory", "gains")
-            for path in _non_finite_fields(getattr(self, f.name), f.name)
-        ]
-        if bad:
-            raise ConfigInvalid(f"{bad[0]}: must be finite")
+        try:
+            require_finite(self)
+        except ValueError as exc:
+            raise ConfigInvalid(str(exc)) from None
         if self.seed < 0:
             raise ConfigInvalid("seed: expected a non-negative integer")
         if self.duration <= 0.0:
@@ -153,21 +154,6 @@ class Scenario:
             raise ConfigInvalid(
                 "landmarks: reconstructed attitude mode needs >= 2 landmarks"
             )
-
-
-def _non_finite_fields(value, path: str) -> list[str]:
-    """Dotted paths of the float fields at or under ``value`` (named ``path``)
-    that hold NaN or infinity."""
-    if dataclasses.is_dataclass(value):
-        return [
-            bad
-            for f in dataclasses.fields(value)
-            for bad in _non_finite_fields(getattr(value, f.name), f"{path}.{f.name}")
-        ]
-    if isinstance(value, (float, tuple)):
-        if not np.all(np.isfinite(np.asarray(value, dtype=float))):
-            return [path]
-    return []
 
 
 @functools.cache
@@ -270,7 +256,8 @@ def set_parameter(scenario: Scenario, path: str, value: float) -> Scenario:
     """Return a copy of the scenario with the numeric field at ``path`` replaced.
 
     Paths use dots, e.g. ``gains.k1``, ``dt``, ``noise.omega.scale``. The
-    constructors check the copy as they check a parsed scenario.
+    constructors check the copy as they check a parsed scenario, and a
+    constructor's error is named by its section path, as the parser names it.
     """
     parts = path.split(".")
 
@@ -290,5 +277,5 @@ def set_parameter(scenario: Scenario, path: str, value: float) -> Scenario:
 
     try:
         return rebuild(scenario, parts)
-    except ValueError as exc:  # a field's own constructor check, e.g. Gains
-        raise ConfigInvalid(f"{path}: {exc}") from None
+    except ValueError as exc:  # a section's own constructor check, e.g. Gains
+        raise ConfigInvalid(f"{path.rpartition('.')[0]}: {exc}") from None

@@ -10,7 +10,7 @@ checked the fields they come from once, on construction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, is_dataclass
 
 import numpy as np
 
@@ -25,6 +25,18 @@ NOISE_FAMILIES = ("none", "gaussian", "student_t", "uniform")
 TUMBLE_FREQ_RATIOS = (1.0, 0.6, 1.4)
 
 Vec3 = tuple[float, float, float]
+
+
+def require_finite(config) -> None:
+    """Raise ValueError naming the first field of the config dataclass ``config``
+    that holds NaN or infinity. ``str``, ``int`` and ``None`` fields are not
+    checked, nor are nested config dataclasses, which check themselves."""
+    for f in fields(config):
+        value = getattr(config, f.name)
+        if value is None or isinstance(value, (str, int)) or is_dataclass(value):
+            continue
+        if not np.isfinite(value).all():
+            raise ValueError(f"{f.name} must be finite, got {value}")
 
 
 @dataclass(frozen=True)
@@ -49,12 +61,9 @@ class TrajectorySpec:
     initial_rotation: Vec3 = (0.0, 0.0, 0.0)  # rad, axis-angle
 
     def __post_init__(self):
+        require_finite(self)
         if self.family not in FAMILIES:
             raise ValueError(f"unknown trajectory family: {self.family!r}")
-        for f in fields(self)[1:]:  # every field but family
-            value = getattr(self, f.name)
-            if not np.all(np.isfinite(value)):
-                raise ValueError(f"{f.name} must be finite, got {value}")
         try:  # finite entries can still overflow the rotation vector's norm
             exp_so3(self.initial_rotation)
         except NonFiniteState as exc:
@@ -71,11 +80,12 @@ class ChannelNoise:
     bias: Vec3 = (0.0, 0.0, 0.0)
 
     def __post_init__(self):
+        require_finite(self)
         if self.family not in NOISE_FAMILIES:
             raise ValueError(f"unknown noise family: {self.family!r}")
         if self.scale < 0.0:
             raise ValueError("noise scale must be >= 0")
-        if np.isfinite(self.scale) and not np.isfinite(2.0 * self.scale):
+        if not np.isfinite(2.0 * self.scale):
             raise ValueError(f"noise scale {self.scale:g} overflows its span 2 * scale")
         if self.family == "student_t" and self.dof <= 2.0:
             raise ValueError("student_t dof must be > 2")

@@ -133,13 +133,13 @@ def test_sweep_bad_values(short_scenario, capsys, tmp_path):
 @pytest.mark.parametrize(
     "old, new, message",
     [
-        ("dt: 0.05", "dt: .nan", "dt: must be finite"),
-        ("duration: 1.0", "duration: .inf", "duration: must be finite"),
+        ("dt: 0.05", "dt: .nan", "dt must be finite, got nan"),
+        ("duration: 1.0", "duration: .inf", "duration must be finite, got inf"),
         ("angular_rate: 0.5", "angular_rate: .nan", "trajectory: angular_rate must be finite"),
         (
             "landmark: {family: none}",
             "landmark: {family: gaussian, scale: .nan}",
-            "noise.landmark.scale: must be finite",
+            "noise.landmark: scale must be finite, got nan",
         ),
     ],
     ids=["dt", "duration", "angular_rate", "landmark_scale"],
@@ -188,7 +188,7 @@ def test_sweep_rejects_non_finite_value(short_scenario, tmp_path, capsys):
         ["sweep", str(short_scenario), "--param", "dt", "--values", "nan", "--out", str(tmp_path)]
     )
     assert code == 2
-    assert "error: dt: must be finite" in capsys.readouterr().err
+    assert "error: dt must be finite, got nan" in capsys.readouterr().err
 
 
 def test_sweep_rejects_non_integral_int_value(short_scenario, tmp_path, capsys):
@@ -271,6 +271,26 @@ def test_step_overflow_exits_2_with_warnings_as_errors(short_scenario, tmp_path,
     _edit(short_scenario, edits)
     assert main(["run", str(short_scenario), "--out", str(tmp_path / "out")]) == 2
     assert f"error: {message}" in capsys.readouterr().err
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_reconstructed_first_step_names_the_estimate(tmp_path, capsys):
+    # with no earlier solve to fall back on, a far position estimate makes every
+    # datum direction point the same way; the message says where they come from
+    path = tmp_path / "far_estimate.yaml"
+    path.write_text((SCENARIO_DIR / "reconstructed.yaml").read_text())
+    _edit(
+        path,
+        [
+            ("duration: 20.0", "duration: 0.05"),
+            ("position_offset: [0.8, -0.5, 0.4]", "position_offset: [1.0e+308, -0.5, 0.4]"),
+        ],
+    )
+    assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 2
+    assert (
+        "error: attitude solve at t=0.0: fewer than 2 non-collinear datum directions; "
+        "the datum directions are the estimated landmarks seen from the estimated position"
+    ) in capsys.readouterr().err
 
 
 # Documents that validate but whose initial estimate sums past float range:

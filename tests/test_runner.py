@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from conftest import SCENARIO_DIR, stack_records
-from se3slam import runner
-from se3slam.errors import ConfigInvalid, NonFiniteState
+from se3slam import attitude, runner
+from se3slam.errors import ConfigInvalid, DegenerateGeometry, NonFiniteState
 from se3slam.liegroup import Pose
 from se3slam.metrics import ErrorRecord, evaluate
 from se3slam.observer import Gains, resolve_attitude, step
@@ -264,6 +264,33 @@ def test_run_matches_reference_loop(name, variant):
         n_records, block = _records_and_block(scenario)
         assert n_records > 3 * block and n_records % block  # ends in a partial block
     assert csv_lines(run(scenario).records) == csv_lines(reference_records(scenario))
+
+
+def test_run_falls_back_to_the_last_good_attitude(monkeypatch):
+    # forced failures of the attitude solve, two of them in a row, never the first
+    scenario, _ = load_scenario(SCENARIO_DIR / "reconstructed.yaml")
+    scenario = dataclasses.replace(scenario, duration=0.1)
+    failing_calls = {3, 4, 11}
+    solve = attitude.solve_attitude
+
+    def flaky_solve():
+        calls = []
+
+        def solve_or_fail(body, datum):
+            calls.append(None)
+            if len(calls) in failing_calls:
+                raise DegenerateGeometry("forced")
+            return solve(body, datum)
+
+        return solve_or_fail
+
+    monkeypatch.setattr(attitude, "solve_attitude", flaky_solve())
+    result = run(scenario)
+    monkeypatch.setattr(attitude, "solve_attitude", flaky_solve())
+    expected = reference_records(scenario)
+    assert csv_lines(result.records) == csv_lines(expected)
+    assert np.count_nonzero(~expected.attitude_source_ok) == len(failing_calls)
+    assert result.summary.degenerate_frames == len(failing_calls)
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")

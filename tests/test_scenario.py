@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 
 import numpy as np
 import pytest
@@ -8,18 +9,21 @@ from hypothesis import strategies as st
 
 from conftest import SCENARIO_DIR
 from se3slam.errors import ConfigInvalid, UnknownParameter
+from se3slam.observer import Gains
 from se3slam.scenario import (
     MAX_LANDMARKS,
     MAX_STEPS,
     TRUE_ATTITUDE,
+    Box,
     InitialEstimate,
+    LandmarkLayout,
     Scenario,
     load_scenario,
     parse_scenario,
     set_parameter,
 )
 from se3slam.liegroup import homogeneous
-from se3slam.simulator import NoiseSpec, truth_at
+from se3slam.simulator import ChannelNoise, NoiseSpec, TrajectorySpec, truth_at
 
 BUNDLED = ["fig3_noisefree", "fig3_noisy", "reconstructed", "heavytail"]
 BUNDLED_DOCS = [yaml.safe_load((SCENARIO_DIR / f"{name}.yaml").read_text()) for name in BUNDLED]
@@ -224,16 +228,94 @@ def test_trajectory_errors_carry_section_path(base_doc):
 @pytest.mark.parametrize(
     "path, message",
     [
-        ("trajectory.radius", "trajectory.radius: radius must be finite"),
-        ("gains.k1", "gains.k1: gain k1 must be finite"),
-        ("noise.omega.scale", "noise.omega.scale: must be finite"),
-        ("dt", "dt: must be finite"),
+        ("trajectory.radius", "trajectory: radius must be finite, got nan"),
+        ("gains.k1", "gains: k1 must be finite, got nan"),
+        ("noise.omega.scale", "noise.omega: scale must be finite, got nan"),
+        ("dt", "dt must be finite, got nan"),
     ],
+    ids=["trajectory.radius", "gains.k1", "noise.omega.scale", "dt"],
 )
 def test_set_parameter_non_finite_names_sweep_path(base_doc, path, message):
     scenario = parse_scenario(base_doc)
     with pytest.raises(ConfigInvalid, match=f"^{message}"):
         set_parameter(scenario, path, float("nan"))
+
+
+# One valid instance of each config class that checks its own fields.
+VALID_CONFIGS = [
+    TrajectorySpec("tumble", 2.0, 0.5, 0.1, (0.6, 0.4, 0.5), (2.0, 0.0, 0.5), (0.1, 0.2, 0.3)),
+    ChannelNoise("student_t", 0.01, 3.0, (0.1, 0.0, 0.0)),
+    Box((-5.0, -5.0, -5.0), (5.0, 5.0, 5.0)),
+    LandmarkLayout(positions=((0.0, 0.0, 0.0), (1.0, 2.0, 3.0))),
+    InitialEstimate(0.5, (1.0, 2.0, 3.0), (0.8, -0.5, 0.4), 1.0),
+    Gains(2.0, 1.0, 12.0),
+    parse_scenario(BUNDLED_DOCS[0]),
+]
+
+
+def _with_bad_entry(value, bad):
+    """``value`` (a float, a Vec3 or a tuple of Vec3) with one entry replaced by ``bad``."""
+    if isinstance(value, float):
+        return bad
+    if isinstance(value[-1], tuple):
+        return (*value[:-1], _with_bad_entry(value[-1], bad))
+    return (value[0], bad, *value[2:])
+
+
+NON_FINITE_FIELDS = [
+    pytest.param(config, f.name, bad, id=f"{type(config).__name__}.{f.name}={bad}")
+    for config in VALID_CONFIGS
+    for f in dataclasses.fields(config)
+    if isinstance(getattr(config, f.name), (float, tuple))
+    for bad in (float("nan"), float("inf"))
+]
+
+
+@pytest.mark.parametrize("config, name, bad", NON_FINITE_FIELDS)
+def test_config_classes_reject_their_own_non_finite_fields(config, name, bad):
+    value = _with_bad_entry(getattr(config, name), bad)
+    error = ConfigInvalid if isinstance(config, Scenario) else ValueError
+    with pytest.raises(error, match=f"^{name} must be finite, got "):
+        dataclasses.replace(config, **{name: value})
+
+
+def _float_paths(config, prefix=""):
+    """Dotted paths of the float fields at or under a config dataclass."""
+    for f in dataclasses.fields(config):
+        value = getattr(config, f.name)
+        if dataclasses.is_dataclass(value):
+            yield from _float_paths(value, f"{prefix}{f.name}.")
+        elif isinstance(value, float):
+            yield prefix + f.name
+
+
+def _outcome(build):
+    """The scenario ``build`` returns, or the message of the ConfigInvalid it raises."""
+    try:
+        return build()
+    except ConfigInvalid as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("doc", BUNDLED_DOCS, ids=BUNDLED)
+def test_file_and_sweep_give_the_same_outcome(doc):
+    scenario = parse_scenario(doc)
+    paths = list(_float_paths(scenario))
+    assert {"trajectory.radius", "gains.k1", "dt", "noise.omega.scale"} <= set(paths)
+    differ = []
+    for path in paths:
+        for value in (float("nan"), float("inf"), -1.0):
+            edited = copy.deepcopy(doc)
+            *sections, key = path.split(".")
+            node = edited
+            for section in sections:
+                node = node.setdefault(section, {})
+            node[key] = value
+            from_file = _outcome(lambda: parse_scenario(edited))
+            from_sweep = _outcome(lambda: set_parameter(scenario, path, value))
+            if from_file != from_sweep:
+                differ.append((path, value, from_file, from_sweep))
+    assert differ == []
 
 
 def test_set_parameter_int_field_needs_integral_value(base_doc):
@@ -275,10 +357,10 @@ def test_set_parameter_checks_initial_estimate(base_doc):
     base_doc["initial_estimate"].update(attitude_error_rad=0.0, attitude_error_axis=[0, 0, 0])
     scenario = parse_scenario(base_doc)  # no rotation, so no axis is needed
     path = "initial_estimate.attitude_error_rad"
-    with pytest.raises(ConfigInvalid, match=f"^{path}: attitude_error_axis needs"):
+    with pytest.raises(ConfigInvalid, match="^initial_estimate: attitude_error_axis needs"):
         set_parameter(scenario, path, 0.5)
     path = "initial_estimate.landmark_offset_scale"
-    with pytest.raises(ConfigInvalid, match=f"^{path}: landmark_offset_scale must be >= 0"):
+    with pytest.raises(ConfigInvalid, match="^initial_estimate: landmark_offset_scale must be >= 0"):
         set_parameter(scenario, path, -1.0)
 
 
