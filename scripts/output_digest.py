@@ -1,0 +1,63 @@
+"""Print the sha256 of every output a run writes, one line per output.
+
+The runs are every bundled scenario under ``scenarios/`` and the benchmark's
+generated dense scenario (``DENSE_SCENARIO`` in ``bench/workloads.py``, read
+and not changed) at seeds 0-3. For each run it prints the digest of the full
+CSV, of the CSV at ``--decimate 10`` and of the summary, as ``se3slam run``
+would write them. Two source trees give the same output bits exactly when they
+print the same lines, so comparing them is one ``diff``:
+
+    PYTHONPATH=src python scripts/output_digest.py > after.txt
+    diff before.txt after.txt
+"""
+
+from __future__ import annotations
+
+import hashlib
+import importlib.util
+import sys
+from pathlib import Path
+
+import yaml
+
+from se3slam.runner import csv_lines, run, summary_lines
+from se3slam.scenario import load_scenario, parse_scenario
+
+ROOT = Path(__file__).resolve().parent.parent
+DENSE_SEEDS = range(4)
+
+
+def _dense_scenario_text() -> str:
+    spec = importlib.util.spec_from_file_location("workloads", ROOT / "bench" / "workloads.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # its dataclasses look their module up
+    spec.loader.exec_module(module)
+    return module.DENSE_SCENARIO
+
+
+def _scenarios():
+    """(label, scenario, sha256 of its file) for every run, in a fixed order."""
+    for path in sorted((ROOT / "scenarios").glob("*.yaml")):
+        scenario, digest = load_scenario(path)
+        yield path.name, scenario, digest
+    template = _dense_scenario_text()
+    for seed in DENSE_SEEDS:
+        text = template.format(seed=seed)
+        digest = hashlib.sha256(text.encode()).hexdigest()
+        yield f"dense_sweep seed {seed}", parse_scenario(yaml.safe_load(text)), digest
+
+
+def _sha256(lines: list[str]) -> str:
+    return hashlib.sha256(("\n".join(lines) + "\n").encode()).hexdigest()
+
+
+def main() -> None:
+    for label, scenario, digest in _scenarios():
+        result = run(scenario, scenario_hash=digest)
+        print(f"{label} csv {_sha256(csv_lines(result.records))}")
+        print(f"{label} csv_decimate_10 {_sha256(csv_lines(result.records, 10))}")
+        print(f"{label} summary {_sha256(summary_lines(result))}")
+
+
+if __name__ == "__main__":
+    main()

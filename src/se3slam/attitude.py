@@ -34,8 +34,10 @@ def collinearity_rank(datum_vectors) -> int:
     if not keep.any():
         return 0
     unit = vecs[keep] / norms[keep, None]
-    s = np.linalg.svd(unit, compute_uv=False)
-    return int(np.sum(s > COLLINEARITY_ANGLE * s[0]))
+    # The eigenvalues of the 3x3 Gram matrix are the squared singular values
+    # of the unit rows, so this is the singular-value rule without an SVD.
+    eig = np.linalg.eigvalsh(unit.T @ unit)
+    return int(np.count_nonzero(eig > COLLINEARITY_ANGLE**2 * eig[-1]))
 
 
 def solve_attitude(body_vectors, datum_vectors) -> np.ndarray:

@@ -100,11 +100,14 @@ def block_records(num_landmarks: int) -> int:
 def run(scenario: Scenario, scenario_hash: str | None = None) -> RunResult:
     """Execute the full simulate/estimate/score loop for one scenario.
 
-    Records are made in blocks of ``block_records`` consecutive instants. Only
-    the observer's feedback (measure, attitude solve, step) runs one step at a
-    time; the block's ground truth comes from one ``truth_at`` over its times,
-    and its records from one ``evaluate`` over the stored estimates. The
-    blocks' columns are concatenated once, into the run's stacked record.
+    Records are made in blocks of ``block_records`` consecutive instants. The
+    measurements depend on the truth and the noise stream alone, never on the
+    estimate, so a block's ground truth comes from one ``truth_at`` over its
+    times and its measurements from one stacked ``measure`` of that truth. The
+    step loop holds only the observer's feedback, the attitude solve and
+    ``step``, and the block's records come from one ``evaluate`` over the
+    stored estimates. The blocks' columns are concatenated once, into the
+    run's stacked record.
 
     The feedback runs with numpy's overflow and invalid warnings off: ``step``
     checks each state finite, so a blow-up there ends in NonFiniteState alone.
@@ -120,31 +123,35 @@ def run(scenario: Scenario, scenario_hash: str | None = None) -> RunResult:
     position = np.empty((rows, 3))
     estimates = np.empty((rows,) + landmarks.shape)
     blocks = []
+    carried = None  # the measurement and true attitude of the previous block's last instant
 
     # Record k scores the state after step k - 1 against the truth at k * dt;
-    # that truth also drives the measurement of step k.
+    # that truth is also measured to drive step k + 1, so the run's last
+    # instant is not measured.
     for start in range(0, n_records, rows):
         stop = min(start + rows, n_records)
         n = stop - start
         truth = truth_at(spec, np.arange(start, stop) * dt, landmarks)
+        meas = measure(truth if stop < n_records else truth.row(slice(0, -1)), noise, rng_noise)
         # New for each block: its record keeps them as its time and flag columns.
         times, oks = np.empty(n), np.empty(n, dtype=bool)
         with np.errstate(over="ignore", invalid="ignore"):
             for i, k in enumerate(range(start, stop)):
                 ok = True
                 if k:
-                    meas = measure(previous, noise, rng_noise)
+                    frame, true_dcm = (meas.row(i - 1), truth.dcm[i - 1]) if i else carried
                     if reconstructed_mode:
-                        c_ba, ok = resolve_attitude(state, meas, fallback=c_ba)
+                        c_ba, ok = resolve_attitude(state, frame, fallback=c_ba)
                     else:
-                        c_ba = previous.dcm
-                    state = step(state, meas, c_ba, gains, dt)
+                        c_ba = true_dcm
+                    state = step(state, frame, c_ba, gains, dt)
                 dcm[i] = state.dcm
                 position[i] = state.position
                 estimates[i] = state.landmarks
                 times[i] = state.time
                 oks[i] = ok
-                previous = truth.row(i)
+        if stop < n_records:
+            carried = meas.row(n - 1), truth.dcm[n - 1]
         block = ObserverState(dcm[:n], position[:n], estimates[:n], times)
         blocks.append(evaluate(block, truth, oks).columns())
 

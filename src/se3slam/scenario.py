@@ -4,6 +4,8 @@ Format: YAML with a mandatory ``schema_version: 1``. Every other key is the
 field of the same name on ``Scenario`` or a nested config dataclass, read as
 its annotated type; absent keys take the field's default, and unknown keys are
 errors, so typos cannot pass silently; no key is an exception to this rule.
+A float field also takes an integer, and an int field a float with an
+integral value, as ``set_parameter`` does with a sweep's float values.
 Each dataclass checks its own fields on construction, first that every float
 and vector field is finite (``require_finite``), so every ``Scenario`` is
 valid, and none holds an array, so scenarios compare and hash by value. A
@@ -17,6 +19,7 @@ import dataclasses
 import functools
 import hashlib
 import math
+import numbers
 import types
 import typing
 from dataclasses import dataclass, field
@@ -128,7 +131,7 @@ class Scenario:
         except ValueError as exc:
             raise ConfigInvalid(str(exc)) from None
         if self.seed < 0:
-            raise ConfigInvalid("seed: expected a non-negative integer")
+            raise ConfigInvalid(f"seed: expected a non-negative integer, got {self.seed}")
         if self.duration <= 0.0:
             raise ConfigInvalid("duration: must be > 0")
         if self.dt <= 0.0:
@@ -194,6 +197,8 @@ def _read(kind, value, path: str):
         return _build(kind, value, path)
     if kind == Vec3:
         return _vec3(value, path)
+    if kind is int:
+        return _integer(value, path)
     if typing.get_origin(kind) is tuple:  # tuple[Vec3, ...]
         if not isinstance(value, list):
             raise ConfigInvalid(f"{path}: expected a list")
@@ -213,6 +218,18 @@ def _is_number(text: str) -> bool:
         return math.isfinite(float(text))
     except ValueError:
         return False
+
+
+def _integer(value, path: str) -> int:
+    """``value`` read as an int field: an integer, or a float with an integral
+    value, since a sweep's values are floats."""
+    if isinstance(value, float):
+        value = float(value)  # a numpy float prints as a plain one
+        if value.is_integer():
+            return int(value)
+    elif isinstance(value, numbers.Integral) and not isinstance(value, bool):
+        return int(value)
+    raise ConfigInvalid(f"{path}: expected an integer, got {value!r}")
 
 
 def _float(value, path: str) -> float:
@@ -269,9 +286,7 @@ def set_parameter(scenario: Scenario, path: str, value: float) -> Scenario:
         if len(remaining) == 1:
             if isinstance(current, bool) or not isinstance(current, (int, float)):
                 raise UnknownParameter(f"{path!r} is not a numeric field")
-            if isinstance(current, int) and not float(value).is_integer():
-                raise ConfigInvalid(f"{path}: expected an integer, got {value}")
-            new = type(current)(value) if isinstance(current, int) else float(value)
+            new = _integer(value, path) if isinstance(current, int) else float(value)
             return dataclasses.replace(obj, **{name: new})
         return dataclasses.replace(obj, **{name: rebuild(current, remaining[1:])})
 

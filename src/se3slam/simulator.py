@@ -6,10 +6,17 @@ numerical differentiation. The body-frame velocity convention forced by that
 ODE is v_b = C_ba @ dr_a/dt. A ``GroundTruth`` holds the true pose as the
 plain arrays (dcm, position) and checks neither: its ``TrajectorySpec``
 checked the fields they come from once, on construction.
+
+``truth_at`` and ``measure`` both work on n instants stacked along a leading
+axis, one instant being the n = 1 case, so a run makes a block's truth and
+measurements in one call each. ``measure`` reads the noise generator as n
+one-instant calls would: one draw for the block when every channel that draws
+has one law, and one instant at a time when the channels mix families.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, fields, is_dataclass
 
 import numpy as np
@@ -110,8 +117,9 @@ class GroundTruth:
     velocity_body: np.ndarray  # m/s, (3,) or (n, 3)
     landmarks: np.ndarray  # (l, 3), datum frame
 
-    def row(self, i: int) -> "GroundTruth":
-        """The truth at the i-th instant of a stacked truth."""
+    def row(self, i) -> "GroundTruth":
+        """The truth at the i-th instant of a stacked truth, or the stacked truth
+        at the instants of a slice i."""
         return GroundTruth(
             self.dcm[i], self.position[i], self.omega_body[i], self.velocity_body[i], self.landmarks
         )
@@ -119,18 +127,17 @@ class GroundTruth:
 
 @dataclass(frozen=True, eq=False)
 class MeasurementFrame:
-    """One time step of body-frame sensor data. Compares by identity (eq=False)."""
+    """Body-frame sensor data at one instant, or at n instants stacked along a
+    leading axis of every field. Holds the arrays it is given, unchecked, as
+    ``GroundTruth`` does. Compares by identity (eq=False): its fields are arrays."""
 
-    omega: np.ndarray  # rad/s
-    velocity: np.ndarray  # m/s
-    landmark_obs: np.ndarray  # (l, 3), m
+    omega: np.ndarray  # rad/s, (3,) or (n, 3)
+    velocity: np.ndarray  # m/s, (3,) or (n, 3)
+    landmark_obs: np.ndarray  # m, (l, 3) or (n, l, 3)
 
-    def __post_init__(self):
-        object.__setattr__(self, "omega", np.asarray(self.omega, dtype=float))
-        object.__setattr__(self, "velocity", np.asarray(self.velocity, dtype=float))
-        object.__setattr__(
-            self, "landmark_obs", np.atleast_2d(np.asarray(self.landmark_obs, dtype=float))
-        )
+    def row(self, i: int) -> "MeasurementFrame":
+        """The measurement at the i-th instant of a stacked frame."""
+        return MeasurementFrame(self.omega[i], self.velocity[i], self.landmark_obs[i])
 
 
 def _translation(spec: TrajectorySpec, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -201,31 +208,83 @@ def truth_at(spec: TrajectorySpec, t, landmarks=None) -> GroundTruth:
     return truth.row(0) if times.ndim == 0 else truth
 
 
-def _sample(channel: ChannelNoise, rng: np.random.Generator, shape) -> np.ndarray:
-    bias = np.asarray(channel.bias, dtype=float)
-    if channel.family == "none":
-        return np.broadcast_to(bias, shape).copy() if np.any(bias) else np.zeros(shape)
-    if channel.family == "gaussian":
-        noise = rng.normal(0.0, channel.scale, shape) if channel.scale > 0 else np.zeros(shape)
-    elif channel.family == "student_t":
-        noise = channel.scale * rng.standard_t(channel.dof, shape)
-    else:  # uniform
-        noise = rng.uniform(-channel.scale, channel.scale, shape)
-    return noise + bias
+def _draws(channel: ChannelNoise) -> bool:
+    """Whether the channel takes variates from the generator."""
+    return channel.family != "none" and not (channel.family == "gaussian" and channel.scale == 0.0)
+
+
+def _law(channel: ChannelNoise):
+    """The distribution of the channel's standard variate."""
+    return channel.family, channel.dof if channel.family == "student_t" else None
+
+
+def _standard(channel: ChannelNoise, rng: np.random.Generator, shape) -> np.ndarray:
+    """Standard variates of the channel's family: N(0, 1), t(dof) or U[0, 1)."""
+    if channel.family == "student_t":
+        return rng.standard_t(channel.dof, shape)
+    if channel.family == "uniform":
+        return rng.random(shape)
+    return rng.standard_normal(shape)
+
+
+def _scaled(channel: ChannelNoise, z: np.ndarray) -> np.ndarray:
+    """The channel's noise from its standard variates, with the arithmetic of
+    Generator.uniform (low + (high - low) * u) and of scale * standard_t, so
+    the bits are theirs. Generator.normal also adds its loc, 0.0, which can
+    only turn a -0.0 into 0.0, as the bias sum that follows does anyway."""
+    s = channel.scale
+    if channel.family == "uniform":
+        return -s + (s - -s) * z
+    return s * z
+
+
+def _variates(drawing, n: int, rng: np.random.Generator) -> list[np.ndarray]:
+    """Standard variates of the drawing (channel, width) pairs, an (n, width)
+    array each, in the order n one-instant draws take them: instant by instant,
+    channel by channel. Channels of one law share a single draw."""
+    if not drawing:
+        return []
+    widths = [w for _, w in drawing]
+    if len({_law(c) for c, _ in drawing}) == 1:
+        z = _standard(drawing[0][0], rng, (n, sum(widths)))
+        return np.split(z, np.cumsum(widths)[:-1], axis=1)
+    rows = [[_standard(c, rng, w) for c, w in drawing] for _ in range(n)]
+    return [np.reshape([row[j] for row in rows], (n, w)) for j, w in enumerate(widths)]
 
 
 def measure(truth: GroundTruth, noise: NoiseSpec, rng: np.random.Generator) -> MeasurementFrame:
-    """Body-frame measurement frame: exact model plus configured noise.
+    """Body-frame measurements of a stacked truth: exact model plus configured noise.
 
-    Landmark model: s_b_i = C_ba @ (p_a_i - r_a). Sampling order is fixed
-    (omega, velocity, landmarks) so streams are reproducible per seed.
+    For a truth of n instants every field of the frame gains a leading axis of
+    length n (``MeasurementFrame.row`` picks one instant); a one-instant truth
+    is the n = 1 case of the same arithmetic. Landmark model: s_b_i = C_ba @
+    (p_a_i - r_a). The generator is read in a fixed order, instant by instant
+    and within an instant omega, velocity, landmarks, so one call over n
+    instants leaves the bits and the generator state of n one-instant calls.
+    When every channel that draws has one law, the whole block is one draw;
+    channels of mixed families draw one instant at a time.
     """
-    c_ba = truth.dcm
-    exact = (truth.landmarks - truth.position) @ c_ba.T
-    omega_y = truth.omega_body + _sample(noise.omega, rng, (3,))
-    velocity_y = truth.velocity_body + _sample(noise.velocity, rng, (3,))
-    landmark_y = exact + _sample(noise.landmark, rng, exact.shape)
-    return MeasurementFrame(omega_y, velocity_y, landmark_y)
+    single = truth.dcm.ndim == 2
+    dcm, position, omega, velocity = (
+        a[None] if single else a
+        for a in (truth.dcm, truth.position, truth.omega_body, truth.velocity_body)
+    )
+    exact = (truth.landmarks - position[:, None]) @ np.swapaxes(dcm, -1, -2)
+    values = (omega, velocity, exact)
+    channels = (noise.omega, noise.velocity, noise.landmark)
+    drawing = [(c, math.prod(v.shape[1:])) for c, v in zip(channels, values) if _draws(c)]
+    variates = iter(_variates(drawing, len(dcm), rng))
+    measured = []
+    for channel, value in zip(channels, values):
+        if _draws(channel):
+            y = _scaled(channel, next(variates).reshape(value.shape))
+            y += channel.bias
+            y += value  # value + noise: the bits are the same either way round
+        else:
+            y = value + channel.bias
+        measured.append(y)
+    frame = MeasurementFrame(*measured)
+    return frame.row(0) if single else frame
 
 
 def place_landmarks(count: int, box_min, box_max, rng: np.random.Generator) -> np.ndarray:

@@ -199,7 +199,8 @@ def test_criterion_7_lie_group_invariants():
             se3_ok = False
 
     # orthonormality drift after 1e5 observer steps; their truth comes from
-    # one stacked truth_at, whose rows have the bits of one-instant calls
+    # one stacked truth_at and their measurements from one stacked measure,
+    # whose rows have the bits of one-instant calls
     spec = TrajectorySpec("tumble", radius=1.0, angular_rate=0.8, tumble_amplitude=(0.3, 0.2, 0.4))
     landmarks = np.array([[0.0, 0.0, 0.0], [2.0, 1.0, -0.5]])
     gains = Gains(2.0, 1.0, 12.0)
@@ -210,12 +211,9 @@ def test_criterion_7_lie_group_invariants():
     state = ObserverState(
         exp_so3([0.2, -0.1, 0.15]) @ truth0.dcm, truth0.position + 0.5, landmarks + 0.3
     )
-    noise = NoiseSpec()
-    rng_noise = np.random.default_rng(0)
+    meas = measure(truths, NoiseSpec(), np.random.default_rng(0))
     for k in range(steps):
-        truth = truths.row(k)
-        meas = measure(truth, noise, rng_noise)
-        state = step(state, meas, truth.dcm, gains, dt)
+        state = step(state, meas.row(k), truths.dcm[k], gains, dt)
     drift = float(np.linalg.norm(state.dcm.T @ state.dcm - np.eye(3)))
     drift_ok = drift < 1e-9
 
@@ -269,10 +267,9 @@ def test_criterion_9_integrator_order():
         landmarks, state, rng_noise = initial_conditions(dataclasses.replace(scenario, dt=dt))
         n = int(round(scenario.duration / dt))
         truths = truth_at(tumble, np.arange(n) * dt, landmarks)
+        meas = measure(truths, scenario.noise, rng_noise)
         for k in range(n):
-            truth = truths.row(k)
-            meas = measure(truth, scenario.noise, rng_noise)
-            state = step(state, meas, truth.dcm, scenario.gains, dt)
+            state = step(state, meas.row(k), truths.dcm[k], scenario.gains, dt)
         return state
 
     dt = 0.02

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import random_rotation
-from se3slam.attitude import collinearity_rank, solve_attitude
+from se3slam.attitude import COLLINEARITY_ANGLE, collinearity_rank, solve_attitude
 from se3slam.errors import DegenerateGeometry, ZeroVector
 from se3slam.liegroup import is_rotation
 
@@ -92,3 +94,25 @@ def test_rank_random_directions_full(rng):
         s = np.linalg.svd(unit, compute_uv=False)
         expected = int(np.sum(s > 1e-4 * s[0]))
         assert collinearity_rank(dirs) == expected == 3
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.integers(1, 12),
+    st.floats(-7.0, 0.0),
+    st.integers(1, 3),
+)
+def test_rank_matches_the_svd_rule(seed, count, log_spread, base_rank):
+    # directions spread by 10**log_spread about a line, a plane or all of space
+    rng = np.random.default_rng(seed)
+    basis = random_rotation(rng)[:base_rank]
+    dirs = rng.normal(size=(count, base_rank)) @ basis
+    dirs += 10.0**log_spread * np.linalg.norm(dirs, axis=1)[:, None] * rng.normal(size=(count, 3))
+    dirs *= rng.uniform(0.1, 10.0, size=(count, 1))
+    # oracle: the singular-value rule the rank was first computed by
+    s = np.linalg.svd(dirs / np.linalg.norm(dirs, axis=1)[:, None], compute_uv=False)
+    ratios = s / s[0]
+    if np.any(np.abs(ratios / COLLINEARITY_ANGLE - 1.0) < 0.01):
+        return  # too close to the threshold for either rule to be the right one
+    assert collinearity_rank(dirs) == np.count_nonzero(ratios > COLLINEARITY_ANGLE)

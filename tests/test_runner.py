@@ -11,7 +11,7 @@ from se3slam.metrics import ErrorRecord, evaluate
 from se3slam.observer import Gains, resolve_attitude, step
 from se3slam.runner import csv_lines, initial_conditions, run, sweep, write_csv
 from se3slam.scenario import RECONSTRUCTED, Box, LandmarkLayout, load_scenario, set_parameter
-from se3slam.simulator import TrajectorySpec, measure, truth_at
+from se3slam.simulator import ChannelNoise, NoiseSpec, TrajectorySpec, measure, truth_at
 
 
 @pytest.fixture(scope="module")
@@ -231,6 +231,29 @@ def _many_steps(scenario):
     return dataclasses.replace(scenario, duration=900 * scenario.dt)
 
 
+def _mixed_noise(scenario):
+    """Three noise families, drawn one instant at a time, over 3 block boundaries."""
+    noise = NoiseSpec(
+        ChannelNoise("gaussian", 0.01),
+        ChannelNoise("uniform", 0.02, bias=(0.01, 0.0, -0.02)),
+        ChannelNoise("student_t", 0.05, dof=4.0),
+    )
+    return dataclasses.replace(_many_steps(scenario), noise=noise)
+
+
+def _zero_scale_with_bias(scenario):
+    """A biased zero-scale Gaussian channel that draws nothing, over 3 block boundaries."""
+    noise = NoiseSpec(
+        ChannelNoise("gaussian", 0.0, bias=(0.002, -0.001, 0.003)),
+        ChannelNoise("gaussian", 0.01),
+        ChannelNoise("gaussian", 0.05, bias=(0.01, 0.02, -0.01)),
+    )
+    return dataclasses.replace(_many_steps(scenario), noise=noise)
+
+
+BLOCK_CROSSING = (_many_landmarks, _many_steps, _mixed_noise, _zero_scale_with_bias)
+
+
 def _records_and_block(scenario):
     n_records = int(round(scenario.duration / scenario.dt)) + 1
     return n_records, runner.block_records(scenario.landmarks.num_landmarks)
@@ -245,6 +268,8 @@ def _records_and_block(scenario):
         ("heavytail", _tumble),
         ("heavytail", _many_landmarks),
         ("reconstructed", _many_steps),
+        ("fig3_noisy", _mixed_noise),
+        ("reconstructed", _zero_scale_with_bias),
     ],
     ids=[
         "fig3_noisy",
@@ -253,6 +278,8 @@ def _records_and_block(scenario):
         "heavytail_tumble",
         "heavytail_tumble_many_landmarks",
         "reconstructed_many_steps",
+        "fig3_noisy_mixed_noise",
+        "reconstructed_zero_scale_with_bias",
     ],
 )
 def test_run_matches_reference_loop(name, variant):
@@ -260,10 +287,27 @@ def test_run_matches_reference_loop(name, variant):
     scenario = dataclasses.replace(scenario, duration=1.0)
     if variant is not None:
         scenario = variant(scenario)
-    if variant in (_many_landmarks, _many_steps):
+    if variant in BLOCK_CROSSING:
         n_records, block = _records_and_block(scenario)
         assert n_records > 3 * block and n_records % block  # ends in a partial block
     assert csv_lines(run(scenario).records) == csv_lines(reference_records(scenario))
+
+
+def test_run_measures_once_per_block(monkeypatch):
+    # the loop holds only the attitude solve and step: a block's instants are
+    # measured by one stacked call, and the run's last instant is not measured
+    scenario, _ = load_scenario(SCENARIO_DIR / "fig3_noisy.yaml")
+    scenario = _many_steps(dataclasses.replace(scenario, duration=1.0))
+    n_records, block = _records_and_block(scenario)
+    measured = []
+
+    def counted(truth, noise, rng):
+        measured.append(len(truth.dcm))
+        return measure(truth, noise, rng)
+
+    monkeypatch.setattr(runner, "measure", counted)
+    run(scenario)
+    assert measured == [block] * (n_records // block) + [n_records % block - 1]
 
 
 def test_run_falls_back_to_the_last_good_attitude(monkeypatch):

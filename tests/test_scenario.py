@@ -279,13 +279,13 @@ def test_config_classes_reject_their_own_non_finite_fields(config, name, bad):
         dataclasses.replace(config, **{name: value})
 
 
-def _float_paths(config, prefix=""):
-    """Dotted paths of the float fields at or under a config dataclass."""
+def _paths(config, kind, prefix=""):
+    """Dotted paths of the fields of type ``kind`` at or under a config dataclass."""
     for f in dataclasses.fields(config):
         value = getattr(config, f.name)
         if dataclasses.is_dataclass(value):
-            yield from _float_paths(value, f"{prefix}{f.name}.")
-        elif isinstance(value, float):
+            yield from _paths(value, kind, f"{prefix}{f.name}.")
+        elif type(value) is kind:
             yield prefix + f.name
 
 
@@ -297,24 +297,35 @@ def _outcome(build):
         return str(exc)
 
 
-@pytest.mark.parametrize("doc", BUNDLED_DOCS, ids=BUNDLED)
+COUNT_BOX_DOC = {
+    **BUNDLED_DOCS[0],
+    "landmarks": {"count": 8, "box": {"min": [-1.0, -1.0, -1.0], "max": [1.0, 1.0, 1.0]}},
+}
+
+
+@pytest.mark.parametrize(
+    "doc", [*BUNDLED_DOCS, COUNT_BOX_DOC], ids=[*BUNDLED, "fig3_noisefree_count_box"]
+)
 def test_file_and_sweep_give_the_same_outcome(doc):
     scenario = parse_scenario(doc)
-    paths = list(_float_paths(scenario))
-    assert {"trajectory.radius", "gains.k1", "dt", "noise.omega.scale"} <= set(paths)
+    float_paths, int_paths = list(_paths(scenario, float)), list(_paths(scenario, int))
+    assert {"trajectory.radius", "gains.k1", "dt", "noise.omega.scale"} <= set(float_paths)
+    assert "seed" in int_paths
+    assert ("landmarks.count" in int_paths) == (doc is COUNT_BOX_DOC)
+    cases = [(p, v) for p in float_paths for v in (float("nan"), float("inf"), -1.0)]
+    cases += [(p, v) for p in int_paths for v in (1.5, -1.0, -1)]
     differ = []
-    for path in paths:
-        for value in (float("nan"), float("inf"), -1.0):
-            edited = copy.deepcopy(doc)
-            *sections, key = path.split(".")
-            node = edited
-            for section in sections:
-                node = node.setdefault(section, {})
-            node[key] = value
-            from_file = _outcome(lambda: parse_scenario(edited))
-            from_sweep = _outcome(lambda: set_parameter(scenario, path, value))
-            if from_file != from_sweep:
-                differ.append((path, value, from_file, from_sweep))
+    for path, value in cases:
+        edited = copy.deepcopy(doc)
+        *sections, key = path.split(".")
+        node = edited
+        for section in sections:
+            node = node.setdefault(section, {})
+        node[key] = value
+        from_file = _outcome(lambda: parse_scenario(edited))
+        from_sweep = _outcome(lambda: set_parameter(scenario, path, value))
+        if from_file != from_sweep:
+            differ.append((path, value, from_file, from_sweep))
     assert differ == []
 
 

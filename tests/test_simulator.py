@@ -13,7 +13,9 @@ from conftest import random_rotation
 from se3slam.errors import NonFiniteState
 from se3slam.liegroup import exp_so3, hat, homogeneous
 from se3slam.simulator import (
+    NOISE_FAMILIES,
     ChannelNoise,
+    GroundTruth,
     NoiseSpec,
     TrajectorySpec,
     measure,
@@ -141,8 +143,6 @@ def test_measure_identity_pose():
 
 
 def test_measure_matches_transcription(rng):
-    from se3slam.simulator import GroundTruth
-
     dcm, position = random_rotation(rng), rng.normal(size=3)
     landmarks = rng.normal(size=(5, 3))
     g = GroundTruth(dcm, position, rng.normal(size=3), rng.normal(size=3), landmarks)
@@ -155,10 +155,9 @@ def test_measure_matches_transcription(rng):
 
 
 def test_gaussian_noise_scale():
-    g = truth_at(TrajectorySpec("static"), 0.0, np.zeros((1, 3)))
+    g = truth_at(TrajectorySpec("static"), np.zeros(100_000), np.zeros((1, 3)))
     noise = NoiseSpec(omega=ChannelNoise("gaussian", scale=0.2))
-    rng = np.random.default_rng(7)
-    samples = np.array([measure(g, noise, rng).omega for _ in range(100_000)])
+    samples = measure(g, noise, np.random.default_rng(7)).omega
     assert np.allclose(samples.std(axis=0), 0.2, rtol=0.03)
     assert np.allclose(samples.mean(axis=0), 0.0, atol=0.01)
 
@@ -187,6 +186,42 @@ def test_measurement_stream_deterministic():
     assert np.array_equal(a.omega, b.omega)
     assert np.array_equal(a.velocity, b.velocity)
     assert np.array_equal(a.landmark_obs, b.landmark_obs)
+
+
+channels = st.builds(
+    ChannelNoise,
+    st.sampled_from(NOISE_FAMILIES),
+    st.one_of(st.just(0.0), st.floats(1e-3, 2.0)),
+    st.sampled_from([2.5, 3.0, 7.0]),
+    st.one_of(st.just((0.0, 0.0, 0.0)), st.tuples(*[st.floats(-1.0, 1.0)] * 3)),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.builds(NoiseSpec, channels, channels, channels),
+    st.integers(0, 6),
+    st.integers(1, 4),
+    st.integers(0, 2**32 - 1),
+)
+def test_stacked_measure_matches_one_instant_calls(noise, n, n_landmarks, seed):
+    rng = np.random.default_rng(seed)
+    truth = GroundTruth(
+        np.array([random_rotation(rng) for _ in range(n)]).reshape(n, 3, 3),
+        rng.normal(size=(n, 3)),
+        rng.normal(size=(n, 3)),
+        rng.normal(size=(n, 3)),
+        rng.normal(size=(n_landmarks, 3)),
+    )
+    stacked_rng, one_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    stacked = measure(truth, noise, stacked_rng)
+    assert stacked.landmark_obs.shape == (n, n_landmarks, 3)
+    for i in range(n):
+        row, one = stacked.row(i), measure(truth.row(i), noise, one_rng)
+        assert np.array_equal(row.omega, one.omega)
+        assert np.array_equal(row.velocity, one.velocity)
+        assert np.array_equal(row.landmark_obs, one.landmark_obs)
+    assert stacked_rng.bit_generator.state == one_rng.bit_generator.state
 
 
 def test_place_landmarks_deterministic():
