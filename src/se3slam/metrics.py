@@ -10,9 +10,8 @@ Error definitions:
 
 An ``ErrorRecord`` holds them at one instant, or at n instants stacked along a
 leading axis of every field, as ``GroundTruth`` does. ``evaluate`` works on the
-plain (dcm, position) arrays of ``ObserverState`` and ``GroundTruth``;
-``pose_error`` and ``lyapunov`` are the public one-pose forms, on checked
-``Pose`` values.
+plain (dcm, position) arrays of ``ObserverState`` and ``GroundTruth``, and is
+the one public path to these numbers.
 """
 
 from __future__ import annotations
@@ -21,7 +20,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .liegroup import Pose, homogeneous, rotation_angle, vector_norm
+from .liegroup import homogeneous, rotation_angle, vector_norm
 from .observer import ObserverState
 from .simulator import GroundTruth
 
@@ -68,11 +67,6 @@ def _pose_error_raw(est_dcm, est_position, true_dcm, true_position):
     return _t(true_dcm) @ est_dcm, _column(_t(est_dcm), inv_position) + est_position
 
 
-def pose_error(estimate: Pose, truth: Pose) -> Pose:
-    """Group error Xhat @ X^-1; identity iff estimate equals truth."""
-    return Pose(*_pose_error_raw(estimate.dcm, estimate.position, truth.dcm, truth.position))
-
-
 def map_errors(state: ObserverState, truth: GroundTruth) -> np.ndarray:
     """(..., l, 3) array of C_ea @ phat_i - C_ba @ p_i."""
     return state.landmarks @ _t(state.dcm) - truth.landmarks @ _t(truth.dcm)
@@ -86,14 +80,9 @@ def relative_map_errors(state: ObserverState, truth: GroundTruth) -> np.ndarray:
 
 
 def _energy(err_dcm: np.ndarray, err_position: np.ndarray, map_errs: np.ndarray):
+    """V = 0.5 * ||I4 - Xtilde||_F^2 + sum of squared map-error norms, over any leading axes."""
     diff = np.eye(4) - homogeneous(err_dcm, err_position)
     return 0.5 * (diff * diff).sum(axis=(-2, -1)) + (map_errs * map_errs).sum(axis=(-2, -1))
-
-
-def lyapunov(pose_err: Pose, map_errs) -> float:
-    """0.5 * ||I4 - Xtilde||_F^2 + sum of squared map-error norms."""
-    map_errs = np.atleast_2d(np.asarray(map_errs, dtype=float)) if len(map_errs) else np.zeros((0, 3))
-    return float(_energy(pose_err.dcm, pose_err.position, map_errs))
 
 
 def evaluate(state: ObserverState, truth: GroundTruth, attitude_source_ok=True):

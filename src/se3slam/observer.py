@@ -21,8 +21,8 @@ Discretization is Lie-Euler on SE(3) for the pose, which keeps C_ea on SO(3)
 to rounding (``step`` projects it back only on drift), and explicit Euler for
 the landmarks, with every correction at the pre-step state. 3-vectors pass as
 Python floats; numpy runs the (l, 3) terms, from P_hat @ C_ea.T formed once.
-An ``ObserverState`` holds the pose as the plain arrays C_ea and r_hat and
-checks neither; ``step`` checks the state it returns.
+An ``ObserverState`` holds the pose as the plain arrays C_ea and r_hat, and
+the map, and checks none of them; ``step`` checks the state it returns.
 """
 
 from __future__ import annotations
@@ -61,16 +61,13 @@ class Gains:
 class ObserverState:
     """Pose estimate (dcm, position) plus landmark-position estimates (datum
     frame, meters) at one instant, or at n instants stacked along a leading
-    axis of every field. Compares by identity (eq=False): its fields are arrays."""
+    axis of every field. Holds the arrays it is given, unchecked, as
+    ``GroundTruth`` does. Compares by identity (eq=False): its fields are arrays."""
 
     dcm: np.ndarray  # datum-to-body, (3, 3) or (n, 3, 3)
     position: np.ndarray  # m, datum frame, (3,) or (n, 3)
     landmarks: np.ndarray  # (l, 3) or (n, l, 3)
     time: float = 0.0  # s, or (n,)
-
-    def __post_init__(self):
-        lm = np.atleast_2d(np.asarray(self.landmarks, dtype=float))
-        object.__setattr__(self, "landmarks", lm)
 
 
 def innovations(body_landmarks: np.ndarray, body_position, meas: MeasurementFrame) -> np.ndarray:

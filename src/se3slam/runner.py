@@ -21,7 +21,7 @@ from .observer import ObserverState, resolve_attitude, step
 from .scenario import RECONSTRUCTED, Scenario, set_parameter
 from .simulator import measure, place_landmarks, truth_at
 
-# Records scored per block (see block_records). 2048 landmark rows of (l, 3)
+# Steps per block (see block_records). 2048 landmark rows of (l, 3)
 # estimates are 48 kB, so a block's buffers and scoring temporaries stay small
 # next to the run's record columns; 4096 rows ran no faster and raised the peak
 # RSS of the 8-landmark runs by another 0.25 MB.
@@ -91,73 +91,67 @@ def initial_conditions(scenario: Scenario):
 
 
 def block_records(num_landmarks: int) -> int:
-    """Records scored per block: about BLOCK_LANDMARK_ROWS landmark rows, so a
-    block's buffers and scoring temporaries stay the same size whatever the
-    landmark count, and at least MIN_BLOCK_RECORDS."""
+    """Steps made, and records scored, per block: about BLOCK_LANDMARK_ROWS
+    landmark rows, so a block's buffers and scoring temporaries stay the same
+    size whatever the landmark count, and at least MIN_BLOCK_RECORDS."""
     return max(MIN_BLOCK_RECORDS, BLOCK_LANDMARK_ROWS // num_landmarks)
 
 
 def run(scenario: Scenario, scenario_hash: str | None = None) -> RunResult:
     """Execute the full simulate/estimate/score loop for one scenario.
 
-    Records are made in blocks of ``block_records`` consecutive instants. The
-    measurements depend on the truth and the noise stream alone, never on the
-    estimate, so a block's ground truth comes from one ``truth_at`` over its
-    times and its measurements from one stacked ``measure`` of that truth. The
-    step loop holds only the observer's feedback, the attitude solve and
-    ``step``, and the block's records come from one ``evaluate`` over the
-    stored estimates. The blocks' columns are concatenated once, into the
-    run's stacked record.
+    Steps are made in blocks of ``block_records`` consecutive steps. Step k
+    reads the measurement at k * dt and makes the state scored as record
+    k + 1, against the truth at (k + 1) * dt. The measurements depend on the
+    truth and the noise stream alone, never on the estimate, so a block of n
+    steps from step ``start`` takes its truth at the n + 1 instants start ...
+    start + n from one ``truth_at`` and the measurements of the first n from
+    one stacked ``measure``. The step loop holds only the attitude (the true
+    one, or the solve) and ``step``, and one ``evaluate`` scores the block's
+    new states against truth rows 1 ... n. The blocks' columns are
+    concatenated once, into the run's stacked record.
 
     The feedback runs with numpy's overflow and invalid warnings off: ``step``
     checks each state finite, so a blow-up there ends in NonFiniteState alone.
+    Record 0, the initial state at t = 0, is scored after the steps, so that
+    an initial state whose first step blows up is reported by ``step`` and not
+    by an overflow warning from its scoring.
     """
-    landmarks, state, rng_noise = initial_conditions(scenario)
+    landmarks, initial, rng_noise = initial_conditions(scenario)
     spec, noise, gains, dt = scenario.trajectory, scenario.noise, scenario.gains, scenario.dt
-    n_records = int(round(scenario.duration / dt)) + 1
+    n_steps = int(round(scenario.duration / dt))
     reconstructed_mode = scenario.attitude_mode == RECONSTRUCTED
-    c_ba = None  # in reconstructed mode, the last good attitude solve
+    state, c_ba = initial, None  # in reconstructed mode, c_ba is the last good attitude solve
 
     rows = block_records(len(landmarks))
     dcm = np.empty((rows, 3, 3))
     position = np.empty((rows, 3))
     estimates = np.empty((rows,) + landmarks.shape)
     blocks = []
-    carried = None  # the measurement and true attitude of the previous block's last instant
 
-    # Record k scores the state after step k - 1 against the truth at k * dt;
-    # that truth is also measured to drive step k + 1, so the run's last
-    # instant is not measured.
-    for start in range(0, n_records, rows):
-        stop = min(start + rows, n_records)
-        n = stop - start
-        truth = truth_at(spec, np.arange(start, stop) * dt, landmarks)
-        meas = measure(truth if stop < n_records else truth.row(slice(0, -1)), noise, rng_noise)
+    for start in range(0, n_steps, rows):
+        n = min(rows, n_steps - start)
+        truth = truth_at(spec, np.arange(start, start + n + 1) * dt, landmarks)
+        meas = measure(truth.row(slice(0, n)), noise, rng_noise)
         # New for each block: its record keeps them as its time and flag columns.
-        times, oks = np.empty(n), np.empty(n, dtype=bool)
+        times, oks = np.empty(n), np.ones(n, dtype=bool)
         with np.errstate(over="ignore", invalid="ignore"):
-            for i, k in enumerate(range(start, stop)):
-                ok = True
-                if k:
-                    frame, true_dcm = (meas.row(i - 1), truth.dcm[i - 1]) if i else carried
-                    if reconstructed_mode:
-                        c_ba, ok = resolve_attitude(state, frame, fallback=c_ba)
-                    else:
-                        c_ba = true_dcm
-                    state = step(state, frame, c_ba, gains, dt)
-                dcm[i] = state.dcm
-                position[i] = state.position
-                estimates[i] = state.landmarks
+            for i in range(n):
+                frame = meas.row(i)
+                if reconstructed_mode:
+                    c_ba, oks[i] = resolve_attitude(state, frame, fallback=c_ba)
+                else:
+                    c_ba = truth.dcm[i]
+                state = step(state, frame, c_ba, gains, dt)
+                dcm[i], position[i], estimates[i] = state.dcm, state.position, state.landmarks
                 times[i] = state.time
-                oks[i] = ok
-        if stop < n_records:
-            carried = meas.row(n - 1), truth.dcm[n - 1]
         block = ObserverState(dcm[:n], position[:n], estimates[:n], times)
-        blocks.append(evaluate(block, truth, oks).columns())
+        blocks.append(evaluate(block, truth.row(slice(1, None)), oks).columns())
 
-    records = ErrorRecord(*map(np.concatenate, zip(*blocks)))
+    first = evaluate(initial, truth_at(spec, 0.0, landmarks)).columns()
+    records = ErrorRecord(*(np.concatenate([[c], *cs]) for c, *cs in zip(first, *blocks)))
     degenerate = np.count_nonzero(~records.attitude_source_ok)
-    summary = RunSummary(records.row(0), records.row(-1), n_records - 1, degenerate)
+    summary = RunSummary(records.row(0), records.row(-1), n_steps, degenerate)
     provenance = {
         "scenario": scenario.name,
         "seed": scenario.seed,

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from conftest import random_rotation
 from se3slam import metrics
 from se3slam.errors import EmptyMap, NonFiniteState, ZeroVector
-from se3slam.liegroup import Pose, compose_raw, exp_se3, exp_so3, hat, reorthonormalize, rotation_angle
+from se3slam.liegroup import compose_raw, exp_se3, exp_so3, hat, reorthonormalize, rotation_angle
 from se3slam.observer import (
     DRIFT_TOL,
     Gains,
@@ -221,9 +221,9 @@ def test_step_equilibrium_on_screw():
         meas = measure(truth, NoiseSpec(), np.random.default_rng(0))
         state = step(state, meas, truth.dcm, gains, dt)
     truth_end = truth_at(spec, 200 * dt, LANDMARKS)
-    err = metrics.pose_error(Pose(state.dcm, state.position), Pose(truth_end.dcm, truth_end.position))
-    assert rotation_angle(err.dcm) < 1e-9
-    assert np.linalg.norm(err.position) < 1e-9
+    err = metrics.evaluate(state, truth_end)
+    assert err.attitude_error_angle < 1e-9
+    assert err.position_error < 1e-9
     assert np.allclose(state.landmarks, LANDMARKS, atol=1e-12)
 
 

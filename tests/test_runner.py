@@ -251,7 +251,29 @@ def _zero_scale_with_bias(scenario):
     return dataclasses.replace(_many_steps(scenario), noise=noise)
 
 
-BLOCK_CROSSING = (_many_landmarks, _many_steps, _mixed_noise, _zero_scale_with_bias)
+def _steps_fill_blocks(scenario):
+    """8 landmarks: 256-step blocks, so 768 steps fill 3 blocks exactly."""
+    return dataclasses.replace(scenario, duration=768 * scenario.dt)
+
+
+def _records_fill_blocks(scenario):
+    """8 landmarks: 256-step blocks, so 767 steps make 768 records, 3 blocks' worth."""
+    return dataclasses.replace(scenario, duration=767 * scenario.dt)
+
+
+def _ends_in_partial_block(n_records, block):
+    return n_records > 3 * block and n_records % block
+
+
+# The block edge each variant must reach, as a test of (records, block).
+BLOCK_EDGES = {
+    _many_landmarks: _ends_in_partial_block,
+    _many_steps: _ends_in_partial_block,
+    _mixed_noise: _ends_in_partial_block,
+    _zero_scale_with_bias: _ends_in_partial_block,
+    _steps_fill_blocks: lambda n_records, block: n_records - 1 == 3 * block,
+    _records_fill_blocks: lambda n_records, block: n_records == 3 * block,
+}
 
 
 def _records_and_block(scenario):
@@ -270,6 +292,8 @@ def _records_and_block(scenario):
         ("reconstructed", _many_steps),
         ("fig3_noisy", _mixed_noise),
         ("reconstructed", _zero_scale_with_bias),
+        ("fig3_noisy", _steps_fill_blocks),
+        ("reconstructed", _records_fill_blocks),
     ],
     ids=[
         "fig3_noisy",
@@ -280,6 +304,8 @@ def _records_and_block(scenario):
         "reconstructed_many_steps",
         "fig3_noisy_mixed_noise",
         "reconstructed_zero_scale_with_bias",
+        "fig3_noisy_768_steps",
+        "reconstructed_767_steps",
     ],
 )
 def test_run_matches_reference_loop(name, variant):
@@ -287,18 +313,19 @@ def test_run_matches_reference_loop(name, variant):
     scenario = dataclasses.replace(scenario, duration=1.0)
     if variant is not None:
         scenario = variant(scenario)
-    if variant in BLOCK_CROSSING:
-        n_records, block = _records_and_block(scenario)
-        assert n_records > 3 * block and n_records % block  # ends in a partial block
+    if variant in BLOCK_EDGES:
+        assert BLOCK_EDGES[variant](*_records_and_block(scenario))
     assert csv_lines(run(scenario).records) == csv_lines(reference_records(scenario))
 
 
-def test_run_measures_once_per_block(monkeypatch):
-    # the loop holds only the attitude solve and step: a block's instants are
-    # measured by one stacked call, and the run's last instant is not measured
+@pytest.mark.parametrize("n_steps", [900, 768])
+def test_run_measures_once_per_block(monkeypatch, n_steps):
+    # the loop holds only the attitude solve and step: a block's steps are
+    # measured by one stacked call, and the run's last instant is not measured,
+    # so a step count that fills its blocks makes no zero-instant call
     scenario, _ = load_scenario(SCENARIO_DIR / "fig3_noisy.yaml")
-    scenario = _many_steps(dataclasses.replace(scenario, duration=1.0))
-    n_records, block = _records_and_block(scenario)
+    scenario = dataclasses.replace(scenario, duration=n_steps * scenario.dt)
+    _, block = _records_and_block(scenario)
     measured = []
 
     def counted(truth, noise, rng):
@@ -307,7 +334,7 @@ def test_run_measures_once_per_block(monkeypatch):
 
     monkeypatch.setattr(runner, "measure", counted)
     run(scenario)
-    assert measured == [block] * (n_records // block) + [n_records % block - 1]
+    assert measured == [block] * (n_steps // block) + [n_steps % block] * bool(n_steps % block)
 
 
 def test_run_falls_back_to_the_last_good_attitude(monkeypatch):
