@@ -17,27 +17,20 @@ COLLINEARITY_ANGLE = 1e-4
 ZERO_NORM = 1e-12
 
 
-def _normalize_rows(vecs: np.ndarray) -> np.ndarray:
-    norms = np.linalg.norm(vecs, axis=1)
-    if np.any(norms < ZERO_NORM):
-        raise ZeroVector("direction vector with near-zero norm")
-    return vecs / norms[:, None]
-
-
 def collinearity_rank(datum_vectors) -> int:
-    """Effective rank of the normalized datum directions at the angle threshold."""
+    """Effective rank of the normalized datum directions at the angle threshold.
+    Zero-norm rows are ignored."""
     vecs = np.atleast_2d(np.asarray(datum_vectors, dtype=float))
-    if vecs.size == 0:
-        return 0
-    norms = np.linalg.norm(vecs, axis=1)
+    norms = np.sqrt((vecs * vecs).sum(axis=1))
     keep = norms >= ZERO_NORM
-    if not keep.any():
+    vecs = vecs[keep] / norms[keep][:, None]
+    if not vecs.size:
         return 0
-    unit = vecs[keep] / norms[keep, None]
     # The eigenvalues of the 3x3 Gram matrix are the squared singular values
     # of the unit rows, so this is the singular-value rule without an SVD.
-    eig = np.linalg.eigvalsh(unit.T @ unit)
-    return int(np.count_nonzero(eig > COLLINEARITY_ANGLE**2 * eig[-1]))
+    eig = np.linalg.eigvalsh(vecs.T @ vecs).tolist()  # ascending
+    threshold = COLLINEARITY_ANGLE**2 * eig[-1]
+    return sum(e > threshold for e in eig)
 
 
 def solve_attitude(body_vectors, datum_vectors) -> np.ndarray:
@@ -48,14 +41,23 @@ def solve_attitude(body_vectors, datum_vectors) -> np.ndarray:
     determinant of the result is forced to +1. Exact pairs (body = R @ datum
     with >= 2 non-collinear datum directions) are recovered exactly.
     """
-    body = np.atleast_2d(np.asarray(body_vectors, dtype=float))
-    datum = np.atleast_2d(np.asarray(datum_vectors, dtype=float))
-    if body.shape != datum.shape or body.shape[0] < 2:
+    body = np.asarray(body_vectors, dtype=float)
+    datum = np.asarray(datum_vectors, dtype=float)
+    if body.ndim != 2 or body.shape != datum.shape or body.shape[0] < 2:
         raise DegenerateGeometry("need at least 2 paired vectors of equal count")
-    b = _normalize_rows(body)
-    d = _normalize_rows(datum)
+    # Both sides' rows normalized in one pass. The norms are np.linalg.norm's
+    # bit for bit, and fmin skips NaN as np.any(norms < ZERO_NORM) would.
+    rows = np.concatenate((body, datum))
+    norms = np.sqrt((rows * rows).sum(axis=1))
+    if np.fmin.reduce(norms) < ZERO_NORM:
+        raise ZeroVector("direction vector with near-zero norm")
+    dirs = rows / norms[:, None]
+    b, d = dirs[: len(body)], dirs[len(body) :]
     if collinearity_rank(d) < 2:
         raise DegenerateGeometry("fewer than 2 non-collinear datum directions")
     u, _, vt = np.linalg.svd(b.T @ d)
-    sign = np.sign(np.linalg.det(u @ vt))
-    return (u * np.array([1.0, 1.0, sign])) @ vt
+    rot = u @ vt
+    (r0, r1, r2), (r3, r4, r5), (r6, r7, r8) = rot.tolist()  # only the sign of det(rot) = +-1
+    if r0 * (r4 * r8 - r5 * r7) - r1 * (r3 * r8 - r5 * r6) + r2 * (r3 * r7 - r4 * r6) < 0.0:
+        rot = (u * np.array([1.0, 1.0, -1.0])) @ vt  # a reflection: flip the last direction
+    return rot

@@ -60,7 +60,7 @@ class RunResult:
 
 
 def initial_conditions(scenario: Scenario):
-    """Landmark truth and initial observer state derived from the scenario seed."""
+    """Landmarks, truth at t = 0, initial observer state and noise generator, from the seed."""
     lm_seq, init_seq, noise_seq = np.random.SeedSequence(scenario.seed).spawn(3)
     layout = scenario.landmarks
     if layout.positions is not None:
@@ -87,7 +87,7 @@ def initial_conditions(scenario: Scenario):
     if not (np.isfinite(position0).all() and np.isfinite(estimates0).all()):
         raise NonFiniteState("initial_estimate: initial position or map is not finite")
     state0 = ObserverState(dcm0, position0, estimates0, 0.0)
-    return landmarks, state0, np.random.default_rng(noise_seq)
+    return landmarks, truth0, state0, np.random.default_rng(noise_seq)
 
 
 def block_records(num_landmarks: int) -> int:
@@ -113,11 +113,11 @@ def run(scenario: Scenario, scenario_hash: str | None = None) -> RunResult:
 
     The feedback runs with numpy's overflow and invalid warnings off: ``step``
     checks each state finite, so a blow-up there ends in NonFiniteState alone.
-    Record 0, the initial state at t = 0, is scored after the steps, so that
-    an initial state whose first step blows up is reported by ``step`` and not
-    by an overflow warning from its scoring.
+    Record 0, the initial state at t = 0, is scored after the steps (against
+    the truth it was built from), so that an initial state whose first step
+    blows up is reported by ``step`` and not by an overflow warning from it.
     """
-    landmarks, initial, rng_noise = initial_conditions(scenario)
+    landmarks, truth0, initial, rng_noise = initial_conditions(scenario)
     spec, noise, gains, dt = scenario.trajectory, scenario.noise, scenario.gains, scenario.dt
     n_steps = int(round(scenario.duration / dt))
     reconstructed_mode = scenario.attitude_mode == RECONSTRUCTED
@@ -148,7 +148,7 @@ def run(scenario: Scenario, scenario_hash: str | None = None) -> RunResult:
         block = ObserverState(dcm[:n], position[:n], estimates[:n], times)
         blocks.append(evaluate(block, truth.row(slice(1, None)), oks).columns())
 
-    first = evaluate(initial, truth_at(spec, 0.0, landmarks)).columns()
+    first = evaluate(initial, truth0).columns()
     records = ErrorRecord(*(np.concatenate([[c], *cs]) for c, *cs in zip(first, *blocks)))
     degenerate = np.count_nonzero(~records.attitude_source_ok)
     summary = RunSummary(records.row(0), records.row(-1), n_steps, degenerate)

@@ -264,7 +264,7 @@ def test_criterion_9_integrator_order():
     from se3slam.runner import initial_conditions
 
     def integrate(dt):
-        landmarks, state, rng_noise = initial_conditions(dataclasses.replace(scenario, dt=dt))
+        landmarks, _, state, rng_noise = initial_conditions(dataclasses.replace(scenario, dt=dt))
         n = int(round(scenario.duration / dt))
         truths = truth_at(tumble, np.arange(n) * dt, landmarks)
         meas = measure(truths, scenario.noise, rng_noise)

@@ -74,6 +74,40 @@ def test_zero_vector_raises():
         solve_attitude(datum, datum)
 
 
+def test_one_dimensional_input_raises():
+    with pytest.raises(DegenerateGeometry):
+        solve_attitude(np.array([1.0, 0, 0]), np.array([1.0, 0, 0]))
+    with pytest.raises(DegenerateGeometry):
+        solve_attitude(np.array([1.0, 0, 0, 0, 1.0, 0]), np.eye(3)[:2])
+
+
+def _oracle_solve(body, datum):
+    """The solve as first written: numpy's norm, SVD and determinant sign."""
+    b = body / np.linalg.norm(body, axis=1)[:, None]
+    d = datum / np.linalg.norm(datum, axis=1)[:, None]
+    u, _, vt = np.linalg.svd(b.T @ d)
+    sign = np.sign(np.linalg.det(u @ vt))
+    return (u * np.array([1.0, 1.0, sign])) @ vt
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(2, 11), st.booleans(), st.floats(-8.0, 0.0))
+def test_solve_matches_the_first_formula_bit_for_bit(seed, count, mirrored, log_noise):
+    # Mirrored pairs have a reflection (det -1) as their unconstrained optimum,
+    # so the determinant fix must flip it; the others take the plain u @ vt.
+    rng = np.random.default_rng(seed)
+    datum = rng.normal(size=(count, 3)) * rng.uniform(0.1, 10.0, size=(count, 1))
+    if mirrored:
+        body = datum * np.array([1.0, 1.0, -1.0])
+    else:
+        body = datum @ random_rotation(rng).T + 10.0**log_noise * rng.normal(size=(count, 3))
+    if collinearity_rank(datum) < 2:
+        return
+    rot = solve_attitude(body, datum)
+    assert np.array_equal(rot, _oracle_solve(body, datum))
+    assert np.linalg.det(rot) > 0.0
+
+
 def test_rank_empty():
     assert collinearity_rank(np.zeros((0, 3))) == 0
 
@@ -84,6 +118,23 @@ def test_rank_two_orthogonal():
 
 def test_rank_collinear_is_one():
     assert collinearity_rank(np.array([[1.0, 0, 0], [-5.0, 0, 0]])) == 1
+
+
+def test_rank_ignores_zero_rows_among_others():
+    assert collinearity_rank(np.array([[0.0, 0, 0], [1.0, 0, 0], [0, 1.0, 0]])) == 2
+
+
+def test_rank_of_unit_rows_is_scale_invariant(rng):
+    # directions on a line, a plane or all of space: unit rows and the same
+    # rows rescaled give the same rank
+    for base_rank in (1, 2, 3):
+        for _ in range(10):
+            count = int(rng.integers(1, 9))
+            dirs = rng.normal(size=(count, base_rank)) @ random_rotation(rng)[:base_rank]
+            unit = dirs / np.linalg.norm(dirs, axis=1)[:, None]
+            scaled = unit * rng.uniform(0.1, 10.0, size=(count, 1))
+            expected = min(count, base_rank)
+            assert collinearity_rank(unit) == collinearity_rank(scaled) == expected
 
 
 def test_rank_random_directions_full(rng):

@@ -188,7 +188,7 @@ def test_provenance_fields(short):
 def reference_records(scenario):
     """The run loop written plainly over the public API, two truth evaluations per
     step, scored one instant at a time; the records are stacked for comparison."""
-    landmarks, state, rng_noise = initial_conditions(scenario)
+    landmarks, _, state, rng_noise = initial_conditions(scenario)
     traj, dt = scenario.trajectory, scenario.dt
     records = [evaluate(state, truth_at(traj, 0.0, landmarks))]
     last_good = None
