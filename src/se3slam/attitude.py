@@ -17,18 +17,12 @@ COLLINEARITY_ANGLE = 1e-4
 ZERO_NORM = 1e-12
 
 
-def collinearity_rank(datum_vectors) -> int:
-    """Effective rank of the normalized datum directions at the angle threshold.
-    Zero-norm rows are ignored."""
-    vecs = np.atleast_2d(np.asarray(datum_vectors, dtype=float))
-    norms = np.sqrt((vecs * vecs).sum(axis=1))
-    keep = norms >= ZERO_NORM
-    vecs = vecs[keep] / norms[keep][:, None]
-    if not vecs.size:
-        return 0
+def collinearity_rank(directions) -> int:
+    """Effective rank of the unit directions at the angle threshold.
+    ``directions`` is an (n, 3) float array of unit rows, taken as given."""
     # The eigenvalues of the 3x3 Gram matrix are the squared singular values
     # of the unit rows, so this is the singular-value rule without an SVD.
-    eig = np.linalg.eigvalsh(vecs.T @ vecs).tolist()  # ascending
+    eig = np.linalg.eigvalsh(directions.T @ directions).tolist()  # ascending
     threshold = COLLINEARITY_ANGLE**2 * eig[-1]
     return sum(e > threshold for e in eig)
 
@@ -45,11 +39,13 @@ def solve_attitude(body_vectors, datum_vectors) -> np.ndarray:
     datum = np.asarray(datum_vectors, dtype=float)
     if body.ndim != 2 or body.shape != datum.shape or body.shape[0] < 2:
         raise DegenerateGeometry("need at least 2 paired vectors of equal count")
-    # Both sides' rows normalized in one pass. The norms are np.linalg.norm's
-    # bit for bit, and fmin skips NaN as np.any(norms < ZERO_NORM) would.
+    # Both sides' rows normalized in one pass, with np.linalg.norm's bits. max()
+    # propagates NaN, and a squared norm past float range reads inf.
     rows = np.concatenate((body, datum))
     norms = np.sqrt((rows * rows).sum(axis=1))
-    if np.fmin.reduce(norms) < ZERO_NORM:
+    if not norms.max() < np.inf:
+        raise DegenerateGeometry("direction vector with a non-finite or overflowing norm")
+    if norms.min() < ZERO_NORM:
         raise ZeroVector("direction vector with near-zero norm")
     dirs = rows / norms[:, None]
     b, d = dirs[: len(body)], dirs[len(body) :]

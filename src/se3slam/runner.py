@@ -111,8 +111,10 @@ def run(scenario: Scenario, scenario_hash: str | None = None) -> RunResult:
     new states against truth rows 1 ... n. The blocks' columns are
     concatenated once, into the run's stacked record.
 
-    The feedback runs with numpy's overflow and invalid warnings off: ``step``
-    checks each state finite, so a blow-up there ends in NonFiniteState alone.
+    A block's measurements and feedback run with numpy's overflow and invalid
+    warnings off: ``step`` checks its increment and state finite, and the
+    solve its directions, so a blow-up ends in NonFiniteState or
+    DegenerateGeometry alone.
     Record 0, the initial state at t = 0, is scored after the steps (against
     the truth it was built from), so that an initial state whose first step
     blows up is reported by ``step`` and not by an overflow warning from it.
@@ -132,10 +134,10 @@ def run(scenario: Scenario, scenario_hash: str | None = None) -> RunResult:
     for start in range(0, n_steps, rows):
         n = min(rows, n_steps - start)
         truth = truth_at(spec, np.arange(start, start + n + 1) * dt, landmarks)
-        meas = measure(truth.row(slice(0, n)), noise, rng_noise)
         # New for each block: its record keeps them as its time and flag columns.
         times, oks = np.empty(n), np.ones(n, dtype=bool)
         with np.errstate(over="ignore", invalid="ignore"):
+            meas = measure(truth.row(slice(0, n)), noise, rng_noise)
             for i in range(n):
                 frame = meas.row(i)
                 if reconstructed_mode:

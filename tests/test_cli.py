@@ -244,9 +244,20 @@ def _edit(path, edits):
     path.write_text(text)
 
 
+# A start 1e308 m out among landmarks as far on either side: the far side's
+# measured directions overflow to infinity, in true and in reconstructed mode.
+FAR_GEOMETRY = [
+    ("initial_position: [2.0, 0.0, 0.5]", "initial_position: [1.0e+308, 0.0, 0.5]"),
+    ("- [-3.156, -3.241, 3.121]", "- [1.0e+308, 3.0, 0.0]"),
+    ("- [4.233, -2.234, 3.198]", "- [1.0e+308, 0.0, 3.0]"),
+    ("- [3.899, 0.130, -2.550]", "- [1.0e+308, -3.0, 1.0]"),
+    ("- [3.242, -2.862, 2.415]", "- [-1.0e+308, 0.0, 0.0]"),
+]
+
 # Documents that validate but overflow numpy inside the step loop, and the
 # error each ends in: a landmark 1e300 m out whose rate overflows under a huge
-# k1, and a far position estimate or start whose innovations overflow their sum.
+# k1, a far position estimate or start whose innovations overflow their sum,
+# and the far geometry, whose measurements overflow.
 STEP_OVERFLOWS = {
     "landmark_rates": (
         [("- [-3.156, -3.241, 3.121]", "- [1.0e+300, 0.0, 0.0]"), ("k1: 2.0", "k1: 1.0e+10")],
@@ -260,6 +271,7 @@ STEP_OVERFLOWS = {
         [("initial_position: [2.0, 0.0, 0.5]", "initial_position: [1.7e+308, 0.0, 0.5]")],
         "non-finite pose increment at t=0.0",
     ),
+    "far_geometry": (FAR_GEOMETRY, "non-finite pose increment at t=0.0"),
 }
 
 
@@ -273,22 +285,35 @@ def test_step_overflow_exits_2_with_warnings_as_errors(short_scenario, tmp_path,
     assert f"error: {message}" in capsys.readouterr().err
 
 
+def _offset(value):
+    return [("position_offset: [0.8, -0.5, 0.4]", f"position_offset: [{value}, -0.5, 0.4]")]
+
+
+NON_FINITE_DIRECTION = "direction vector with a non-finite or overflowing norm"
+
+
 @pytest.mark.filterwarnings("error::RuntimeWarning")
-def test_reconstructed_first_step_names_the_estimate(tmp_path, capsys):
+@pytest.mark.parametrize(
+    "edits, reason",
+    [
+        (_offset("1.0e+150"), "fewer than 2 non-collinear datum directions"),
+        (_offset("1.0e+308"), NON_FINITE_DIRECTION),
+        (FAR_GEOMETRY, NON_FINITE_DIRECTION),
+    ],
+    ids=["collinear", "overflowing", "far_geometry"],
+)
+def test_reconstructed_first_step_names_the_estimate(tmp_path, capsys, edits, reason):
     # with no earlier solve to fall back on, a far position estimate makes every
-    # datum direction point the same way; the message says where they come from
-    path = tmp_path / "far_estimate.yaml"
+    # datum direction point the same way, or at 1e308 m overflows their norms,
+    # and the far geometry's measured directions overflow in measure; the solve
+    # rejects them (not an overflow warning or numpy's LinAlgError), and the
+    # message says where the datum directions come from
+    path = tmp_path / "short_reconstructed.yaml"
     path.write_text((SCENARIO_DIR / "reconstructed.yaml").read_text())
-    _edit(
-        path,
-        [
-            ("duration: 20.0", "duration: 0.05"),
-            ("position_offset: [0.8, -0.5, 0.4]", "position_offset: [1.0e+308, -0.5, 0.4]"),
-        ],
-    )
+    _edit(path, [("duration: 20.0", "duration: 0.05"), *edits])
     assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 2
     assert (
-        "error: attitude solve at t=0.0: fewer than 2 non-collinear datum directions; "
+        f"error: attitude solve at t=0.0: {reason}; "
         "the datum directions are the estimated landmarks seen from the estimated position"
     ) in capsys.readouterr().err
 

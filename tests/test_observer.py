@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from conftest import random_rotation
 from se3slam import metrics
-from se3slam.errors import EmptyMap, NonFiniteState, ZeroVector
+from se3slam.errors import DegenerateGeometry, EmptyMap, NonFiniteState, ZeroVector
 from se3slam.liegroup import compose_raw, exp_se3, exp_so3, hat, reorthonormalize, rotation_angle
 from se3slam.observer import (
     DRIFT_TOL,
@@ -413,5 +413,20 @@ def test_resolve_attitude_zero_direction_takes_fallback():
         resolve_attitude(at_body, meas)
     fb = np.eye(3)
     c, ok = resolve_attitude(at_body, meas, fallback=fb)
+    assert not ok
+    assert c is fb
+
+
+def test_resolve_attitude_nan_direction_takes_fallback():
+    # a NaN landmark estimate has no datum direction: the solve rejects it as
+    # DegenerateGeometry, so a step with a fallback takes it
+    _, state, meas = perfect_setup(t=0.4)
+    landmarks = state.landmarks.copy()
+    landmarks[1, 0] = np.nan
+    nan_state = ObserverState(state.dcm, state.position, landmarks, state.time)
+    with pytest.raises(DegenerateGeometry, match="non-finite"):
+        resolve_attitude(nan_state, meas)
+    fb = np.eye(3)
+    c, ok = resolve_attitude(nan_state, meas, fallback=fb)
     assert not ok
     assert c is fb
