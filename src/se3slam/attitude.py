@@ -33,7 +33,8 @@ def solve_attitude(body_vectors, datum_vectors) -> np.ndarray:
     Both arguments are (n, 3) arrays of paired vectors, n >= 2; pairs are
     unit-normalized and uniformly weighted, so only directions matter. The
     determinant of the result is forced to +1. Exact pairs (body = R @ datum
-    with >= 2 non-collinear datum directions) are recovered exactly.
+    with >= 2 non-collinear datum directions) are recovered exactly. Numpy's
+    error state is the caller's: an overflowing norm may warn before DegenerateGeometry.
     """
     body = np.asarray(body_vectors, dtype=float)
     datum = np.asarray(datum_vectors, dtype=float)

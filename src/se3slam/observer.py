@@ -143,7 +143,8 @@ def step(
     """Advance the estimate by one time step of length dt, with c_ba the
     datum-to-body attitude used by the corrections. The increment is checked
     finite before it is applied and the new pose and map after; the attitude
-    is projected onto SO(3) only when its drift exceeds DRIFT_TOL."""
+    is projected onto SO(3) only when its drift exceeds DRIFT_TOL. Numpy's
+    error state is the caller's: an overflow may warn before NonFiniteState."""
     if dt <= 0.0:
         raise ValueError("dt must be positive")
 

@@ -60,7 +60,9 @@ class RunResult:
 
 
 def initial_conditions(scenario: Scenario):
-    """Landmarks, truth at t = 0, initial observer state and noise generator, from the seed."""
+    """Landmarks, truth at t = 0, initial observer state and noise generator,
+    from the seed. Numpy's error state is the caller's (``run`` turns overflow
+    warnings off), so an estimate that overflows may warn before NonFiniteState."""
     lm_seq, init_seq, noise_seq = np.random.SeedSequence(scenario.seed).spawn(3)
     layout = scenario.landmarks
     if layout.positions is not None:
@@ -76,14 +78,10 @@ def initial_conditions(scenario: Scenario):
     norm = np.linalg.norm(axis)
     rotvec = est.attitude_error_rad * axis / norm if norm > 0.0 else np.zeros(3)
     dcm0 = exp_so3(rotvec) @ truth0.dcm
-    rng_init = np.random.default_rng(init_seq)
-    offsets = rng_init.uniform(
-        -est.landmark_offset_scale, est.landmark_offset_scale, landmarks.shape
-    )
-    # dcm0 is a product of rotations, but finite offsets can overflow these sums.
-    with np.errstate(over="ignore", invalid="ignore"):
-        position0 = truth0.position + np.asarray(est.position_offset, dtype=float)
-        estimates0 = landmarks + offsets
+    scale = est.landmark_offset_scale
+    offsets = np.random.default_rng(init_seq).uniform(-scale, scale, landmarks.shape)
+    position0 = truth0.position + np.asarray(est.position_offset, dtype=float)
+    estimates0 = landmarks + offsets
     if not (np.isfinite(position0).all() and np.isfinite(estimates0).all()):
         raise NonFiniteState("initial_estimate: initial position or map is not finite")
     state0 = ObserverState(dcm0, position0, estimates0, 0.0)
@@ -97,6 +95,7 @@ def block_records(num_landmarks: int) -> int:
     return max(MIN_BLOCK_RECORDS, BLOCK_LANDMARK_ROWS // num_landmarks)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def run(scenario: Scenario, scenario_hash: str | None = None) -> RunResult:
     """Execute the full simulate/estimate/score loop for one scenario.
 
@@ -111,13 +110,10 @@ def run(scenario: Scenario, scenario_hash: str | None = None) -> RunResult:
     new states against truth rows 1 ... n. The blocks' columns are
     concatenated once, into the run's stacked record.
 
-    A block's measurements and feedback run with numpy's overflow and invalid
-    warnings off: ``step`` checks its increment and state finite, and the
-    solve its directions, so a blow-up ends in NonFiniteState or
-    DegenerateGeometry alone.
-    Record 0, the initial state at t = 0, is scored after the steps (against
-    the truth it was built from), so that an initial state whose first step
-    blows up is reported by ``step`` and not by an overflow warning from it.
+    ``run`` owns numpy's error state: overflow and invalid never warn inside it,
+    and every value it returns has passed a check. ``initial_conditions``,
+    ``truth_at``, ``step`` and the solve check what they make, and the record's
+    scores are checked finite once, after the steps; a blow-up is a Se3SlamError.
     """
     landmarks, truth0, initial, rng_noise = initial_conditions(scenario)
     spec, noise, gains, dt = scenario.trajectory, scenario.noise, scenario.gains, scenario.dt
@@ -136,22 +132,25 @@ def run(scenario: Scenario, scenario_hash: str | None = None) -> RunResult:
         truth = truth_at(spec, np.arange(start, start + n + 1) * dt, landmarks)
         # New for each block: its record keeps them as its time and flag columns.
         times, oks = np.empty(n), np.ones(n, dtype=bool)
-        with np.errstate(over="ignore", invalid="ignore"):
-            meas = measure(truth.row(slice(0, n)), noise, rng_noise)
-            for i in range(n):
-                frame = meas.row(i)
-                if reconstructed_mode:
-                    c_ba, oks[i] = resolve_attitude(state, frame, fallback=c_ba)
-                else:
-                    c_ba = truth.dcm[i]
-                state = step(state, frame, c_ba, gains, dt)
-                dcm[i], position[i], estimates[i] = state.dcm, state.position, state.landmarks
-                times[i] = state.time
+        meas = measure(truth.row(slice(0, n)), noise, rng_noise)
+        for i in range(n):
+            frame = meas.row(i)
+            if reconstructed_mode:
+                c_ba, oks[i] = resolve_attitude(state, frame, fallback=c_ba)
+            else:
+                c_ba = truth.dcm[i]
+            state = step(state, frame, c_ba, gains, dt)
+            dcm[i], position[i], estimates[i] = state.dcm, state.position, state.landmarks
+            times[i] = state.time
         block = ObserverState(dcm[:n], position[:n], estimates[:n], times)
         blocks.append(evaluate(block, truth.row(slice(1, None)), oks).columns())
 
     first = evaluate(initial, truth0).columns()
     records = ErrorRecord(*(np.concatenate([[c], *cs]) for c, *cs in zip(first, *blocks)))
+    ok = np.isfinite(records.lyapunov) & np.isfinite(records.position_error)
+    ok &= np.isfinite(records.map_error).all(1) & np.isfinite(records.relative_map_error).all(1)
+    if not ok.all():
+        raise NonFiniteState(f"non-finite error metric at t={float(records.time[np.argmin(ok)])}")
     degenerate = np.count_nonzero(~records.attitude_source_ok)
     summary = RunSummary(records.row(0), records.row(-1), n_steps, degenerate)
     provenance = {

@@ -318,30 +318,54 @@ def test_reconstructed_first_step_names_the_estimate(tmp_path, capsys, edits, re
     ) in capsys.readouterr().err
 
 
-# Documents that validate but whose initial estimate sums past float range:
-# the position (truth plus offset) or the first landmark's estimate.
-INITIAL_OVERFLOWS = {
-    "position": [
-        ("initial_position: [2.0, 0.0, 0.5]", "initial_position: [1.0e+308, 0.0, 0.5]"),
-        ("position_offset: [0.8, -0.5, 0.4]", "position_offset: [1.0e+308, 0.0, 0.0]"),
-    ],
-    "map": [
-        ("- [0.0, 0.0, 0.0]", "- [1.7e+308, 1.7e+308, 1.7e+308]"),
-        ("landmark_offset_scale: 1.0", "landmark_offset_scale: 8.0e+307"),
-    ],
+INITIAL_NOT_FINITE = "initial_estimate: initial position or map is not finite"
+
+# Documents that validate but overflow numpy outside the step, and the error
+# each ends in: an initial estimate that sums past float range (the position,
+# truth plus offset, or the first landmark's estimate), a helix whose truth
+# overflows mid-run, and a landmark so far out that V overflows at t = 0.
+OUTSIDE_STEP_OVERFLOWS = {
+    "position": (
+        [
+            ("initial_position: [2.0, 0.0, 0.5]", "initial_position: [1.0e+308, 0.0, 0.5]"),
+            ("position_offset: [0.8, -0.5, 0.4]", "position_offset: [1.0e+308, 0.0, 0.0]"),
+        ],
+        INITIAL_NOT_FINITE,
+    ),
+    "map": (
+        [
+            ("- [0.0, 0.0, 0.0]", "- [1.7e+308, 1.7e+308, 1.7e+308]"),
+            ("landmark_offset_scale: 1.0", "landmark_offset_scale: 8.0e+307"),
+        ],
+        INITIAL_NOT_FINITE,
+    ),
+    "helix_truth": (
+        [
+            ("family: circle", "family: helix\n  vertical_rate: 1.0e+308"),
+            ("duration: 1.0", "duration: 2.0"),
+        ],
+        "non-finite ground-truth position at t=1.8",
+    ),
+    "far_landmark": (
+        [("- [-3.156, -3.241, 3.121]", "- [1.0e+200, 2.0, 3.0]")],
+        "non-finite error metric at t=0.0",
+    ),
 }
 
 
 @pytest.mark.parametrize("action", ["default", "error"])
-@pytest.mark.parametrize("edits", INITIAL_OVERFLOWS.values(), ids=list(INITIAL_OVERFLOWS))
-def test_overflowing_initial_estimate_exits_2(short_scenario, tmp_path, capsys, edits, action):
+@pytest.mark.parametrize(
+    "edits, message", OUTSIDE_STEP_OVERFLOWS.values(), ids=list(OUTSIDE_STEP_OVERFLOWS)
+)
+def test_overflowing_initial_estimate_exits_2(short_scenario, tmp_path, capsys, edits, message, action):
+    # whether or not a RuntimeWarning is an error, the run's own check names the blow-up
     _edit(short_scenario, edits)
     assert main(["validate", str(short_scenario)]) == 0
     with warnings.catch_warnings():
         warnings.simplefilter(action, RuntimeWarning)
         code = main(["run", str(short_scenario), "--out", str(tmp_path / "out")])
     assert code == 2
-    assert "error: initial_estimate: initial position or map is not finite" in capsys.readouterr().err
+    assert f"error: {message}" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(
@@ -382,6 +406,14 @@ def fuzz_dir(tmp_path_factory):
     (root / "reconstructed.yaml").write_text(
         TINY.replace("name: tiny", "name: recon") + "attitude_mode: reconstructed\n"
     )
+    (root / "huge_box.yaml").write_text(
+        TINY.replace("name: tiny", "name: huge_box").replace("max: [1, 1, 1]", "max: [1.0e+200, 1, 1]")
+    )
+    (root / "huge_helix.yaml").write_text(
+        TINY.replace("name: tiny", "name: huge_helix")
+        .replace("duration: 0.1", "duration: 2.0")
+        .replace("family: circle, radius: 1.0, angular_rate: 0.5", "family: helix, vertical_rate: 1.0e+308")
+    )
     (root / "bad.yaml").write_text(TINY.replace("schema_version: 1", "schema_version: 2"))
     (root / "garbage.yaml").write_text("{[: not yaml")
     (root / "a_file").write_text("")
@@ -396,7 +428,10 @@ FREE_TEXT = st.text(
 )
 COMMANDS = st.sampled_from(["run", "sweep", "validate", "bogus"])
 FILES = st.sampled_from(
-    ["tiny.yaml", "reconstructed.yaml", "bad.yaml", "garbage.yaml", "missing.yaml", "a_dir"]
+    [
+        "tiny.yaml", "reconstructed.yaml", "huge_box.yaml", "huge_helix.yaml", "bad.yaml",
+        "garbage.yaml", "missing.yaml", "a_dir",
+    ]
 )
 OPTIONS = st.sampled_from(["--out", "--seed", "--decimate", "--param", "--values", "--help"])
 VALUES = st.sampled_from(

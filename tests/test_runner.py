@@ -364,7 +364,6 @@ def test_run_falls_back_to_the_last_good_attitude(monkeypatch):
     assert result.summary.degenerate_frames == len(failing_calls)
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_truth_overflow_mid_run_names_first_bad_time(noisefree):
     # Ungained, the estimate dead-reckons along the truth and stays finite up to
     # t = 179.5; the truth's c * t overflows first at t = 180, in a later block.
@@ -380,4 +379,14 @@ def test_truth_overflow_mid_run_names_first_bad_time(noisefree):
     _, block = _records_and_block(scenario)
     assert 360 > 3 * block
     with pytest.raises(NonFiniteState, match=r"position at t=180\.0$"):
+        run(scenario)
+
+
+def test_score_overflow_names_first_bad_time(short):
+    # A landmark 1e200 m out keeps the state finite, but its squared map error
+    # overflows V at t = 0; the run's check of its record reports it.
+    first, _, *rest = short.landmarks.positions
+    positions = (first, (1.0e200, 2.0, 3.0), *rest)
+    scenario = dataclasses.replace(short, landmarks=LandmarkLayout(positions=positions))
+    with pytest.raises(NonFiniteState, match=r"non-finite error metric at t=0\.0$"):
         run(scenario)
