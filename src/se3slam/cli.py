@@ -7,7 +7,7 @@ import re
 import sys
 from pathlib import Path
 
-from .errors import Se3SlamError
+from .errors import ConfigInvalid, Se3SlamError
 from .runner import run, summary_lines, sweep, write_csv, write_summary
 from .scenario import load_scenario, set_parameter
 
@@ -74,57 +74,52 @@ def _value_text(value: float) -> str:
     return f"{value:.17g}"
 
 
+def _check_outputs(labels, stems) -> None:
+    """Reject two runs, named by their labels, whose outputs share a file stem."""
+    seen = {}
+    for label, stem in zip(labels, stems):
+        if stem in seen:
+            raise ConfigInvalid(
+                f"{seen[stem]} and {label} would both write {stem}.csv and {stem}_summary.txt"
+            )
+        seen[stem] = label
+
+
+def _write(result, stem: str, args) -> None:
+    """Write a run's CSV and summary under ``args.out`` and report them on stdout."""
+    args.out.mkdir(parents=True, exist_ok=True)
+    csv_path = args.out / f"{stem}.csv"
+    write_csv(result.records, csv_path, args.decimate)
+    write_summary(result, args.out / f"{stem}_summary.txt")
+    for line in summary_lines(result):
+        print(line)
+    print(f"wrote {csv_path}")
+
+
 def _cmd_run(args) -> int:
     # Load every file first, so a bad file or a name clash stops before any run.
     loaded = [load_scenario(path) for path in args.scenarios]
-    seen = {}
-    for path, (scenario, _) in zip(args.scenarios, loaded):
-        if scenario.name in seen:
-            print(
-                f"error: {seen[scenario.name]} and {path} share the name {scenario.name!r}, "
-                "so their outputs would overwrite each other",
-                file=sys.stderr,
-            )
-            return 2
-        seen[scenario.name] = path
+    _check_outputs(args.scenarios, [scenario.name for scenario, _ in loaded])
     for scenario, digest in loaded:
         if args.seed is not None:
             scenario = set_parameter(scenario, "seed", args.seed)
-        result = run(scenario, scenario_hash=digest)
-        args.out.mkdir(parents=True, exist_ok=True)
-        csv_path = args.out / f"{scenario.name}.csv"
-        write_csv(result.records, csv_path, args.decimate)
-        write_summary(result, args.out / f"{scenario.name}_summary.txt")
-        for line in summary_lines(result):
-            print(line)
-        print(f"wrote {csv_path}")
+        _write(run(scenario, scenario_hash=digest), scenario.name, args)
     return 0
 
 
 def _cmd_sweep(args) -> int:
-    scenario, _ = load_scenario(args.scenario)
+    scenario, digest = load_scenario(args.scenario)
+    tokens = [v.strip() for v in args.values.split(",") if v.strip()]
     try:
-        values = [float(v) for v in args.values.split(",") if v.strip()]
+        values = [float(v) for v in tokens]
     except ValueError:
-        print("error: --values must be comma-separated numbers", file=sys.stderr)
-        return 2
+        raise ConfigInvalid("--values must be comma-separated numbers") from None
     if not values:
-        print("error: --values is empty", file=sys.stderr)
-        return 2
-    texts = [_value_text(v) for v in values]
-    if len(set(texts)) < len(texts):
-        print("error: --values repeats a value; its outputs would collide", file=sys.stderr)
-        return 2
-    results = sweep(scenario, args.param, values)
-    args.out.mkdir(parents=True, exist_ok=True)
-    for text, result in zip(texts, results):
-        stem = f"{scenario.name}__{_slug(args.param)}_{text}"
-        write_csv(result.records, args.out / f"{stem}.csv", args.decimate)
-        write_summary(result, args.out / f"{stem}_summary.txt")
-        print(
-            f"{args.param}={text}: final_V={result.summary.final.lyapunov:.6g} "
-            f"final_att_err={result.summary.final.attitude_error_angle:.6g}"
-        )
+        raise ConfigInvalid("--values is empty")
+    stems = [f"{scenario.name}__{_slug(args.param)}_{_value_text(v)}" for v in values]
+    _check_outputs([f"{args.param}={v}" for v in tokens], stems)
+    for stem, result in zip(stems, sweep(scenario, args.param, values, digest)):
+        _write(result, stem, args)
     return 0
 
 

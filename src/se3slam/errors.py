@@ -30,7 +30,7 @@ class NonFiniteState(Se3SlamError):
 
 
 class ConfigInvalid(Se3SlamError):
-    """Scenario file failed validation; message carries the field path."""
+    """Scenario file or command arguments failed validation; message names the field."""
 
 
 class UnknownParameter(Se3SlamError):

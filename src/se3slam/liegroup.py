@@ -91,13 +91,11 @@ def _so3_terms_stacked(axis_angle):
         if not finite.all():
             bad = v.reshape(-1, 3)[~finite.reshape(-1)][0]
             raise NonFiniteState(f"rotation vector has no finite norm: {bad.tolist()}")
+        # Both forms at every angle, each fed a harmless stand-in where the other is kept.
         small = theta < SMALL_ANGLE
-        if small.any():
-            series = _small_angle_coefficients(np.where(small, theta, 0.0), _NUMPY)
-            trig = _trig_coefficients(np.where(small, 1.0, theta), _NUMPY)
-            coefficients = (np.where(small, s, t) for s, t in zip(series, trig))
-        else:
-            coefficients = _trig_coefficients(theta, _NUMPY)
+        series = _small_angle_coefficients(np.where(small, theta, 0.0), _NUMPY)
+        trig = _trig_coefficients(np.where(small, 1.0, theta), _NUMPY)
+        coefficients = (np.where(small, s, t) for s, t in zip(series, trig))
     a, b, c = (x[..., None, None] for x in coefficients)
     k = _hat_stacked(v)
     return a, b, c, k, k @ k

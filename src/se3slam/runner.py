@@ -162,12 +162,15 @@ def run(scenario: Scenario, scenario_hash: str | None = None) -> RunResult:
     return RunResult(records, summary, provenance)
 
 
-def sweep(base: Scenario, param_path: str, values) -> list[RunResult]:
-    """One deterministic run per value, index-aligned with the input list.
+def sweep(
+    base: Scenario, param_path: str, values, scenario_hash: str | None = None
+) -> list[RunResult]:
+    """One deterministic run per value, index-aligned with the input list, each
+    carrying ``scenario_hash`` (the base scenario file's sha256) as ``run`` does.
 
     Every value's scenario is built, and so checked, before the first run."""
     scenarios = [set_parameter(base, param_path, v) for v in values]
-    return [run(scenario) for scenario in scenarios]
+    return [run(scenario, scenario_hash) for scenario in scenarios]
 
 
 # 17 significant digits round-trip every float64 exactly.

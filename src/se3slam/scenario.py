@@ -143,6 +143,11 @@ class Scenario:
             raise ConfigInvalid(
                 f"duration/dt: {steps:.6g} steps exceed the limit of {MAX_STEPS}"
             )
+        if abs(steps - round(steps)) > 1e-9 * steps:  # after the limit: round(inf) raises
+            raise ConfigInvalid(
+                f"duration/dt: duration {self.duration:g} is {steps:.6g} steps of dt "
+                f"{self.dt:g}, not a whole number"
+            )
         if self.landmarks.num_landmarks > MAX_LANDMARKS:
             key = "count" if self.landmarks.positions is None else "positions"
             raise ConfigInvalid(

@@ -56,7 +56,8 @@ class TrajectorySpec:
     ``angular_rate`` (helix additionally climbs at ``vertical_rate``) while
     yawing at the same rate. ``tumble`` follows the same translational path with
     a sinusoidal axis-angle attitude of amplitudes ``tumble_amplitude``.
-    ``static`` holds the initial pose.
+    ``static`` holds the initial pose: ``truth_at`` runs it as a circle with
+    ``radius``, ``angular_rate`` and ``vertical_rate`` set to 0.
     """
 
     family: str
@@ -140,18 +141,6 @@ class MeasurementFrame:
         return MeasurementFrame(self.omega[i], self.velocity[i], self.landmark_obs[i])
 
 
-def _translation(spec: TrajectorySpec, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Datum-frame position offsets from the initial position, and their rates,
-    at the times t (n,): two (n, 3) arrays."""
-    w, r, c = spec.angular_rate, spec.radius, spec.vertical_rate
-    th = w * t
-    sin, cos = np.sin(th), np.cos(th)
-    offset, rate = np.empty((2, len(t), 3))
-    offset[:, 0], offset[:, 1], offset[:, 2] = r * (cos - 1.0), r * sin, c * t
-    rate[:, 0], rate[:, 1], rate[:, 2] = -r * w * sin, r * w * cos, c
-    return offset, rate
-
-
 def truth_at(spec: TrajectorySpec, t, landmarks=None) -> GroundTruth:
     """Closed-form ground truth at time t >= 0, or at each time of a 1-D array t.
 
@@ -177,32 +166,33 @@ def truth_at(spec: TrajectorySpec, t, landmarks=None) -> GroundTruth:
         landmarks = np.zeros((0, 3))
     landmarks = np.atleast_2d(np.asarray(landmarks, dtype=float))
     c0, r0 = exp_so3(spec.initial_rotation), np.array(spec.initial_position, dtype=float)
-    n = len(ts)
+    w, r, c = spec.angular_rate, spec.radius, spec.vertical_rate
+    if spec.family == "static":  # the circle with radius and rates 0, whatever the spec holds
+        w = r = c = 0.0
 
-    if spec.family == "static":
-        dcm = np.broadcast_to(c0, (n, 3, 3))
-        position = np.broadcast_to(r0, (n, 3))
-        omega = np.zeros((n, 3))
-        v_body = np.zeros((n, 3))
-    else:
-        offset, rdot = _translation(spec, ts)
-        position = r0 + offset
-        if not np.isfinite(position).all():
-            first = np.argmin(np.isfinite(position).all(axis=-1))
-            raise NonFiniteState(f"non-finite ground-truth position at t={float(ts[first])}")
-        if spec.family in ("circle", "helix"):
-            omega = np.zeros((n, 3))
-            omega[:, 2] = spec.angular_rate
-            rot = exp_so3(omega * ts[:, None])  # C_ba(t).T = C0.T @ rot
-        else:  # tumble
-            amp = np.asarray(spec.tumble_amplitude, dtype=float)
-            nu = spec.angular_rate * np.asarray(TUMBLE_FREQ_RATIOS)
-            a = amp * np.sin(nu * ts[:, None])
-            adot = amp * nu * np.cos(nu * ts[:, None])
-            rot, jacobian = exp_so3_with_right_jacobian(a)
-            omega = (jacobian @ adot[:, :, None])[:, :, 0]
-        dcm = np.swapaxes(rot, -1, -2) @ c0
-        v_body = (dcm @ rdot[:, :, None])[:, :, 0]
+    # Position offsets from r0 on a circle of radius r at rate w, climbing at rate c.
+    th = w * ts
+    sin, cos = np.sin(th), np.cos(th)
+    offset, rdot = np.empty((2, len(ts), 3))
+    offset[:, 0], offset[:, 1], offset[:, 2] = r * (cos - 1.0), r * sin, c * ts
+    rdot[:, 0], rdot[:, 1], rdot[:, 2] = -r * w * sin, r * w * cos, c
+    position = r0 + offset
+    if not np.isfinite(position).all():
+        first = np.argmin(np.isfinite(position).all(axis=-1))
+        raise NonFiniteState(f"non-finite ground-truth position at t={float(ts[first])}")
+    if spec.family == "tumble":
+        amp = np.asarray(spec.tumble_amplitude, dtype=float)
+        nu = w * np.asarray(TUMBLE_FREQ_RATIOS)
+        a = amp * np.sin(nu * ts[:, None])
+        adot = amp * nu * np.cos(nu * ts[:, None])
+        rot, jacobian = exp_so3_with_right_jacobian(a)
+        omega = (jacobian @ adot[:, :, None])[:, :, 0]
+    else:  # static, circle, helix
+        omega = np.zeros((len(ts), 3))
+        omega[:, 2] = w
+        rot = exp_so3(omega * ts[:, None])  # C_ba(t).T = C0.T @ rot
+    dcm = np.swapaxes(rot, -1, -2) @ c0
+    v_body = (dcm @ rdot[:, :, None])[:, :, 0]
 
     truth = GroundTruth(dcm, position, omega, v_body, landmarks)
     return truth.row(0) if times.ndim == 0 else truth

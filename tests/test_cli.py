@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import os
 import shutil
@@ -77,13 +78,16 @@ def test_run_several_files(short_scenario, tmp_path, capsys):
     assert capsys.readouterr().out.count("final_V:") == 2
 
 
+def _clash(first, second, stem):
+    return f"error: {first} and {second} would both write {stem}.csv and {stem}_summary.txt\n"
+
+
 def test_run_rejects_duplicate_names(short_scenario, tmp_path, capsys):
     copy = tmp_path / "copy.yaml"
     shutil.copy(short_scenario, copy)
     out = tmp_path / "out"
     assert main(["run", str(short_scenario), str(copy), "--out", str(out)]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") and "share the name 'fig3_noisefree'" in err
+    assert capsys.readouterr().err == _clash(short_scenario, copy, "fig3_noisefree")
     assert not out.exists()  # rejected before any run
 
 
@@ -103,15 +107,47 @@ def test_sweep_names_round_trip_values(short_scenario, tmp_path, capsys):
     assert main(argv + ["--out", str(out)]) == 0
     files = sorted(p.name for p in out.glob("*.csv"))
     assert files == ["fig3_noisefree__seed_1000001.csv", "fig3_noisefree__seed_1e+06.csv"]
-    stdout = capsys.readouterr().out
-    assert "seed=1e+06: " in stdout and "seed=1000001: " in stdout
+    stdout = capsys.readouterr().out.splitlines()
+    assert stdout.count("seed: 1000000") == stdout.count("seed: 1000001") == 1
+    assert f"wrote {out / 'fig3_noisefree__seed_1e+06.csv'}" in stdout
+    assert f"wrote {out / 'fig3_noisefree__seed_1000001.csv'}" in stdout
 
 
 def test_sweep_rejects_repeated_value(short_scenario, tmp_path, capsys):
     out = tmp_path / "sweep"
     argv = ["sweep", str(short_scenario), "--param", "gains.k1", "--values", "1,2,1.0"]
     assert main(argv + ["--out", str(out)]) == 2
-    assert "error: --values repeats a value" in capsys.readouterr().err
+    clash = _clash("gains.k1=1", "gains.k1=1.0", "fig3_noisefree__gains.k1_1")
+    assert capsys.readouterr().err == clash
+    assert not out.exists()  # rejected before any run
+
+
+def test_sweep_reports_and_hashes_as_run_does(short_scenario, tmp_path, capsys):
+    # the file's own seed, so the one sweep run is the plain run
+    assert main(["run", str(short_scenario), "--out", str(tmp_path / "run")]) == 0
+    ran = capsys.readouterr().out.splitlines()
+    out = tmp_path / "sweep"
+    assert main(["sweep", str(short_scenario), "--param", "seed", "--values", "42", "--out", str(out)]) == 0
+    swept = capsys.readouterr().out.splitlines()
+    assert swept[:-1] == ran[:-1]
+    assert swept[-1] == f"wrote {out / 'fig3_noisefree__seed_42.csv'}"
+    digest = hashlib.sha256(short_scenario.read_bytes()).hexdigest()
+    summary = (out / "fig3_noisefree__seed_42_summary.txt").read_text().splitlines()
+    assert summary == (tmp_path / "run" / "fig3_noisefree_summary.txt").read_text().splitlines()
+    assert f"scenario_sha256: {digest}" in summary
+
+
+@pytest.mark.parametrize(
+    "command, dt, extra",
+    [("run", "0.3", []), ("sweep", "0.05", ["--param", "dt", "--values", "0.05,0.3"])],
+    ids=["run", "sweep"],
+)
+def test_duration_must_be_whole_steps(short_scenario, tmp_path, capsys, command, dt, extra):
+    short_scenario.write_text(short_scenario.read_text().replace("dt: 0.05", f"dt: {dt}"))
+    out = tmp_path / "out"
+    assert main([command, str(short_scenario), *extra, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: duration/dt: duration 1 is 3.33333 steps of dt 0.3")
     assert not out.exists()  # rejected before any run
 
 

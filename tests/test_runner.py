@@ -136,6 +136,12 @@ def test_sweep_singleton_matches_run(short):
     assert csv_lines(swept[0].records) == csv_lines(direct.records)
 
 
+def test_sweep_carries_the_scenario_hash(short):
+    results = sweep(short, "gains.k1", [1.0, 2.0], scenario_hash="h")
+    assert [r.provenance["scenario_sha256"] for r in results] == ["h", "h"]
+    assert sweep(short, "gains.k1", [1.0])[0].provenance["scenario_sha256"] is None
+
+
 def test_sweep_checks_every_value_before_running(noisefree, monkeypatch):
     calls = []
     monkeypatch.setattr(runner, "run", calls.append)

@@ -135,6 +135,19 @@ def test_dt_must_not_exceed_duration(base_doc):
         parse_scenario(base_doc)
 
 
+@pytest.mark.parametrize("dt, steps", [(0.3, "3.33333"), (0.4, "2.5"), (0.7, "1.42857"), (0.25, None)])
+def test_duration_must_be_a_whole_number_of_steps(base_doc, dt, steps):
+    base_doc["duration"], base_doc["dt"] = 1.0, dt
+    if steps is None:
+        assert parse_scenario(base_doc).dt == dt
+        return
+    message = f"^duration/dt: duration 1 is {steps} steps of dt {dt:g}, not a whole number$"
+    with pytest.raises(ConfigInvalid, match=message):
+        parse_scenario(base_doc)
+    with pytest.raises(ConfigInvalid, match=message):
+        set_parameter(parse_scenario({**base_doc, "dt": 0.5}), "dt", dt)
+
+
 def test_nonpositive_duration(base_doc):
     base_doc["duration"] = 0.0
     with pytest.raises(ConfigInvalid, match="duration"):

@@ -42,6 +42,17 @@ def test_static_family():
     assert np.allclose(homogeneous(g.dcm, g.position), initial)
 
 
+def test_static_family_ignores_radius_and_rates():
+    # static runs the circle path with radius and rates 0, whatever the spec holds
+    spec = TrajectorySpec("static", radius=2.0, angular_rate=0.7, vertical_rate=0.3,
+                          initial_position=(1.0, -2.0, 3.0), initial_rotation=(0.1, 0.2, -0.3))
+    t = np.concatenate([[0.0], np.linspace(1e-9, 50.0, 257)])
+    c0 = exp_so3(spec.initial_rotation)
+    for g in (truth_at(spec, t, np.ones((2, 3))), truth_at(spec, 0.0)):
+        assert (g.dcm == c0).all() and (g.position == spec.initial_position).all()
+        assert (g.omega_body == 0.0).all() and (g.velocity_body == 0.0).all()
+
+
 def test_circle_periodicity():
     spec = ALL_SPECS[1]
     a = truth_at(spec, 0.0)
