@@ -30,8 +30,6 @@ class NonFiniteState(Se3SlamError):
 
 
 class ConfigInvalid(Se3SlamError):
-    """Scenario file or command arguments failed validation; message names the field."""
-
-
-class UnknownParameter(Se3SlamError):
-    """Sweep parameter path does not name a numeric scenario field."""
+    """A scenario file, a sweep parameter or value, or a command argument failed
+    validation; the message names the key (an unknown sweep path is an unknown
+    key), after the file's path for an error from a file."""

@@ -5,12 +5,14 @@ field of the same name on ``Scenario`` or a nested config dataclass, read as
 its annotated type; absent keys take the field's default, and unknown keys are
 errors, so typos cannot pass silently; no key is an exception to this rule.
 A float field also takes an integer, and an int field a float with an
-integral value, as ``set_parameter`` does with a sweep's float values.
-Each dataclass checks its own fields on construction, first that every float
-and vector field is finite (``require_finite``), so every ``Scenario`` is
-valid, and none holds an array, so scenarios compare and hash by value. A
-section's error reads ``<section>: <message>``, e.g. ``gains: k1 must be
-finite, got nan``, whether the value came from a file or from ``set_parameter``.
+integral value, since a sweep's values are floats: ``set_parameter`` writes
+the scenario back as a document, puts the value in and reads it as a file.
+Each dataclass checks its own fields on construction and raises ValueError,
+first that every float and vector field is finite (``require_finite``), so
+every ``Scenario`` is valid, and none holds an array, so scenarios compare
+and hash by value. A section's error reads ``<section>: <message>``, e.g.
+``gains: k1 must be finite, got nan``, from a file or from ``set_parameter``,
+and ``load_scenario`` puts the file's path in front.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from pathlib import Path
 import numpy as np
 import yaml
 
-from .errors import ConfigInvalid, UnknownParameter
+from .errors import ConfigInvalid
 from .observer import Gains
 from .simulator import NoiseSpec, TrajectorySpec, Vec3, require_finite
 
@@ -126,42 +128,33 @@ class Scenario:
     seed: int = 0
 
     def __post_init__(self):
-        try:
-            require_finite(self)
-        except ValueError as exc:
-            raise ConfigInvalid(str(exc)) from None
+        require_finite(self)
         if self.seed < 0:
-            raise ConfigInvalid(f"seed: expected a non-negative integer, got {self.seed}")
+            raise ValueError(f"seed: expected a non-negative integer, got {self.seed}")
         if self.duration <= 0.0:
-            raise ConfigInvalid("duration: must be > 0")
+            raise ValueError("duration: must be > 0")
         if self.dt <= 0.0:
-            raise ConfigInvalid("dt: must be > 0")
+            raise ValueError("dt: must be > 0")
         if self.dt > self.duration:
-            raise ConfigInvalid("dt: must be <= duration")
+            raise ValueError("dt: must be <= duration")
         steps = self.duration / self.dt
         if steps > MAX_STEPS:
-            raise ConfigInvalid(
-                f"duration/dt: {steps:.6g} steps exceed the limit of {MAX_STEPS}"
-            )
+            raise ValueError(f"duration/dt: {steps:.6g} steps exceed the limit of {MAX_STEPS}")
         if abs(steps - round(steps)) > 1e-9 * steps:  # after the limit: round(inf) raises
-            raise ConfigInvalid(
+            raise ValueError(
                 f"duration/dt: duration {self.duration:g} is {steps:.6g} steps of dt "
                 f"{self.dt:g}, not a whole number"
             )
         if self.landmarks.num_landmarks > MAX_LANDMARKS:
             key = "count" if self.landmarks.positions is None else "positions"
-            raise ConfigInvalid(
+            raise ValueError(
                 f"landmarks.{key}: {self.landmarks.num_landmarks} landmarks exceed "
                 f"the limit of {MAX_LANDMARKS}"
             )
         if self.attitude_mode not in (TRUE_ATTITUDE, RECONSTRUCTED):
-            raise ConfigInvalid(
-                f"attitude_mode: must be '{TRUE_ATTITUDE}' or '{RECONSTRUCTED}'"
-            )
+            raise ValueError(f"attitude_mode: must be '{TRUE_ATTITUDE}' or '{RECONSTRUCTED}'")
         if self.attitude_mode == RECONSTRUCTED and self.landmarks.num_landmarks < 2:
-            raise ConfigInvalid(
-                "landmarks: reconstructed attitude mode needs >= 2 landmarks"
-            )
+            raise ValueError("landmarks: reconstructed attitude mode needs >= 2 landmarks")
 
 
 @functools.cache
@@ -189,7 +182,7 @@ def _build(cls, data, path: str):
     try:
         return cls(**kwargs)
     except ValueError as exc:
-        raise ConfigInvalid(f"{path}: {exc}") from None
+        raise ConfigInvalid(f"{path}: {exc}" if path else str(exc)) from None
 
 
 def _read(kind, value, path: str):
@@ -205,7 +198,7 @@ def _read(kind, value, path: str):
     if kind is int:
         return _integer(value, path)
     if typing.get_origin(kind) is tuple:  # tuple[Vec3, ...]
-        if not isinstance(value, list):
+        if not isinstance(value, (list, tuple)):
             raise ConfigInvalid(f"{path}: expected a list")
         return tuple(_vec3(v, f"{path}[{i}]") for i, v in enumerate(value))
     accepted = (int, float) if kind is float else kind  # YAML writes 2.0 as 2 too
@@ -262,40 +255,32 @@ def parse_scenario(data: dict) -> Scenario:
 
 
 def load_scenario(path) -> tuple[Scenario, str]:
-    """Load a scenario file; returns (scenario, sha256 of the file bytes)."""
+    """Load a scenario file; returns (scenario, sha256 of the file bytes).
+    Every error names the file first: ``<path>: <message>``."""
     raw = Path(path).read_bytes()
     digest = hashlib.sha256(raw).hexdigest()
     try:
-        data = yaml.safe_load(raw)
+        return parse_scenario(yaml.safe_load(raw)), digest
     except yaml.YAMLError as exc:
         raise ConfigInvalid(f"{path}: not valid YAML: {exc}") from None
-    if not isinstance(data, dict):
-        raise ConfigInvalid(f"{path}: top level must be a mapping")
-    return parse_scenario(data), digest
+    except ConfigInvalid as exc:
+        raise ConfigInvalid(f"{path}: {exc}") from None
 
 
 def set_parameter(scenario: Scenario, path: str, value: float) -> Scenario:
-    """Return a copy of the scenario with the numeric field at ``path`` replaced.
-
-    Paths use dots, e.g. ``gains.k1``, ``dt``, ``noise.omega.scale``. The
-    constructors check the copy as they check a parsed scenario, and a
-    constructor's error is named by its section path, as the parser names it.
-    """
-    parts = path.split(".")
-
-    def rebuild(obj, remaining):
-        name = remaining[0]
-        if not dataclasses.is_dataclass(obj) or name not in _field_types(type(obj)):
-            raise UnknownParameter(f"no scenario field at path {path!r}")
-        current = getattr(obj, name)
-        if len(remaining) == 1:
-            if isinstance(current, bool) or not isinstance(current, (int, float)):
-                raise UnknownParameter(f"{path!r} is not a numeric field")
-            new = _integer(value, path) if isinstance(current, int) else float(value)
-            return dataclasses.replace(obj, **{name: new})
-        return dataclasses.replace(obj, **{name: rebuild(current, remaining[1:])})
-
-    try:
-        return rebuild(scenario, parts)
-    except ValueError as exc:  # a section's own constructor check, e.g. Gains
-        raise ConfigInvalid(f"{path.rpartition('.')[0]}: {exc}") from None
+    """The scenario with ``value`` at the dotted key ``path`` (``gains.k1``,
+    ``dt``, ``noise.omega.scale``): the scenario is written back as a document,
+    ``value`` goes in at ``path``, and ``_build`` reads it as it reads a file,
+    so a sweep value is checked and named as that key in a file."""
+    # sections as mappings and no None fields, as in a file
+    document = dataclasses.asdict(
+        scenario, dict_factory=lambda items: {k: v for k, v in items if v is not None}
+    )
+    *sections, key = path.split(".")
+    node = document
+    for section in sections:
+        node = node.setdefault(section, {})
+        if not isinstance(node, dict):
+            raise ConfigInvalid(f"{path}: no scenario section at this path")
+    node[key] = value
+    return _build(Scenario, document, "")

@@ -52,8 +52,8 @@ class TrajectorySpec:
 
     The body starts at ``initial_position`` (datum frame) with the datum-to-body
     attitude exp_so3(``initial_rotation``), an axis-angle vector.
-    ``circle``/``helix`` translate along a circle of ``radius`` at
-    ``angular_rate`` (helix additionally climbs at ``vertical_rate``) while
+    ``circle``/``helix`` run one path: a circle of ``radius`` at
+    ``angular_rate``, climbing at ``vertical_rate`` (a circle climbs too), while
     yawing at the same rate. ``tumble`` follows the same translational path with
     a sinusoidal axis-angle attitude of amplitudes ``tumble_amplitude``.
     ``static`` holds the initial pose: ``truth_at`` runs it as a circle with
@@ -199,8 +199,9 @@ def truth_at(spec: TrajectorySpec, t, landmarks=None) -> GroundTruth:
 
 
 def _draws(channel: ChannelNoise) -> bool:
-    """Whether the channel takes variates from the generator."""
-    return channel.family != "none" and not (channel.family == "gaussian" and channel.scale == 0.0)
+    """Whether the channel takes variates from the generator: a zero scale
+    draws none, whatever the family."""
+    return channel.family != "none" and channel.scale != 0.0
 
 
 def _law(channel: ChannelNoise):

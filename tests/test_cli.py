@@ -147,7 +147,9 @@ def test_duration_must_be_whole_steps(short_scenario, tmp_path, capsys, command,
     out = tmp_path / "out"
     assert main([command, str(short_scenario), *extra, "--out", str(out)]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("error: duration/dt: duration 1 is 3.33333 steps of dt 0.3")
+    # an error from the file names it; one from a sweep value does not
+    where = f"{short_scenario}: " if command == "run" else ""
+    assert err.startswith(f"error: {where}duration/dt: duration 1 is 3.33333 steps of dt 0.3")
     assert not out.exists()  # rejected before any run
 
 
@@ -156,7 +158,7 @@ def test_sweep_unknown_param(short_scenario, capsys, tmp_path):
         ["sweep", str(short_scenario), "--param", "gains.k9", "--values", "1.0", "--out", str(tmp_path)]
     )
     assert code == 2
-    assert "error:" in capsys.readouterr().err
+    assert capsys.readouterr().err == "error: unknown keys: gains.k9\n"
 
 
 def test_sweep_bad_values(short_scenario, capsys, tmp_path):
@@ -185,7 +187,7 @@ def test_run_rejects_non_finite_field(short_scenario, tmp_path, capsys, old, new
     assert old in text
     short_scenario.write_text(text.replace(old, new))
     assert main(["run", str(short_scenario), "--out", str(tmp_path)]) == 2
-    assert f"error: {message}" in capsys.readouterr().err
+    assert f"error: {short_scenario}: {message}" in capsys.readouterr().err
 
 
 def _box_layout(text):
@@ -216,7 +218,7 @@ def test_run_rejects_finite_value_whose_span_overflows(short_scenario, tmp_path,
     short_scenario.write_text(edit(text))
     assert main(["validate", str(short_scenario)]) == 2
     assert main(["run", str(short_scenario), "--out", str(tmp_path)]) == 2
-    assert f"error: {message}" in capsys.readouterr().err
+    assert f"error: {short_scenario}: {message}" in capsys.readouterr().err
 
 
 def test_sweep_rejects_non_finite_value(short_scenario, tmp_path, capsys):
@@ -241,7 +243,8 @@ def test_sweep_rejects_non_integral_int_value(short_scenario, tmp_path, capsys):
 def test_validate_rejects_too_many_steps(short_scenario, capsys):
     short_scenario.write_text(short_scenario.read_text().replace("duration: 1.0", "duration: 1.0e+12"))
     assert main(["validate", str(short_scenario)]) == 2
-    assert "error: duration/dt: 2e+13 steps exceed the limit of 1000000" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert f"error: {short_scenario}: duration/dt: 2e+13 steps exceed the limit of 1000000" in err
 
 
 def test_validate_rejects_too_many_landmarks(short_scenario, capsys):
@@ -252,7 +255,23 @@ def test_validate_rejects_too_many_landmarks(short_scenario, capsys):
     short_scenario.write_text(text[:start] + layout + text[end:])
     assert main(["validate", str(short_scenario)]) == 2
     err = capsys.readouterr().err
-    assert "error: landmarks.count: 1000000000 landmarks exceed the limit of 10000" in err
+    assert f"error: {short_scenario}: landmarks.count: 1000000000 landmarks exceed the limit of 10000" in err
+
+
+def test_run_names_the_bad_file(short_scenario, tmp_path, capsys):
+    bad = tmp_path / "bad.yaml"
+    bad.write_text(short_scenario.read_text().replace("k1: 2.0", "k1: .nan"))
+    out = tmp_path / "out"
+    assert main(["run", str(short_scenario), str(bad), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {bad}: gains: k1 must be finite, got nan\n"
+    assert not out.exists()  # rejected before any run
+
+
+def test_validate_names_a_file_that_is_not_a_mapping(tmp_path, capsys):
+    listed = tmp_path / "list.yaml"
+    listed.write_text("- schema_version: 1\n")
+    assert main(["validate", str(listed)]) == 2
+    assert capsys.readouterr().err == f"error: {listed}: document: expected a mapping\n"
 
 
 def test_huge_attitude_gain_ends_in_non_finite_state(short_scenario, tmp_path, capsys):

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import SCENARIO_DIR
-from se3slam.errors import ConfigInvalid, UnknownParameter
+from se3slam.errors import ConfigInvalid
 from se3slam.observer import Gains
 from se3slam.scenario import (
     MAX_LANDMARKS,
@@ -213,10 +213,14 @@ def test_set_parameter_nested_noise(base_doc):
 
 def test_set_parameter_unknown_path(base_doc):
     scenario = parse_scenario(base_doc)
-    with pytest.raises(UnknownParameter):
-        set_parameter(scenario, "gains.k9", 1.0)
-    with pytest.raises(UnknownParameter):
-        set_parameter(scenario, "name", 1.0)
+    for path, message in [
+        ("gains.k9", "unknown keys: gains.k9"),
+        ("name", "name: expected str, got float 1.0"),
+        ("dt.x", "dt.x: no scenario section at this path"),
+    ]:
+        with pytest.raises(ConfigInvalid) as info:
+            set_parameter(scenario, path, 1.0)
+        assert str(info.value) == message
 
 
 def test_set_parameter_revalidates(base_doc):
@@ -287,8 +291,7 @@ NON_FINITE_FIELDS = [
 @pytest.mark.parametrize("config, name, bad", NON_FINITE_FIELDS)
 def test_config_classes_reject_their_own_non_finite_fields(config, name, bad):
     value = _with_bad_entry(getattr(config, name), bad)
-    error = ConfigInvalid if isinstance(config, Scenario) else ValueError
-    with pytest.raises(error, match=f"^{name} must be finite, got "):
+    with pytest.raises(ValueError, match=f"^{name} must be finite, got "):
         dataclasses.replace(config, **{name: value})
 
 
@@ -321,12 +324,18 @@ COUNT_BOX_DOC = {
 )
 def test_file_and_sweep_give_the_same_outcome(doc):
     scenario = parse_scenario(doc)
+    assert set_parameter(scenario, "seed", scenario.seed) == scenario
     float_paths, int_paths = list(_paths(scenario, float)), list(_paths(scenario, int))
     assert {"trajectory.radius", "gains.k1", "dt", "noise.omega.scale"} <= set(float_paths)
     assert "seed" in int_paths
     assert ("landmarks.count" in int_paths) == (doc is COUNT_BOX_DOC)
     cases = [(p, v) for p in float_paths for v in (float("nan"), float("inf"), -1.0)]
     cases += [(p, v) for p in int_paths for v in (1.5, -1.0, -1)]
+    # paths a sweep cannot set: an unknown key, string fields, a section, and
+    # a count beside the positions of an explicit layout
+    cases += [(p, 1.0) for p in ("gains.k9", "name", "trajectory.family", "noise")]
+    if doc is not COUNT_BOX_DOC:
+        cases.append(("landmarks.count", 8))
     differ = []
     for path, value in cases:
         edited = copy.deepcopy(doc)

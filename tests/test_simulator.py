@@ -180,6 +180,21 @@ def test_bias_is_additive():
     assert np.allclose(frame.velocity, [0.1, -0.2, 0.3])
 
 
+@pytest.mark.parametrize("family", ["gaussian", "student_t", "uniform"])
+def test_zero_scale_channel_draws_nothing(family):
+    # a zero-scale channel leaves the generator, and so the other channels'
+    # noise, as a channel of family none does
+    g = truth_at(ALL_SPECS[3], np.linspace(0.0, 1.0, 5), np.ones((3, 3)))
+    landmark = ChannelNoise("gaussian", 0.05)
+    bias = (0.1, -0.2, 0.3)
+    rngs = np.random.default_rng(5), np.random.default_rng(5)
+    zero = measure(g, NoiseSpec(omega=ChannelNoise(family, 0.0, bias=bias), landmark=landmark), rngs[0])
+    none = measure(g, NoiseSpec(omega=ChannelNoise("none", bias=bias), landmark=landmark), rngs[1])
+    assert np.array_equal(zero.omega, none.omega)
+    assert np.array_equal(zero.landmark_obs, none.landmark_obs)
+    assert rngs[0].bit_generator.state == rngs[1].bit_generator.state
+
+
 def test_student_t_requires_dof():
     with pytest.raises(ValueError):
         ChannelNoise("student_t", scale=0.1, dof=2.0)
