@@ -125,8 +125,8 @@ def exp_so3_with_right_jacobian(axis_angle):
 
 
 def rotation_drift(m) -> float:
-    """|m @ m.T - I|_F (= |m.T @ m - I|_F) of a 3x3 float array, in floats."""
-    (a, b, c), (d, e, f), (g, h, i) = m.tolist()
+    """|m @ m.T - I|_F (= |m.T @ m - I|_F) of a 3x3 matrix given as nested rows, in floats."""
+    (a, b, c), (d, e, f), (g, h, i) = m
     ad, ag, dg = a * d + b * e + c * f, a * g + b * h + c * i, d * g + e * h + f * i
     aa, dd, gg = a * a + b * b + c * c - 1, d * d + e * e + f * f - 1, g * g + h * h + i * i - 1
     return math.sqrt(aa * aa + dd * dd + gg * gg + 2.0 * (ad * ad + ag * ag + dg * dg))
@@ -136,7 +136,8 @@ def is_rotation(m) -> bool:
     m = np.asarray(m, dtype=float)
     if m.shape != (3, 3) or not np.all(np.isfinite(m)):
         return False
-    return rotation_drift(m) <= ROTATION_TOL and abs(np.linalg.det(m) - 1.0) <= ROTATION_TOL
+    drift = rotation_drift(m.tolist())
+    return drift <= ROTATION_TOL and abs(np.linalg.det(m) - 1.0) <= ROTATION_TOL
 
 
 def reorthonormalize(m) -> np.ndarray:
@@ -197,15 +198,21 @@ class Pose:
 
 
 def exp_se3(omega, v) -> tuple[np.ndarray, np.ndarray]:
-    """Matrix exponential of the twist [[hat(omega), v], [0, 0]] as (dcm, position): with
-    K = hat(omega), exp(K) = I + a K + b K^2 and the left Jacobian I + b K + c K^2
-    applied to v (Sola et al., arXiv:1812.01537), in Python floats, equal to
+    """Matrix exponential of the twist [[hat(omega), v], [0, 0]] as (dcm, position):
+    ``exp_se3_floats`` of the six components, as arrays."""
+    dcm, position = exp_se3_floats(*map(float, omega), *map(float, v))
+    return np.array(dcm).reshape(3, 3), np.array(position)
+
+
+def exp_se3_floats(x, y, z, v0, v1, v2):
+    """Matrix exponential of the twist [[hat(omega), v], [0, 0]], omega = (x, y, z),
+    in Python floats: the dcm's nine entries row by row and the position's three.
+    With K = hat(omega), exp(K) = I + a K + b K^2 and the left Jacobian
+    I + b K + c K^2 applied to v (Sola et al., arXiv:1812.01537), equal to
     exp_so3 up to rounding. A non-finite v, or an omega without a finite norm
     or whose angle overflows the series, raises NonFiniteState."""
-    v0, v1, v2 = map(float, v)
     if not (math.isfinite(v0) and math.isfinite(v1) and math.isfinite(v2)):
         raise NonFiniteState("twist must be finite")
-    x, y, z = map(float, omega)
     theta = math.sqrt(x * x + y * y + z * z)
     if not math.isfinite(theta):
         raise NonFiniteState(f"rotation vector has no finite norm: {[x, y, z]}")
@@ -216,13 +223,12 @@ def exp_se3(omega, v) -> tuple[np.ndarray, np.ndarray]:
         raise NonFiniteState(f"rotation angle {theta:g} overflows the SO(3) series") from None
     bxy, bxz, byz = b * x * y, b * x * z, b * y * z
     ax, ay, az = a * x, a * y, a * z
-    dcm = np.array([  # exp(K).T, with K^2 = omega omega^T - theta^2 I
+    dcm = (  # exp(K).T, with K^2 = omega omega^T - theta^2 I
         1.0 - b * (y * y + z * z), bxy + az, bxz - ay,
         bxy - az, 1.0 - b * (x * x + z * z), byz + ax,
         bxz + ay, byz - ax, 1.0 - b * (x * x + y * y),
-    ]).reshape(3, 3)
+    )
     # K v = omega x v, so the Jacobian gives v + b (omega x v) + c omega x (omega x v).
     u0, u1, u2 = y * v2 - z * v1, z * v0 - x * v2, x * v1 - y * v0
     t0, t1, t2 = y * u2 - z * u1, z * u0 - x * u2, x * u1 - y * u0
-    position = np.array([v0 + b * u0 + c * t0, v1 + b * u1 + c * t1, v2 + b * u2 + c * t2])
-    return dcm, position
+    return dcm, (v0 + b * u0 + c * t0, v1 + b * u1 + c * t1, v2 + b * u2 + c * t2)

@@ -9,7 +9,7 @@ A run keeps its errors as one stacked ``ErrorRecord``, one row per instant.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -105,10 +105,14 @@ def run(scenario: Scenario, scenario_hash: str | None = None) -> RunResult:
     truth and the noise stream alone, never on the estimate, so a block of n
     steps from step ``start`` takes its truth at the n + 1 instants start ...
     start + n from one ``truth_at`` and the measurements of the first n from
-    one stacked ``measure``. The step loop holds only the attitude (the true
-    one, or the solve) and ``step``, and one ``evaluate`` scores the block's
-    new states against truth rows 1 ... n. The blocks' columns are
-    concatenated once, into the run's stacked record.
+    one stacked ``measure``. With the true attitude, one ``step`` call makes
+    the block's n steps. In reconstructed mode each attitude is solved from
+    the map the step before made, so a loop calls ``resolve_attitude`` and a
+    one-instant ``step`` per step. One ``evaluate`` scores the block's new
+    states against truth rows 1 ... n, at those rows' instants, so a record's
+    time is exactly k * dt; the state carried into the next block holds its
+    instant too. The blocks' columns are concatenated once, into the run's
+    stacked record.
 
     ``run`` owns numpy's error state: overflow and invalid never warn inside it,
     and every value it returns has passed a check. ``initial_conditions``,
@@ -122,28 +126,27 @@ def run(scenario: Scenario, scenario_hash: str | None = None) -> RunResult:
     state, c_ba = initial, None  # in reconstructed mode, c_ba is the last good attitude solve
 
     rows = block_records(len(landmarks))
-    dcm = np.empty((rows, 3, 3))
-    position = np.empty((rows, 3))
-    estimates = np.empty((rows,) + landmarks.shape)
     blocks = []
-
     for start in range(0, n_steps, rows):
         n = min(rows, n_steps - start)
-        truth = truth_at(spec, np.arange(start, start + n + 1) * dt, landmarks)
-        # New for each block: its record keeps them as its time and flag columns.
-        times, oks = np.empty(n), np.ones(n, dtype=bool)
+        times = np.arange(start, start + n + 1) * dt
+        truth = truth_at(spec, times, landmarks)
         meas = measure(truth.row(slice(0, n)), noise, rng_noise)
-        for i in range(n):
-            frame = meas.row(i)
-            if reconstructed_mode:
+        oks = np.ones(n, dtype=bool)  # new for each block: its record keeps it as its flag column
+        if reconstructed_mode:
+            block = ObserverState(
+                np.empty((n, 3, 3)), np.empty((n, 3)), np.empty((n,) + landmarks.shape), times[1:]
+            )
+            for i in range(n):
+                frame = meas.row(i)
                 c_ba, oks[i] = resolve_attitude(state, frame, fallback=c_ba)
-            else:
-                c_ba = truth.dcm[i]
-            state = step(state, frame, c_ba, gains, dt)
-            dcm[i], position[i], estimates[i] = state.dcm, state.position, state.landmarks
-            times[i] = state.time
-        block = ObserverState(dcm[:n], position[:n], estimates[:n], times)
+                state = step(state, frame, c_ba, gains, dt)
+                block.dcm[i], block.position[i] = state.dcm, state.position
+                block.landmarks[i] = state.landmarks
+        else:
+            block = replace(step(state, meas, truth.dcm[:n], gains, dt), time=times[1:])
         blocks.append(evaluate(block, truth.row(slice(1, None)), oks).columns())
+        state = block.row(-1)
 
     first = evaluate(initial, truth0).columns()
     records = ErrorRecord(*(np.concatenate([[c], *cs]) for c, *cs in zip(first, *blocks)))

@@ -3,22 +3,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_rotation
-from se3slam import metrics
-from se3slam.errors import DegenerateGeometry, EmptyMap, NonFiniteState, ZeroVector
-from se3slam.liegroup import compose_raw, exp_se3, exp_so3, hat, reorthonormalize, rotation_angle
-from se3slam.observer import (
-    DRIFT_TOL,
-    Gains,
-    ObserverState,
+from conftest import (
     attitude_error,
     corrected_angular_velocity,
     corrected_velocity,
     innovations,
     landmark_rates,
-    resolve_attitude,
-    step,
+    random_rotation,
+    reference_step,
 )
+from se3slam import metrics, observer
+from se3slam.errors import DegenerateGeometry, EmptyMap, NonFiniteState, ZeroVector
+from se3slam.liegroup import compose_raw, exp_se3, exp_so3, hat, reorthonormalize, rotation_angle
+from se3slam.observer import DRIFT_TOL, Gains, ObserverState, resolve_attitude, step
 from se3slam.simulator import (
     GroundTruth,
     MeasurementFrame,
@@ -174,6 +171,8 @@ def test_corrected_velocity_empty_map():
         corrected_velocity(
             meas, hat(np.zeros(3)), body(state)[1], innovations(*body(state), meas), Gains(1, 1, 1)
         )
+    with pytest.raises(EmptyMap):
+        step(state, meas, np.eye(3), Gains(1, 1, 1), 0.01)
 
 
 def test_landmark_rate_zero_at_truth():
@@ -316,15 +315,23 @@ def _dead_reckoning(state, meas, dt):
     return compose_raw(state.dcm, state.position, *exp_se3(meas.omega * dt, meas.velocity * dt))
 
 
-def test_step_projects_only_a_drifted_attitude(rng):
+def test_step_projects_only_a_drifted_attitude(rng, monkeypatch):
     state, meas = random_setup(rng)
     gains, dt = Gains(0.0, 0.0, 0.0), 0.01
+    projections = []
+
+    def counted(m):
+        projections.append(m)
+        return reorthonormalize(m)
+
+    monkeypatch.setattr(observer, "reorthonormalize", counted)
     # on the group: no projection, the Lie-Euler product itself
     dcm, position = _dead_reckoning(state, meas, dt)
     on_group = step(state, meas, np.eye(3), gains, dt)
     assert np.linalg.norm(dcm @ dcm.T - np.eye(3)) <= DRIFT_TOL
-    assert np.array_equal(on_group.dcm, dcm)
-    assert np.array_equal(on_group.position, position)
+    assert projections == []
+    assert np.allclose(on_group.dcm, dcm, rtol=0.0, atol=1e-15)
+    assert np.allclose(on_group.position, position, rtol=0.0, atol=1e-15)
     # 1e-8 off the group: the product is projected back
     drifted = ObserverState(
         state.dcm + 1e-8 * rng.normal(size=(3, 3)), state.position, state.landmarks
@@ -332,8 +339,9 @@ def test_step_projects_only_a_drifted_attitude(rng):
     dcm, position = _dead_reckoning(drifted, meas, dt)
     assert np.linalg.norm(dcm @ dcm.T - np.eye(3)) > 1e-9
     out = step(drifted, meas, np.eye(3), gains, dt)
-    assert np.array_equal(out.dcm, reorthonormalize(dcm))
-    assert np.array_equal(out.position, position)
+    assert len(projections) == 1
+    assert np.allclose(out.dcm, reorthonormalize(dcm), rtol=0.0, atol=1e-15)
+    assert np.allclose(out.position, position, rtol=0.0, atol=1e-15)
     assert np.linalg.norm(out.dcm.T @ out.dcm - np.eye(3)) < 1e-14
 
 
@@ -358,12 +366,12 @@ def test_step_non_finite_increment_message(rng, gains, omega, velocity):
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_step_non_finite_state_message(rng):
     # a finite increment (W acts on the small position), but W acting on the
-    # huge landmark overflows its update
+    # huge landmark overflows its update: dt k1 |P_hat| is 1e312
     state, meas = random_setup(rng)
     far = ObserverState(state.dcm, state.position, np.array([[1e300, 0.0, 0.0]]), 0.5)
     meas = MeasurementFrame(meas.omega, meas.velocity, meas.landmark_obs[:1])
     with pytest.raises(NonFiniteState, match=r"^non-finite state after step at t=0\.5$"):
-        step(far, meas, random_rotation(rng), Gains(1e10, 0.0, 0.0), 0.01)
+        step(far, meas, random_rotation(rng), Gains(1e14, 0.0, 0.0), 0.01)
 
 
 @settings(max_examples=80, deadline=None)
@@ -383,6 +391,81 @@ def test_step_output_stays_on_so3(seed, n_landmarks, gains, dt, off_group):
     )
     out = step(state, meas, random_rotation(rng), Gains(*gains), dt)
     assert np.linalg.norm(out.dcm.T @ out.dcm - np.eye(3)) <= 1e-12
+
+
+def random_block(rng, n, n_landmarks, off_group):
+    """A state whose attitude is off SO(3) by about ``off_group``, and n stacked
+    measurements and correction attitudes."""
+    dcm = random_rotation(rng) + off_group * rng.normal(size=(3, 3))
+    landmarks = 5.0 * rng.normal(size=(n_landmarks, 3))
+    state = ObserverState(dcm, 5.0 * rng.normal(size=3), landmarks, 0.25)
+    meas = MeasurementFrame(
+        3.0 * rng.normal(size=(n, 3)),
+        3.0 * rng.normal(size=(n, 3)),
+        5.0 * rng.normal(size=(n, n_landmarks, 3)),
+    )
+    return state, meas, np.array([random_rotation(rng) for _ in range(n)])
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.integers(1, 8),
+    st.integers(1, 40),
+    st.tuples(st.floats(0.0, 10.0), st.floats(0.0, 10.0), st.floats(0.0, 10.0)),
+    st.floats(1e-4, 0.05),
+    st.sampled_from([0.0, 1e-10, 1e-6]),
+)
+def test_block_step_equals_single_steps_bit_for_bit(seed, n_landmarks, n, gains, dt, off_group):
+    rng = np.random.default_rng(seed)
+    state, meas, c_ba = random_block(rng, n, n_landmarks, off_group)
+    block = step(state, meas, c_ba, Gains(*gains), dt)
+    for i in range(n):
+        state = step(state, meas.row(i), c_ba[i], Gains(*gains), dt)
+        assert np.array_equal(block.dcm[i], state.dcm)
+        assert np.array_equal(block.position[i], state.position)
+        assert np.array_equal(block.landmarks[i], state.landmarks)
+        assert block.time[i] == state.time
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.integers(1, 8),
+    st.tuples(st.floats(0.0, 10.0), st.floats(0.0, 10.0), st.floats(0.0, 10.0)),
+    st.floats(1e-4, 0.05),
+    st.sampled_from([0.0, 1e-10, 1e-6]),
+)
+def test_step_matches_the_equations(seed, n_landmarks, gains, dt, off_group):
+    # one step against the one-function-per-equation oracle
+    rng = np.random.default_rng(seed)
+    state, meas, c_ba = random_block(rng, 1, n_landmarks, off_group)
+    out = step(state, meas.row(0), c_ba[0], Gains(*gains), dt)
+    expected = reference_step(state, meas.row(0), c_ba[0], Gains(*gains), dt)
+    assert np.allclose(out.dcm, expected.dcm, rtol=0.0, atol=1e-12)
+    assert np.allclose(out.position, expected.position, rtol=0.0, atol=1e-12)
+    assert np.allclose(out.landmarks, expected.landmarks, rtol=0.0, atol=1e-12)
+    assert out.time == expected.time
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("n", [3, 5], ids=["last-step", "mid-block"])
+def test_block_step_raises_where_single_steps_do(rng, n):
+    # the map overflows at step 2 (W acting on the 1e300 m landmark); before it
+    # C_ba equals the unmoving estimate, so e = 0. A block call names the same
+    # step as single calls, whether step 2 ends the block or is followed by more
+    state, _, c_ba = random_block(rng, n, 1, 0.0)
+    state = ObserverState(state.dcm, state.position, np.array([[1e300, 0.0, 0.0]]), 0.5)
+    meas = MeasurementFrame(np.zeros((n, 3)), np.zeros((n, 3)), np.ones((n, 1, 3)))
+    c_ba[:2] = state.dcm
+    gains, dt = Gains(1e14, 0.0, 0.0), 0.01
+    current = state
+    with pytest.raises(NonFiniteState) as single:
+        for i in range(n):
+            current = step(current, meas.row(i), c_ba[i], gains, dt)
+    assert str(single.value) == "non-finite state after step at t=0.52"
+    with pytest.raises(NonFiniteState, match=r"^non-finite state after step at t=0\.52$"):
+        step(state, meas, c_ba, gains, dt)
 
 
 def test_resolve_attitude_reconstructed_and_fallback(rng):

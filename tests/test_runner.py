@@ -52,6 +52,13 @@ def test_records_time_ordered(short):
     assert np.all(np.diff(result.records.time) > 0)
 
 
+def test_record_time_is_the_scored_instant():
+    # each record's t is k * dt, the instant its truth is evaluated at, not a
+    # running sum of dt (which ends at 20.000000000000306 here)
+    scenario, _ = load_scenario(SCENARIO_DIR / "fig3_noisy.yaml")
+    assert np.array_equal(run(scenario).records.time, np.arange(4001) * 0.005)
+
+
 def test_run_deterministic(short):
     a = run(short)
     b = run(short)
@@ -193,7 +200,8 @@ def test_provenance_fields(short):
 
 def reference_records(scenario):
     """The run loop written plainly over the public API, two truth evaluations per
-    step, scored one instant at a time; the records are stacked for comparison."""
+    step, scored one instant at a time, the k-th new state at the instant
+    (k + 1) * dt of its truth; the records are stacked for comparison."""
     landmarks, _, state, rng_noise = initial_conditions(scenario)
     traj, dt = scenario.trajectory, scenario.dt
     records = [evaluate(state, truth_at(traj, 0.0, landmarks))]
@@ -207,7 +215,8 @@ def reference_records(scenario):
         else:
             c_ba, ok = truth.dcm, True
         state = step(state, meas, c_ba, scenario.gains, dt)
-        records.append(evaluate(state, truth_at(traj, (k + 1) * dt, landmarks), ok))
+        scored = dataclasses.replace(state, time=(k + 1) * dt)
+        records.append(evaluate(scored, truth_at(traj, (k + 1) * dt, landmarks), ok))
     return stack_records(records)
 
 
