@@ -13,12 +13,13 @@ angular velocity, velocity, and relative landmark measurements:
 
 where W = hat(u), u = omega_hat - omega_meas = -k1 * e, C_ea is the
 datum-to-body map of the *estimated* pose and C_ba the attitude used by the
-corrections (the true one, or the one ``resolve_attitude`` reconstructs from
-the landmarks). Discretization is Lie-Euler on SE(3) for the pose, which keeps
-C_ea on SO(3) to rounding, and explicit Euler for the landmarks, with every
-correction at the pre-step state. ``step`` projects C_ea back onto SO(3) only
-when |C C^T - I|_F exceeds DRIFT_TOL; no bundled scenario gets there, as the
-drift stays at 2e-14 to 4e-14 over their 4000 steps and at 3.5e-14 after 1e5.
+corrections: the true one, or in reconstructed mode one solved from the
+observations and the map. Discretization is Lie-Euler on SE(3) for the pose,
+which keeps C_ea on SO(3) to rounding, and explicit Euler for the landmarks,
+with every correction at the pre-step state. ``step`` projects C_ea back onto
+SO(3) only when |C C^T - I|_F exceeds DRIFT_TOL; no bundled scenario gets there,
+as the drift stays at 2e-14 to 4e-14 over their 4000 steps and at 3.5e-14 after
+1e5.
 
 ``step`` is a block kernel: it makes n consecutive steps in one call, one
 instant being the n = 1 case. The pose of each step runs in Python floats
@@ -33,10 +34,10 @@ b = C @ r_hat and M the (7, 6) matrix whose rows are
 
 the innovation and landmark-rate equations re-associated, so each landmark's
 innovation is formed before the sum that feeds v_hat (a sum of landmarks 1e306 m
-away overflows where their differences do not). ``runner.run`` makes a block of
-steps with one call when the attitude is the true one; in reconstructed mode
-each step needs the attitude solved from the map the step before made, so it
-calls ``resolve_attitude`` and a one-instant ``step`` per step.
+away overflows where their differences do not). In reconstructed mode step k
+solves its C_ba from O_k and the datum directions of row k's map, the map step
+k - 1 made, seen from the float position (``resolve_attitude``), so a block of
+either mode is one call.
 
 An ``ObserverState`` holds the pose as the plain arrays C_ea and r_hat, and the
 map, and checks none of them; ``step`` checks the states it returns.
@@ -92,37 +93,25 @@ class ObserverState:
         return ObserverState(self.dcm[i], self.position[i], self.landmarks[i], float(self.time[i]))
 
 
-def resolve_attitude(
-    state: ObserverState,
-    meas: MeasurementFrame,
-    fallback: np.ndarray | None = None,
-) -> tuple[np.ndarray, bool]:
-    """Datum-to-body attitude solved from the landmark observations and the
-    current estimates, plus a health flag.
-
-    A degenerate landmark geometry falls back to the caller-supplied previous
-    solution (flagged False); with no fallback an error of the same class
-    names the time and where the datum directions come from.
-    """
-    datum = state.landmarks - state.position
+def resolve_attitude(body, datum, time: float, fallback: np.ndarray | None):
+    """Datum-to-body attitude solved from the (l, 3) body-frame observations and
+    datum directions, and a health flag. A degenerate geometry falls back to the
+    last good solve ``fallback`` (flagged False); with none, an error of the same
+    class names the time and where the datum directions come from."""
     try:
-        return attitude_mod.solve_attitude(meas.landmark_obs, datum), True
+        return attitude_mod.solve_attitude(body, datum), True
     except DegenerateGeometry as exc:
         if fallback is not None:
             return fallback, False
         raise type(exc)(
-            f"attitude solve at t={state.time}: {exc}; the datum directions are the "
+            f"attitude solve at t={time}: {exc}; the datum directions are the "
             "estimated landmarks seen from the estimated position"
         ) from None
 
 
 def step(
-    state: ObserverState,
-    meas: MeasurementFrame,
-    c_ba: np.ndarray,
-    gains: Gains,
-    dt: float,
-) -> ObserverState:
+    state: ObserverState, meas: MeasurementFrame, c_ba, gains: Gains, dt: float, fallback=None
+):
     """Advance the one-instant ``state`` by n time steps of length dt, given the
     n stacked measurements ``meas`` and datum-to-body attitudes ``c_ba`` (n, 3, 3)
     used by the corrections; returns the n new states stacked, their times
@@ -130,13 +119,18 @@ def step(
     attitude make one step and return one state. A block call has the bits of
     n one-step calls.
 
+    With ``c_ba`` None (reconstructed mode), step k solves its attitude from O_k
+    and the map step k - 1 made (``resolve_attitude``), falling back to the last
+    good solve, ``fallback`` before the first; the call returns the new states,
+    the n solves' flags and the last good solve, the next call's ``fallback``.
+
     Each increment is checked finite before it is applied, and each new pose
     and map after; the attitude is projected onto SO(3) only when its drift
     exceeds DRIFT_TOL. Numpy's error state is the caller's: an overflow may
     warn before NonFiniteState."""
     if dt <= 0.0:
         raise ValueError("dt must be positive")
-    single = c_ba.ndim == 2
+    single = meas.landmark_obs.ndim == 2
     obs = meas.landmark_obs[None] if single else meas.landmark_obs
     n, num_landmarks = obs.shape[:2]
     if num_landmarks == 0:
@@ -153,7 +147,9 @@ def step(
     omegas = meas.omega.reshape(n, 3).tolist()
     velocities = meas.velocity.reshape(n, 3).tolist()
     anchors = obs[:, 0].tolist()
-    attitudes = c_ba.reshape(n, 9).tolist()
+    reconstructed = c_ba is None
+    attitudes = [None] * n if reconstructed else c_ba.reshape(n, 9).tolist()
+    oks = [True] * n
 
     k1, k2, k3 = gains.k1, gains.k2, gains.k3
     dk2 = dt * k2
@@ -163,6 +159,9 @@ def step(
     times, dcms, positions = [], [], []
     isfinite = math.isfinite
     for k in range(n):
+        if reconstructed:
+            fallback, oks[k] = resolve_attitude(obs[k], rows[k, :, 4:7] - (r0, r1, r2), t, fallback)
+            attitudes[k] = fallback.ravel().tolist()
         (m0, m1, m2), (q0, q1, q2, q3, q4, q5, q6, q7, q8) = omegas[k], attitudes[k]
         # e from the entries n_ij = C_ba[i] . C[j] of C_ba @ C.T; u = -k1 e; b = C r_hat.
         n01, n10 = q0 * c3 + q1 * c4 + q2 * c5, q3 * c0 + q4 * c1 + q5 * c2
@@ -242,7 +241,7 @@ def step(
     if not np.isfinite(landmarks).all():
         first = np.argmin(np.isfinite(landmarks).all(axis=(1, 2)))
         raise NonFiniteState(f"non-finite state after step at t={times[first]}")
-    if single:
-        return ObserverState(np.array(dcm), np.array(positions[0]), landmarks[0], t)
     times.append(t)
-    return ObserverState(np.array(dcms), np.array(positions), landmarks, np.array(times[1:]))
+    new = ObserverState(np.array(dcms), np.array(positions), landmarks, np.array(times[1:]))
+    new = new.row(0) if single else new
+    return (new, np.array(oks), fallback) if reconstructed else new

@@ -17,7 +17,8 @@ from . import __version__
 from .errors import NonFiniteState
 from .liegroup import exp_so3
 from .metrics import ErrorRecord, evaluate
-from .observer import ObserverState, resolve_attitude, step
+from .observer import ObserverState, step
+from .observer import resolve_attitude  # noqa: F401  wrapped here by bench/tracer.py
 from .scenario import RECONSTRUCTED, Scenario, set_parameter
 from .simulator import measure, place_landmarks, truth_at
 
@@ -105,10 +106,10 @@ def run(scenario: Scenario, scenario_hash: str | None = None) -> RunResult:
     truth and the noise stream alone, never on the estimate, so a block of n
     steps from step ``start`` takes its truth at the n + 1 instants start ...
     start + n from one ``truth_at`` and the measurements of the first n from
-    one stacked ``measure``. With the true attitude, one ``step`` call makes
-    the block's n steps. In reconstructed mode each attitude is solved from
-    the map the step before made, so a loop calls ``resolve_attitude`` and a
-    one-instant ``step`` per step. One ``evaluate`` scores the block's new
+    one stacked ``measure``. One ``step`` call makes the block's n steps, with
+    the true attitudes or, in reconstructed mode, solving each from the map the
+    step before made and carrying the last good solve from block to block as
+    the fallback of the next. One ``evaluate`` scores the block's new
     states against truth rows 1 ... n, at those rows' instants, so a record's
     time is exactly k * dt; the state carried into the next block holds its
     instant too. The blocks' columns are concatenated once, into the run's
@@ -122,8 +123,7 @@ def run(scenario: Scenario, scenario_hash: str | None = None) -> RunResult:
     landmarks, truth0, initial, rng_noise = initial_conditions(scenario)
     spec, noise, gains, dt = scenario.trajectory, scenario.noise, scenario.gains, scenario.dt
     n_steps = int(round(scenario.duration / dt))
-    reconstructed_mode = scenario.attitude_mode == RECONSTRUCTED
-    state, c_ba = initial, None  # in reconstructed mode, c_ba is the last good attitude solve
+    state, last_good = initial, None
 
     rows = block_records(len(landmarks))
     blocks = []
@@ -132,19 +132,11 @@ def run(scenario: Scenario, scenario_hash: str | None = None) -> RunResult:
         times = np.arange(start, start + n + 1) * dt
         truth = truth_at(spec, times, landmarks)
         meas = measure(truth.row(slice(0, n)), noise, rng_noise)
-        oks = np.ones(n, dtype=bool)  # new for each block: its record keeps it as its flag column
-        if reconstructed_mode:
-            block = ObserverState(
-                np.empty((n, 3, 3)), np.empty((n, 3)), np.empty((n,) + landmarks.shape), times[1:]
-            )
-            for i in range(n):
-                frame = meas.row(i)
-                c_ba, oks[i] = resolve_attitude(state, frame, fallback=c_ba)
-                state = step(state, frame, c_ba, gains, dt)
-                block.dcm[i], block.position[i] = state.dcm, state.position
-                block.landmarks[i] = state.landmarks
+        if scenario.attitude_mode == RECONSTRUCTED:
+            block, oks, last_good = step(state, meas, None, gains, dt, fallback=last_good)
         else:
-            block = replace(step(state, meas, truth.dcm[:n], gains, dt), time=times[1:])
+            block, oks = step(state, meas, truth.dcm[:n], gains, dt), np.ones(n, dtype=bool)
+        block = replace(block, time=times[1:])
         blocks.append(evaluate(block, truth.row(slice(1, None)), oks).columns())
         state = block.row(-1)
 

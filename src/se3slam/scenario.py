@@ -3,7 +3,8 @@
 Format: YAML with a mandatory ``schema_version: 1``. Every other key is the
 field of the same name on ``Scenario`` or a nested config dataclass, read as
 its annotated type; absent keys take the field's default, and unknown keys are
-errors, so typos cannot pass silently; no key is an exception to this rule.
+errors, so typos cannot pass silently; no key is an exception to this rule,
+and a mapping that repeats a key is an error too.
 A float field also takes an integer, and an int field a float with an
 integral value, since a sweep's values are floats: ``set_parameter`` writes
 the scenario back as a document, puts the value in and reads it as a file.
@@ -254,13 +255,27 @@ def parse_scenario(data: dict) -> Scenario:
     return _build(Scenario, data, "")
 
 
+class _UniqueKeyLoader(yaml.SafeLoader):
+    """``yaml.safe_load``'s loader, with a key repeated in a mapping an error."""
+
+    def construct_mapping(self, node, deep=False):
+        seen = set()
+        for key_node, _ in node.value:
+            if isinstance(key_node, yaml.ScalarNode) and key_node.tag != "tag:yaml.org,2002:merge":
+                key, line = self.construct_object(key_node), key_node.start_mark.line + 1
+                if key in seen:
+                    raise ConfigInvalid(f"line {line}: duplicate key {key!r}")
+                seen.add(key)
+        return super().construct_mapping(node, deep)
+
+
 def load_scenario(path) -> tuple[Scenario, str]:
     """Load a scenario file; returns (scenario, sha256 of the file bytes).
     Every error names the file first: ``<path>: <message>``."""
     raw = Path(path).read_bytes()
     digest = hashlib.sha256(raw).hexdigest()
     try:
-        return parse_scenario(yaml.safe_load(raw)), digest
+        return parse_scenario(yaml.load(raw, Loader=_UniqueKeyLoader)), digest
     except yaml.YAMLError as exc:
         raise ConfigInvalid(f"{path}: not valid YAML: {exc}") from None
     except ConfigInvalid as exc:

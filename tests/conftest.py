@@ -4,7 +4,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from se3slam.errors import EmptyMap, NonFiniteState
+from se3slam import attitude
+from se3slam.errors import DegenerateGeometry, EmptyMap, NonFiniteState
 from se3slam.liegroup import compose_raw, exp_se3, exp_so3, hat, reorthonormalize, rotation_drift, vee
 from se3slam.metrics import ErrorRecord
 from se3slam.observer import DRIFT_TOL, ObserverState
@@ -94,3 +95,18 @@ def reference_step(state, meas, c_ba, gains, dt):
     if not (np.isfinite(new_landmarks).all() and all(map(math.isfinite, position.tolist()))):
         raise NonFiniteState(f"non-finite state after step at t={state.time}")
     return ObserverState(dcm, position, new_landmarks, state.time + dt)
+
+
+def reference_resolve_attitude(state, meas, fallback=None):
+    """The attitude of reconstructed mode for one instant, solved from the
+    observations and the map of ``state`` seen from its position, plus a health
+    flag, with the fallback and message of ``se3slam.observer.step``."""
+    try:
+        return attitude.solve_attitude(meas.landmark_obs, state.landmarks - state.position), True
+    except DegenerateGeometry as exc:
+        if fallback is not None:
+            return fallback, False
+        raise type(exc)(
+            f"attitude solve at t={state.time}: {exc}; the datum directions are the "
+            "estimated landmarks seen from the estimated position"
+        ) from None

@@ -224,16 +224,17 @@ def test_criterion_7_lie_group_invariants():
     )
 
 
-def test_criterion_8_determinism(tmp_path):
+@pytest.mark.parametrize("name", ["fig3_noisy", "reconstructed"])
+def test_criterion_8_determinism(tmp_path, name):
     from se3slam.cli import main
 
     out_a, out_b = tmp_path / "a", tmp_path / "b"
-    path = str(SCENARIO_DIR / "fig3_noisy.yaml")
+    path = str(SCENARIO_DIR / f"{name}.yaml")
     assert main(["run", path, "--out", str(out_a)]) == 0
     assert main(["run", path, "--out", str(out_b)]) == 0
-    a = (out_a / "fig3_noisy.csv").read_bytes()
-    b = (out_b / "fig3_noisy.csv").read_bytes()
-    report("criterion 8: byte-identical CSV per (scenario, seed)", a == b,
+    a = (out_a / f"{name}.csv").read_bytes()
+    b = (out_b / f"{name}.csv").read_bytes()
+    report(f"criterion 8: byte-identical CSV per (scenario, seed), {name}", a == b,
            f"{len(a)} bytes")
 
 

@@ -35,6 +35,13 @@ def test_validate_bad_file(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_validate_rejects_a_duplicate_key(tmp_path, capsys):
+    path = tmp_path / "twice.yaml"
+    path.write_text((SCENARIO_DIR / "fig3_noisy.yaml").read_text() + "dt: 0.5\n")
+    assert main(["validate", str(path)]) == 2
+    assert f"error: {path}: line 41: duplicate key 'dt'" in capsys.readouterr().err
+
+
 def test_validate_missing_file(tmp_path, capsys):
     assert main(["validate", str(tmp_path / "nope.yaml")]) == 2
 

@@ -422,10 +422,7 @@ def test_block_step_equals_single_steps_bit_for_bit(seed, n_landmarks, n, gains,
     block = step(state, meas, c_ba, Gains(*gains), dt)
     for i in range(n):
         state = step(state, meas.row(i), c_ba[i], Gains(*gains), dt)
-        assert np.array_equal(block.dcm[i], state.dcm)
-        assert np.array_equal(block.position[i], state.position)
-        assert np.array_equal(block.landmarks[i], state.landmarks)
-        assert block.time[i] == state.time
+        assert_same_states(block, i, state)
 
 
 @settings(max_examples=100, deadline=None)
@@ -470,18 +467,13 @@ def test_block_step_raises_where_single_steps_do(rng, n):
 
 def test_resolve_attitude_reconstructed_and_fallback(rng):
     truth, state, meas = perfect_setup(t=0.4)
-    c, ok = resolve_attitude(state, meas)
+    c, ok = resolve_attitude(meas.landmark_obs, state.landmarks - state.position, state.time, None)
     assert ok
     assert rotation_angle(c @ truth.dcm.T) < 1e-9
     # collinear observations: falls back to the supplied attitude and flags it
-    bad = MeasurementFrame(
-        meas.omega, meas.velocity, np.tile(np.array([[1.0, 0, 0]]), (4, 1))
-    )
-    bad_state = ObserverState(
-        state.dcm, state.position, state.position + np.tile(np.array([[1.0, 0, 0]]), (4, 1)), 0.0
-    )
+    collinear = np.tile(np.array([[1.0, 0, 0]]), (4, 1))
     fb = np.eye(3)
-    c2, ok2 = resolve_attitude(bad_state, bad, fallback=fb)
+    c2, ok2 = resolve_attitude(collinear, collinear, 0.0, fb)
     assert not ok2
     assert c2 is fb
 
@@ -489,13 +481,12 @@ def test_resolve_attitude_reconstructed_and_fallback(rng):
 def test_resolve_attitude_zero_direction_takes_fallback():
     # a landmark estimate at the estimated body position has no datum direction
     _, state, meas = perfect_setup(t=0.4)
-    landmarks = state.landmarks.copy()
-    landmarks[2] = state.position
-    at_body = ObserverState(state.dcm, state.position, landmarks, state.time)
+    datum = state.landmarks - state.position
+    datum[2] = 0.0
     with pytest.raises(ZeroVector):
-        resolve_attitude(at_body, meas)
+        resolve_attitude(meas.landmark_obs, datum, state.time, None)
     fb = np.eye(3)
-    c, ok = resolve_attitude(at_body, meas, fallback=fb)
+    c, ok = resolve_attitude(meas.landmark_obs, datum, state.time, fb)
     assert not ok
     assert c is fb
 
@@ -504,12 +495,88 @@ def test_resolve_attitude_nan_direction_takes_fallback():
     # a NaN landmark estimate has no datum direction: the solve rejects it as
     # DegenerateGeometry, so a step with a fallback takes it
     _, state, meas = perfect_setup(t=0.4)
-    landmarks = state.landmarks.copy()
-    landmarks[1, 0] = np.nan
-    nan_state = ObserverState(state.dcm, state.position, landmarks, state.time)
+    datum = state.landmarks - state.position
+    datum[1, 0] = np.nan
     with pytest.raises(DegenerateGeometry, match="non-finite"):
-        resolve_attitude(nan_state, meas)
+        resolve_attitude(meas.landmark_obs, datum, state.time, None)
     fb = np.eye(3)
-    c, ok = resolve_attitude(nan_state, meas, fallback=fb)
+    c, ok = resolve_attitude(meas.landmark_obs, datum, state.time, fb)
     assert not ok
     assert c is fb
+
+
+def test_reconstructed_step_without_fallback_names_the_time(rng):
+    # a map collinear as seen from the position, and no earlier solve to fall back on
+    state, meas, _ = random_block(rng, 1, 4, 0.0)
+    collinear = state.position + np.outer(np.arange(1.0, 5.0), (1.0, 2.0, 3.0))
+    state = ObserverState(state.dcm, state.position, collinear, 0.25)
+    with pytest.raises(DegenerateGeometry) as raised:
+        step(state, meas.row(0), None, Gains(1.0, 1.0, 1.0), 0.01)
+    assert str(raised.value) == (
+        "attitude solve at t=0.25: fewer than 2 non-collinear datum directions; "
+        "the datum directions are the estimated landmarks seen from the estimated position"
+    )
+
+
+def assert_same_states(block, i, state):
+    assert np.array_equal(block.dcm[i], state.dcm)
+    assert np.array_equal(block.position[i], state.position)
+    assert np.array_equal(block.landmarks[i], state.landmarks)
+    assert block.time[i] == state.time
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.integers(3, 8),
+    st.integers(1, 40),
+    st.tuples(st.floats(0.0, 10.0), st.floats(0.0, 10.0), st.floats(0.0, 10.0)),
+    st.floats(1e-4, 0.05),
+    st.sets(st.integers(1, 39), max_size=5),
+    st.integers(1, 38),
+)
+def test_reconstructed_block_equals_single_steps_bit_for_bit(
+    seed, n_landmarks, n, gains, dt, failing, pair
+):
+    # a zero observation row makes a step's solve fail, never the first step's,
+    # and two steps in a row fail from ``pair`` on: those steps (and any whose
+    # drawn geometry degenerates) fall back to the last good solve, which each
+    # one-instant call carries into the next
+    rng = np.random.default_rng(seed)
+    state, meas, _ = random_block(rng, n, n_landmarks, 0.0)
+    failing = {k for k in failing | {pair, pair + 1} if k < n}
+    meas.landmark_obs[sorted(failing), 0] = 0.0
+    block, oks, last_good = step(state, meas, None, Gains(*gains), dt)
+    assert oks[0] and not oks[sorted(failing)].any()
+    fallback = None
+    for i in range(n):
+        state, ok, fallback = step(state, meas.row(i), None, Gains(*gains), dt, fallback)
+        assert_same_states(block, i, state)
+        assert ok.tolist() == [oks[i]]
+    assert np.array_equal(last_good, fallback)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("n", [4, 6], ids=["last-step", "mid-block"])
+def test_reconstructed_block_raises_where_single_steps_do(rng, n):
+    # every solve falls back (the 1e300 m landmark's direction has no finite
+    # norm) to the estimate's own attitude, so e = 0 and nothing moves until the
+    # measured rotation of step 2 turns the estimate; at step 3, W acts on the
+    # far landmark and the map overflows. A block call names step 3 as single
+    # calls do, whether step 3 ends the block or is followed by more
+    state, meas, _ = random_block(rng, n, 3, 0.0)
+    landmarks = state.landmarks.copy()
+    landmarks[0] = (1e300, 0.0, 0.0)
+    state = ObserverState(state.dcm, state.position, landmarks, 0.5)
+    omega = np.zeros((n, 3))
+    omega[2] = (0.1, 0.2, 0.3)
+    meas = MeasurementFrame(omega, np.zeros((n, 3)), meas.landmark_obs)
+    gains, dt = Gains(1e14, 0.0, 0.0), 0.01
+    current, fallback = state, state.dcm
+    with pytest.raises(NonFiniteState) as single:
+        for i in range(n):
+            current, ok, fallback = step(current, meas.row(i), None, gains, dt, fallback)
+            assert not ok[0]
+    assert str(single.value) == "non-finite state after step at t=0.53"
+    with pytest.raises(NonFiniteState, match=r"^non-finite state after step at t=0\.53$"):
+        step(state, meas, None, gains, dt, state.dcm)

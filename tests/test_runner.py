@@ -3,12 +3,12 @@ import dataclasses
 import numpy as np
 import pytest
 
-from conftest import SCENARIO_DIR, stack_records
+from conftest import SCENARIO_DIR, reference_resolve_attitude, stack_records
 from se3slam import attitude, runner
 from se3slam.errors import ConfigInvalid, DegenerateGeometry, NonFiniteState
 from se3slam.liegroup import Pose
 from se3slam.metrics import ErrorRecord, evaluate
-from se3slam.observer import Gains, resolve_attitude, step
+from se3slam.observer import Gains, step
 from se3slam.runner import csv_lines, initial_conditions, run, sweep, write_csv
 from se3slam.scenario import RECONSTRUCTED, Box, LandmarkLayout, load_scenario, set_parameter
 from se3slam.simulator import ChannelNoise, NoiseSpec, TrajectorySpec, measure, truth_at
@@ -200,8 +200,10 @@ def test_provenance_fields(short):
 
 def reference_records(scenario):
     """The run loop written plainly over the public API, two truth evaluations per
-    step, scored one instant at a time, the k-th new state at the instant
-    (k + 1) * dt of its truth; the records are stacked for comparison."""
+    step, in reconstructed mode conftest's attitude solve, then a one-instant
+    ``step`` with the given attitude, scored one instant at a time, the k-th new
+    state at the instant (k + 1) * dt of its truth; the records are stacked for
+    comparison."""
     landmarks, _, state, rng_noise = initial_conditions(scenario)
     traj, dt = scenario.trajectory, scenario.dt
     records = [evaluate(state, truth_at(traj, 0.0, landmarks))]
@@ -210,7 +212,7 @@ def reference_records(scenario):
         truth = truth_at(traj, k * dt, landmarks)
         meas = measure(truth, scenario.noise, rng_noise)
         if scenario.attitude_mode == RECONSTRUCTED:
-            c_ba, ok = resolve_attitude(state, meas, fallback=last_good)
+            c_ba, ok = reference_resolve_attitude(state, meas, fallback=last_good)
             last_good = c_ba if ok else last_good
         else:
             c_ba, ok = truth.dcm, True
@@ -352,31 +354,65 @@ def test_run_measures_once_per_block(monkeypatch, n_steps):
     assert measured == [block] * (n_steps // block) + [n_steps % block] * bool(n_steps % block)
 
 
+@pytest.mark.parametrize("name", ["fig3_noisy", "reconstructed"])
+def test_run_steps_once_per_block(monkeypatch, name):
+    # either attitude mode makes a block's steps in one step call; in
+    # reconstructed mode the solves happen inside it
+    scenario, _ = load_scenario(SCENARIO_DIR / f"{name}.yaml")
+    scenario = dataclasses.replace(scenario, duration=900 * scenario.dt)
+    _, block = _records_and_block(scenario)
+    stepped = []
+
+    def counted(state, meas, *args, **kwargs):
+        stepped.append(len(meas.omega))
+        return step(state, meas, *args, **kwargs)
+
+    monkeypatch.setattr(runner, "step", counted)
+    run(scenario)
+    assert stepped == [block] * (900 // block) + [900 % block]
+
+
+def _flaky_solve(failing_calls):
+    """attitude.solve_attitude, but its calls numbered in ``failing_calls`` raise."""
+    solve, calls = attitude.solve_attitude, []
+
+    def solve_or_fail(body, datum):
+        calls.append(None)
+        if len(calls) in failing_calls:
+            raise DegenerateGeometry("forced")
+        return solve(body, datum)
+
+    return solve_or_fail
+
+
+def _run_with_failing_solves(monkeypatch, scenario, failing_calls):
+    """run() and the reference loop's records, each with the same solves forced to fail."""
+    monkeypatch.setattr(attitude, "solve_attitude", _flaky_solve(failing_calls))
+    result = run(scenario)
+    monkeypatch.setattr(attitude, "solve_attitude", _flaky_solve(failing_calls))
+    return result, reference_records(scenario)
+
+
 def test_run_falls_back_to_the_last_good_attitude(monkeypatch):
     # forced failures of the attitude solve, two of them in a row, never the first
     scenario, _ = load_scenario(SCENARIO_DIR / "reconstructed.yaml")
     scenario = dataclasses.replace(scenario, duration=0.1)
     failing_calls = {3, 4, 11}
-    solve = attitude.solve_attitude
-
-    def flaky_solve():
-        calls = []
-
-        def solve_or_fail(body, datum):
-            calls.append(None)
-            if len(calls) in failing_calls:
-                raise DegenerateGeometry("forced")
-            return solve(body, datum)
-
-        return solve_or_fail
-
-    monkeypatch.setattr(attitude, "solve_attitude", flaky_solve())
-    result = run(scenario)
-    monkeypatch.setattr(attitude, "solve_attitude", flaky_solve())
-    expected = reference_records(scenario)
+    result, expected = _run_with_failing_solves(monkeypatch, scenario, failing_calls)
     assert csv_lines(result.records) == csv_lines(expected)
     assert np.count_nonzero(~expected.attitude_source_ok) == len(failing_calls)
     assert result.summary.degenerate_frames == len(failing_calls)
+
+
+def test_run_carries_the_last_good_attitude_into_the_next_block(monkeypatch):
+    # 8 landmarks: 256-step blocks, so solve 257 is the first of block 2; it
+    # fails and takes the last good solve of block 1, as the reference loop does
+    scenario, _ = load_scenario(SCENARIO_DIR / "reconstructed.yaml")
+    scenario = dataclasses.replace(scenario, duration=260 * scenario.dt)
+    assert _records_and_block(scenario)[1] == 256
+    result, expected = _run_with_failing_solves(monkeypatch, scenario, {255, 256, 257})
+    assert csv_lines(result.records) == csv_lines(expected)
+    assert np.flatnonzero(~result.records.attitude_source_ok).tolist() == [255, 256, 257]
 
 
 def test_truth_overflow_mid_run_names_first_bad_time(noisefree):

@@ -1,5 +1,7 @@
 import copy
 import dataclasses
+import importlib.util
+import sys
 
 import numpy as np
 import pytest
@@ -25,6 +27,7 @@ from se3slam.scenario import (
 from se3slam.liegroup import homogeneous
 from se3slam.simulator import ChannelNoise, NoiseSpec, TrajectorySpec, truth_at
 
+BENCH_WORKLOADS = SCENARIO_DIR.parent / "bench" / "workloads.py"
 BUNDLED = ["fig3_noisefree", "fig3_noisy", "reconstructed", "heavytail"]
 BUNDLED_DOCS = [yaml.safe_load((SCENARIO_DIR / f"{name}.yaml").read_text()) for name in BUNDLED]
 
@@ -54,6 +57,36 @@ def test_scenarios_compare_and_hash_by_value(name):
     assert first is not second
     assert first == second and hash(first) == hash(second)
     assert {first: name}[second] == name
+
+
+def test_dense_benchmark_document_loads(tmp_path, monkeypatch):
+    # the benchmark's generated scenario goes through the same file reader
+    spec = importlib.util.spec_from_file_location("workloads", BENCH_WORKLOADS)
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, module)  # its dataclasses look their module up
+    spec.loader.exec_module(module)
+    path = tmp_path / "dense.yaml"
+    path.write_text(module.DENSE_SCENARIO.format(seed=3))
+    scenario, _ = load_scenario(path)
+    assert (scenario.seed, scenario.landmarks.num_landmarks) == (3, 256)
+
+
+@pytest.mark.parametrize(
+    "edit, line, key",
+    [
+        (lambda text: text + "dt: 0.5\n", 41, "'dt'"),
+        (lambda text: text.replace("  k1: 2.0\n", "  k1: 1.0\n  k1: 2.0\n"), 11, "'k1'"),
+    ],
+    ids=["top-level", "nested"],
+)
+def test_duplicate_key_is_an_error(tmp_path, edit, line, key):
+    # YAML's safe_load would keep the last value; a repeated key is rejected
+    # with the file, its line and the key, in any mapping
+    path = tmp_path / "twice.yaml"
+    path.write_text(edit((SCENARIO_DIR / "fig3_noisy.yaml").read_text()))
+    with pytest.raises(ConfigInvalid) as raised:
+        load_scenario(path)
+    assert str(raised.value) == f"{path}: line {line}: duplicate key {key}"
 
 
 def test_set_parameter_seed_gives_a_different_scenario(base_doc):
