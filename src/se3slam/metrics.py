@@ -22,7 +22,7 @@ import numpy as np
 
 from .liegroup import homogeneous, rotation_angle, vector_norm
 from .observer import ObserverState
-from .simulator import GroundTruth
+from .simulator import GroundTruth, offsets, to_body
 
 
 @dataclass(frozen=True, eq=False)
@@ -69,20 +69,27 @@ def _pose_error_raw(est_dcm, est_position, true_dcm, true_position):
 
 def map_errors(state: ObserverState, truth: GroundTruth) -> np.ndarray:
     """(..., l, 3) array of C_ea @ phat_i - C_ba @ p_i."""
-    return state.landmarks @ _t(state.dcm) - truth.landmarks @ _t(truth.dcm)
+    return to_body(state.landmarks, state.dcm) - to_body(truth.landmarks, truth.dcm)
 
 
 def relative_map_errors(state: ObserverState, truth: GroundTruth) -> np.ndarray:
     """(..., l, 3) array of estimated-relative minus true-relative landmark positions."""
-    est = (state.landmarks - state.position[..., None, :]) @ _t(state.dcm)
-    tru = (truth.landmarks - truth.position[..., None, :]) @ _t(truth.dcm)
-    return est - tru
+    est = to_body(offsets(state.landmarks, state.position), state.dcm)
+    return est - to_body(offsets(truth.landmarks, truth.position), truth.dcm)
 
 
-def _energy(err_dcm: np.ndarray, err_position: np.ndarray, map_errs: np.ndarray):
-    """V = 0.5 * ||I4 - Xtilde||_F^2 + sum of squared map-error norms, over any leading axes."""
+def _norms(sq: np.ndarray) -> np.ndarray:
+    """Row norms from the squares sq (..., 3) of the rows: the bits of
+    np.linalg.norm(x, axis=-1), which is sqrt(add.reduce(x * x)) summed in
+    this order, without a reduction over a length-3 axis."""
+    return np.sqrt((sq[..., 0] + sq[..., 1]) + sq[..., 2])
+
+
+def _energy(err_dcm: np.ndarray, err_position: np.ndarray, map_sq: np.ndarray):
+    """V = 0.5 * ||I4 - Xtilde||_F^2 + sum of squared map-error norms, over any
+    leading axes, from the squared map-error entries ``map_sq``."""
     diff = np.eye(4) - homogeneous(err_dcm, err_position)
-    return 0.5 * (diff * diff).sum(axis=(-2, -1)) + (map_errs * map_errs).sum(axis=(-2, -1))
+    return 0.5 * (diff * diff).sum(axis=(-2, -1)) + map_sq.sum(axis=(-2, -1))
 
 
 def evaluate(state: ObserverState, truth: GroundTruth, attitude_source_ok=True):
@@ -93,16 +100,19 @@ def evaluate(state: ObserverState, truth: GroundTruth, attitude_source_ok=True):
     stacked truth at the same times and ``attitude_source_ok`` n flags; every
     field of the record then has the leading axis n, and each row has the bits
     of the single-instant call. ``time`` and ``attitude_source_ok`` are the
-    inputs themselves, not copies.
+    inputs themselves, not copies. The map errors are squared once, for the
+    energy and for their norms.
     """
     err_dcm, err_position = _pose_error_raw(state.dcm, state.position, truth.dcm, truth.position)
     m = map_errors(state, truth)
+    sq = m * m
+    rel = relative_map_errors(state, truth)
     return ErrorRecord(
         state.time,
-        _energy(err_dcm, err_position, m),
+        _energy(err_dcm, err_position, sq),
         rotation_angle(err_dcm),
         vector_norm(err_position),
-        np.linalg.norm(m, axis=-1),
-        np.linalg.norm(relative_map_errors(state, truth), axis=-1),
+        _norms(sq),
+        _norms(rel * rel),
         attitude_source_ok,
     )

@@ -1,11 +1,21 @@
 import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import random_rotation, stack_records
 from se3slam.liegroup import Pose, compose_raw, exp_so3, homogeneous
-from se3slam.metrics import ErrorRecord, _pose_error_raw, evaluate, map_errors, relative_map_errors
+from se3slam.metrics import (
+    ErrorRecord,
+    _norms,
+    _pose_error_raw,
+    evaluate,
+    map_errors,
+    relative_map_errors,
+)
 from se3slam.observer import ObserverState
 from se3slam.runner import csv_lines
-from se3slam.simulator import GroundTruth, MeasurementFrame
+from se3slam.simulator import GroundTruth, MeasurementFrame, offsets
 
 
 def random_pose(rng):
@@ -153,8 +163,9 @@ def test_evaluate_record_fields(rng):
     assert rec.position_error >= 0.0
 
 
-def test_stacked_evaluate_matches_per_record(rng):
-    n, l = 9, 4
+@pytest.mark.parametrize("l", [4, 256])
+def test_stacked_evaluate_matches_per_record(rng, l):
+    n = 9
     est = [random_pose(rng) for _ in range(n)]
     tru = [random_pose(rng) for _ in range(n)]
     guesses = rng.normal(size=(n, l, 3))
@@ -204,3 +215,35 @@ def test_error_record_equality_is_identity():
         assert one == one
         assert one != make()
         assert {one: "value"}[one] == "value"  # hashable, by identity
+
+
+# Entries from 1e-300 to 1e200 of either sign, often of one size, where the order
+# of a sum shows in its rounding, and the values that break arithmetic.
+ENTRIES = st.one_of(
+    st.floats(1e-300, 1e200),
+    st.floats(-1e200, -1e-300),
+    st.integers(2**52, 2**53 - 1).map(lambda m: m / 2**52),  # full mantissas in [1, 2)
+    st.sampled_from([np.inf, -np.inf, np.nan, -0.0]),
+)
+
+
+def same_bits(a, b):
+    """Equal shapes and values, NaN equal to NaN, -0.0 unequal to 0.0."""
+    return (
+        a.shape == b.shape
+        and np.array_equal(a, b, equal_nan=True)
+        and np.array_equal(np.signbit(a) | np.isnan(a), np.signbit(b) | np.isnan(b))
+    )
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 3), st.integers(1, 5), st.data())
+def test_elementwise_forms_have_the_plain_bits(n, l, data):
+    # the unrolled norm and the component-wise offsets against the forms they replace
+    points = np.array(data.draw(st.lists(ENTRIES, min_size=3 * n * l, max_size=3 * n * l)))
+    origins = np.array(data.draw(st.lists(ENTRIES, min_size=3 * n, max_size=3 * n)))
+    points, origins = points.reshape(n, l, 3), origins.reshape(n, 3)
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert same_bits(_norms(points * points), np.linalg.norm(points, axis=-1))
+        for p, o in [(points, origins), (points[0], origins), (points[0], origins[0])]:
+            assert same_bits(offsets(p, o), p - o[..., None, :])

@@ -407,10 +407,14 @@ def random_block(rng, n, n_landmarks, off_group):
     return state, meas, np.array([random_rotation(rng) for _ in range(n)])
 
 
+# The landmark counts of the kernel properties: a few, and dense_sweep's 256.
+LANDMARK_COUNTS = st.integers(1, 8) | st.just(256)
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     st.integers(0, 2**32 - 1),
-    st.integers(1, 8),
+    LANDMARK_COUNTS,
     st.integers(1, 40),
     st.tuples(st.floats(0.0, 10.0), st.floats(0.0, 10.0), st.floats(0.0, 10.0)),
     st.floats(1e-4, 0.05),
@@ -428,7 +432,7 @@ def test_block_step_equals_single_steps_bit_for_bit(seed, n_landmarks, n, gains,
 @settings(max_examples=100, deadline=None)
 @given(
     st.integers(0, 2**32 - 1),
-    st.integers(1, 8),
+    LANDMARK_COUNTS,
     st.tuples(st.floats(0.0, 10.0), st.floats(0.0, 10.0), st.floats(0.0, 10.0)),
     st.floats(1e-4, 0.05),
     st.sampled_from([0.0, 1e-10, 1e-6]),
@@ -439,8 +443,11 @@ def test_step_matches_the_equations(seed, n_landmarks, gains, dt, off_group):
     state, meas, c_ba = random_block(rng, 1, n_landmarks, off_group)
     out = step(state, meas.row(0), c_ba[0], Gains(*gains), dt)
     expected = reference_step(state, meas.row(0), c_ba[0], Gains(*gains), dt)
+    # v_hat sums l innovations, so the position's rounding grows with l past 8
+    # (1.4e-12 on a 2700 m position at l = 256, gains 10 and dt 0.05)
+    position_tol = 1e-12 * max(1.0, n_landmarks / 8)
     assert np.allclose(out.dcm, expected.dcm, rtol=0.0, atol=1e-12)
-    assert np.allclose(out.position, expected.position, rtol=0.0, atol=1e-12)
+    assert np.allclose(out.position, expected.position, rtol=0.0, atol=position_tol)
     assert np.allclose(out.landmarks, expected.landmarks, rtol=0.0, atol=1e-12)
     assert out.time == expected.time
 

@@ -1,3 +1,4 @@
+import dataclasses
 import os
 import subprocess
 import sys
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 
 import se3slam
 from conftest import random_rotation
+from se3slam import simulator
 from se3slam.errors import NonFiniteState
 from se3slam.liegroup import exp_so3, hat, homogeneous
 from se3slam.simulator import (
@@ -144,6 +146,26 @@ def test_stacked_truth_matches_per_time_bit_for_bit(spec, ts):
         assert np.array_equal(row.omega_body, one.omega_body)
         assert np.array_equal(row.velocity_body, one.velocity_body)
         assert np.array_equal(row.landmarks, one.landmarks)
+
+
+def test_truth_at_reuses_the_spec_start_attitude(monkeypatch):
+    # the spec keeps the exp_so3(initial_rotation) it checks, so a stacked truth makes
+    # its one stacked exponential and none for the start attitude
+    spec = ALL_SPECS[3]
+    assert spec.initial_dcm == tuple(map(tuple, exp_so3(spec.initial_rotation).tolist()))
+    assert "initial_dcm" not in {f.name for f in dataclasses.fields(spec)}
+    copy = TrajectorySpec(**dataclasses.asdict(spec))
+    assert copy == spec and hash(copy) == hash(spec)
+    calls = []
+    for name in ("exp_so3", "exp_so3_with_right_jacobian"):
+        original = getattr(simulator, name)
+        monkeypatch.setattr(simulator, name, lambda a, f=original, n=name: calls.append(n) or f(a))
+    for spec in ALL_SPECS:
+        calls.clear()
+        truth = truth_at(spec, np.linspace(0.0, 2.0, 17))
+        stacked = "exp_so3_with_right_jacobian" if spec.family == "tumble" else "exp_so3"
+        assert calls == [stacked]
+        assert np.array_equal(truth.dcm[0], exp_so3(spec.initial_rotation))
 
 
 def test_measure_identity_pose():
