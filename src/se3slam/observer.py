@@ -21,10 +21,10 @@ SO(3) only when |C C^T - I|_F exceeds DRIFT_TOL; no bundled scenario gets there,
 as the drift stays at 2e-14 to 4e-14 over their 4000 steps and at 3.5e-14 after
 1e5.
 
-``step`` is a block kernel: it makes n consecutive steps in one call, one
-instant being the n = 1 case. The pose of each step runs in Python floats
-(C = C_ea, r_hat, e, omega_hat, v_hat, the SE(3) increment, the composition
-and the drift check). All (l, 3) work is two products per step:
+``step`` is a block kernel: it makes n consecutive steps in one call, from n
+stacked measurements, and takes no other shape. The pose of each step runs in
+Python floats (C = C_ea, r_hat, e, omega_hat, v_hat, the SE(3) increment, the
+composition and the drift check). All (l, 3) work is two products per step:
 [O | 1 | P_hat] @ M = [P_hat' | s_tilde], with O the (l, 3) observations,
 b = C @ r_hat and M the (7, 6) matrix whose rows are
 
@@ -115,26 +115,32 @@ def step(
     state: ObserverState, meas: MeasurementFrame, c_ba, gains: Gains, dt: float, fallback=None
 ):
     """Advance the one-instant ``state`` by n time steps of length dt, given the
-    n stacked measurements ``meas`` and datum-to-body attitudes ``c_ba`` (n, 3, 3)
-    used by the corrections; returns the n new states stacked, their times
-    state.time + dt, + dt again, and so on. One measurement and one (3, 3)
-    attitude make one step and return one state. A block call has the bits of
-    n one-step calls.
+    n stacked measurements ``meas`` (``landmark_obs`` (n, l, 3)) and the
+    datum-to-body attitudes ``c_ba`` (n, 3, 3) used by the corrections. Returns
+    (states, flags, last_good): the n new states stacked, their times
+    state.time + dt, + dt again, and so on; the n attitude flags; and the last
+    good solve, the next call's ``fallback``. An n-block call has the bits of n
+    1-block calls. Any other shape of ``landmark_obs`` or ``c_ba`` raises
+    ValueError, as does a dt that is not finite and positive.
 
     With ``c_ba`` None (reconstructed mode), step k solves its attitude from O_k
     and the map step k - 1 made (``resolve_attitude``), falling back to the last
-    good solve, ``fallback`` before the first; the call returns the new states,
-    the n solves' flags and the last good solve, the next call's ``fallback``.
+    good solve, ``fallback`` before the first, and flags each fallback False.
+    With true attitudes every flag is True and ``fallback`` comes back as given.
 
     Each increment is checked finite before it is applied, and each new pose
     and map after; the attitude is projected onto SO(3) only when its drift
     exceeds DRIFT_TOL. Numpy's error state is the caller's: an overflow may
     warn before NonFiniteState."""
-    if dt <= 0.0:
-        raise ValueError("dt must be positive")
-    single = meas.landmark_obs.ndim == 2
-    obs = meas.landmark_obs[None] if single else meas.landmark_obs
+    if not 0.0 < dt < math.inf:
+        raise ValueError(f"dt must be finite and positive, got {dt}")
+    obs = meas.landmark_obs
+    if obs.ndim != 3:
+        raise ValueError(f"landmark_obs must be (n, l, 3), got shape {obs.shape}")
     n, num_landmarks = obs.shape[:2]
+    reconstructed = c_ba is None
+    if not reconstructed and c_ba.shape != (n, 3, 3):
+        raise ValueError(f"c_ba must be ({n}, 3, 3) or None, got shape {c_ba.shape}")
     if num_landmarks == 0:
         raise EmptyMap("step needs at least one landmark")
 
@@ -147,10 +153,7 @@ def step(
     m = np.empty((7, 6))
     m_entries = m.reshape(-1)
     ones, s_sum = np.ones(num_landmarks), np.empty(3)
-    omegas = meas.omega.reshape(n, 3).tolist()
-    velocities = meas.velocity.reshape(n, 3).tolist()
-    anchors = obs[:, 0].tolist()
-    reconstructed = c_ba is None
+    omegas, velocities, anchors = meas.omega.tolist(), meas.velocity.tolist(), obs[:, 0].tolist()
     attitudes = [None] * n if reconstructed else c_ba.reshape(n, 9).tolist()
     oks = [True] * n
 
@@ -246,5 +249,4 @@ def step(
         raise NonFiniteState(f"non-finite state after step at t={times[first]}")
     times.append(t)
     new = ObserverState(np.array(dcms), np.array(positions), landmarks, np.array(times[1:]))
-    new = new.row(0) if single else new
-    return (new, np.array(oks), fallback) if reconstructed else new
+    return new, np.array(oks), fallback

@@ -73,7 +73,7 @@ def initial_conditions(scenario: Scenario):
             layout.count, layout.box.min, layout.box.max, np.random.default_rng(lm_seq)
         )
 
-    truth0 = truth_at(scenario.trajectory, 0.0, landmarks)
+    truth0 = truth_at(scenario.trajectory, np.zeros(1), landmarks).row(0)
     est = scenario.initial_estimate
     axis = np.asarray(est.attitude_error_axis, dtype=float)
     norm = np.linalg.norm(axis)
@@ -106,14 +106,14 @@ def run(scenario: Scenario, scenario_hash: str | None = None) -> RunResult:
     truth and the noise stream alone, never on the estimate, so a block of n
     steps from step ``start`` takes its truth at the n + 1 instants start ...
     start + n from one ``truth_at`` and the measurements of the first n from
-    one stacked ``measure``. One ``step`` call makes the block's n steps, with
-    the true attitudes or, in reconstructed mode, solving each from the map the
-    step before made and carrying the last good solve from block to block as
-    the fallback of the next. One ``evaluate`` scores the block's new
-    states against truth rows 1 ... n, at those rows' instants, so a record's
-    time is exactly k * dt; the state carried into the next block holds its
-    instant too. The blocks' columns are concatenated once, into the run's
-    stacked record.
+    one stacked ``measure``. One ``step`` call makes the block's n steps in
+    either attitude mode: with the true attitudes or, in reconstructed mode,
+    solving each from the map the step before made and carrying the last good
+    solve from block to block as the fallback of the next. One ``evaluate``
+    scores the block's new states against truth rows 1 ... n, at those rows'
+    instants, so a record's time is exactly k * dt; the state carried into the
+    next block holds its instant too. The blocks' columns are concatenated
+    once, into the run's stacked record.
 
     ``run`` owns numpy's error state: overflow and invalid never warn inside it,
     and every value it returns has passed a check. ``initial_conditions``,
@@ -132,10 +132,8 @@ def run(scenario: Scenario, scenario_hash: str | None = None) -> RunResult:
         times = np.arange(start, start + n + 1) * dt
         truth = truth_at(spec, times, landmarks)
         meas = measure(truth.row(slice(0, n)), noise, rng_noise)
-        if scenario.attitude_mode == RECONSTRUCTED:
-            block, oks, last_good = step(state, meas, None, gains, dt, fallback=last_good)
-        else:
-            block, oks = step(state, meas, truth.dcm[:n], gains, dt), np.ones(n, dtype=bool)
+        c_ba = None if scenario.attitude_mode == RECONSTRUCTED else truth.dcm[:n]
+        block, oks, last_good = step(state, meas, c_ba, gains, dt, fallback=last_good)
         block = replace(block, time=times[1:])
         blocks.append(evaluate(block, truth.row(slice(1, None)), oks).columns())
         state = block.row(-1)

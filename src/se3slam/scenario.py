@@ -26,7 +26,7 @@ import numbers
 import types
 import typing
 from dataclasses import dataclass, field
-from pathlib import Path
+from pathlib import Path, PurePath
 
 import numpy as np
 import yaml
@@ -130,6 +130,8 @@ class Scenario:
 
     def __post_init__(self):
         require_finite(self)
+        if not self.name or PurePath(self.name).name != self.name:  # names the output files
+            raise ValueError(f"name: must be a file name, not empty or a path, got {self.name!r}")
         if self.seed < 0:
             raise ValueError(f"seed: expected a non-negative integer, got {self.seed}")
         if self.duration <= 0.0:

@@ -8,10 +8,10 @@ plain arrays (dcm, position) and checks neither: its ``TrajectorySpec``
 checked the fields they come from once, on construction.
 
 ``truth_at`` and ``measure`` both work on n instants stacked along a leading
-axis, one instant being the n = 1 case, so a run makes a block's truth and
-measurements in one call each. ``measure`` reads the noise generator as n
-one-instant calls would: one draw for the block when every channel that draws
-has one law, and one instant at a time when the channels mix families.
+axis, and on no other shape, so a run makes a block's truth and measurements
+in one call each. ``measure`` reads the noise generator as n 1-instant blocks
+would: one draw for the block when every channel that draws has one law, and
+one instant at a time when the channels mix families.
 """
 
 from __future__ import annotations
@@ -112,9 +112,9 @@ class NoiseSpec:
 
 @dataclass(frozen=True, eq=False)
 class GroundTruth:
-    """True pose (dcm, position), body rates, and landmark positions at one
-    instant, or at n instants stacked along a leading axis of the pose and rate
-    fields. Compares by identity (eq=False): its fields are arrays."""
+    """True pose (dcm, position), body rates, and landmark positions at n
+    instants stacked along a leading axis of the pose and rate fields, or at
+    one instant (``row``). Compares by identity (eq=False): its fields are arrays."""
 
     dcm: np.ndarray  # datum-to-body, (3, 3) or (n, 3, 3)
     position: np.ndarray  # m, datum frame, (3,) or (n, 3)
@@ -132,26 +132,29 @@ class GroundTruth:
 
 @dataclass(frozen=True, eq=False)
 class MeasurementFrame:
-    """Body-frame sensor data at one instant, or at n instants stacked along a
-    leading axis of every field. Holds the arrays it is given, unchecked, as
-    ``GroundTruth`` does. Compares by identity (eq=False): its fields are arrays."""
+    """Body-frame sensor data at n instants stacked along a leading axis of
+    every field, or at one instant (``row``). Holds the arrays it is given,
+    unchecked, as ``GroundTruth`` does. Compares by identity (eq=False): its
+    fields are arrays."""
 
-    omega: np.ndarray  # rad/s, (3,) or (n, 3)
-    velocity: np.ndarray  # m/s, (3,) or (n, 3)
-    landmark_obs: np.ndarray  # m, (l, 3) or (n, l, 3)
+    omega: np.ndarray  # rad/s, (n, 3) or (3,)
+    velocity: np.ndarray  # m/s, (n, 3) or (3,)
+    landmark_obs: np.ndarray  # m, (n, l, 3) or (l, 3)
 
-    def row(self, i: int) -> "MeasurementFrame":
-        """The measurement at the i-th instant of a stacked frame."""
+    def row(self, i) -> "MeasurementFrame":
+        """The measurement at the i-th instant of a stacked frame, or the
+        stacked frame at the instants of a slice i."""
         return MeasurementFrame(self.omega[i], self.velocity[i], self.landmark_obs[i])
 
 
-def truth_at(spec: TrajectorySpec, t, landmarks=None) -> GroundTruth:
-    """Closed-form ground truth at time t >= 0, or at each time of a 1-D array t.
+def truth_at(spec: TrajectorySpec, t, landmarks) -> GroundTruth:
+    """Closed-form ground truth at each time of the 1-D array t (times >= 0),
+    with the (l, 3) ``landmarks``.
 
-    For an array of n times the pose and body-rate fields gain a leading axis
-    of length n (``GroundTruth.row`` picks one instant) and the landmarks are
-    shared; a scalar t is the one-time case of the same arithmetic, so row i
-    of a stacked truth has the bits of the truth at t[i] alone.
+    The pose and body-rate fields have a leading axis of length n, one row per
+    time (``GroundTruth.row`` picks one instant), and the landmarks are shared.
+    Each time is computed on its own, so row i has the bits of the truth at
+    t[i:i + 1]. Any other shape of t raises ValueError.
 
     The spec's fields are finite (its constructor checks them), so the pose is
     a product of rotations by construction and is not validated again. Finite
@@ -159,16 +162,12 @@ def truth_at(spec: TrajectorySpec, t, landmarks=None) -> GroundTruth:
     NonFiniteState in exp_so3, and a non-finite position raises NonFiniteState
     naming the first time it occurs at.
     """
-    times = np.asarray(t, dtype=float)
-    if times.ndim > 1:
-        raise ValueError("t must be a scalar or a 1-D array of times")
-    ts = times.reshape(-1)
+    ts = np.asarray(t, dtype=float)
+    if ts.ndim != 1:
+        raise ValueError(f"t must be a 1-D array of times, got shape {ts.shape}")
     bad = ~((ts >= 0.0) & (ts < np.inf))
     if bad.any():
         raise ValueError(f"t must be finite and >= 0, got {float(ts[bad][0])}")
-    if landmarks is None:
-        landmarks = np.zeros((0, 3))
-    landmarks = np.atleast_2d(np.asarray(landmarks, dtype=float))
     r0 = np.array(spec.initial_position, dtype=float)
     w, r, c = spec.angular_rate, spec.radius, spec.vertical_rate
     if spec.family == "static":  # the circle with radius and rates 0, whatever the spec holds
@@ -198,8 +197,7 @@ def truth_at(spec: TrajectorySpec, t, landmarks=None) -> GroundTruth:
     dcm = np.swapaxes(rot, -1, -2) @ spec.initial_dcm
     v_body = (dcm @ rdot[:, :, None])[:, :, 0]
 
-    truth = GroundTruth(dcm, position, omega, v_body, landmarks)
-    return truth.row(0) if times.ndim == 0 else truth
+    return GroundTruth(dcm, position, omega, v_body, np.asarray(landmarks, dtype=float))
 
 
 def _draws(channel: ChannelNoise) -> bool:
@@ -268,22 +266,20 @@ def to_body(points: np.ndarray, dcm: np.ndarray) -> np.ndarray:
 def measure(truth: GroundTruth, noise: NoiseSpec, rng: np.random.Generator) -> MeasurementFrame:
     """Body-frame measurements of a stacked truth: exact model plus configured noise.
 
-    For a truth of n instants every field of the frame gains a leading axis of
-    length n (``MeasurementFrame.row`` picks one instant); a one-instant truth
-    is the n = 1 case of the same arithmetic. Landmark model: s_b_i = C_ba @
-    (p_a_i - r_a). The generator is read in a fixed order, instant by instant
-    and within an instant omega, velocity, landmarks, so one call over n
-    instants leaves the bits and the generator state of n one-instant calls.
-    When every channel that draws has one law, the whole block is one draw;
-    channels of mixed families draw one instant at a time.
+    For a truth of n instants every field of the frame has a leading axis of
+    length n (``MeasurementFrame.row`` picks one instant); a truth whose dcm is
+    not (n, 3, 3) raises ValueError. Landmark model: s_b_i = C_ba @ (p_a_i -
+    r_a). The generator is read in a fixed order, instant by instant and within
+    an instant omega, velocity, landmarks, so one call over n instants leaves
+    the bits and the generator state of n calls on 1-instant blocks. When every
+    channel that draws has one law, the whole block is one draw; channels of
+    mixed families draw one instant at a time.
     """
-    single = truth.dcm.ndim == 2
-    dcm, position, omega, velocity = (
-        a[None] if single else a
-        for a in (truth.dcm, truth.position, truth.omega_body, truth.velocity_body)
-    )
-    exact = to_body(offsets(truth.landmarks, position), dcm)
-    values = (omega, velocity, exact)
+    dcm = truth.dcm
+    if dcm.shape[1:] != (3, 3):
+        raise ValueError(f"truth.dcm must be (n, 3, 3), got shape {dcm.shape}")
+    exact = to_body(offsets(truth.landmarks, truth.position), dcm)
+    values = (truth.omega_body, truth.velocity_body, exact)
     channels = (noise.omega, noise.velocity, noise.landmark)
     drawing = [(c, math.prod(v.shape[1:])) for c, v in zip(channels, values) if _draws(c)]
     variates = iter(_variates(drawing, len(dcm), rng))
@@ -296,8 +292,7 @@ def measure(truth: GroundTruth, noise: NoiseSpec, rng: np.random.Generator) -> M
         else:
             y = value + channel.bias
         measured.append(y)
-    frame = MeasurementFrame(*measured)
-    return frame.row(0) if single else frame
+    return MeasurementFrame(*measured)
 
 
 def place_landmarks(count: int, box_min, box_max, rng: np.random.Generator) -> np.ndarray:

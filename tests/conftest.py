@@ -8,7 +8,8 @@ from se3slam import attitude
 from se3slam.errors import DegenerateGeometry, EmptyMap, NonFiniteState
 from se3slam.liegroup import compose_raw, exp_se3, exp_so3, hat, reorthonormalize, rotation_drift, vee
 from se3slam.metrics import ErrorRecord
-from se3slam.observer import DRIFT_TOL, ObserverState
+from se3slam.observer import DRIFT_TOL, ObserverState, step
+from se3slam.simulator import MeasurementFrame, truth_at
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -22,6 +23,18 @@ def random_rotation(rng, max_angle=np.pi):
     axis = rng.normal(size=3)
     axis /= np.linalg.norm(axis)
     return exp_so3(axis * rng.uniform(0.0, max_angle))
+
+
+def truth_at_instant(spec, t, landmarks=np.zeros((0, 3))):
+    """The ground truth at the one time t: row 0 of a 1-time block."""
+    return truth_at(spec, np.array([t]), landmarks).row(0)
+
+
+def step_once(state, meas, c_ba, gains, dt):
+    """One true-attitude step of the block kernel, from the one-instant
+    measurement ``meas`` and attitude ``c_ba`` made 1-blocks; the new state."""
+    block = MeasurementFrame(meas.omega[None], meas.velocity[None], meas.landmark_obs[None])
+    return step(state, block, c_ba[None], gains, dt)[0].row(0)
 
 
 def stack_records(records) -> ErrorRecord:
@@ -75,8 +88,8 @@ def landmark_rates(body_landmarks, w, s_tilde, c_ea, gains):
 def reference_step(state, meas, c_ba, gains, dt):
     """One Lie-Euler step of the equations above, for one instant, with the checks
     and messages of ``se3slam.observer.step``."""
-    if dt <= 0.0:
-        raise ValueError("dt must be positive")
+    if not 0.0 < dt < math.inf:
+        raise ValueError(f"dt must be finite and positive, got {dt}")
     c_ea, position = state.dcm, state.position
     body_landmarks, body_position = state.landmarks @ c_ea.T, (c_ea @ position).tolist()
     o0, o1, o2 = corrected_angular_velocity(meas, attitude_error(c_ba, c_ea), gains)

@@ -199,9 +199,9 @@ def test_criterion_7_lie_group_invariants():
             se3_ok = False
 
     # orthonormality drift after 1e5 observer steps, made by one stacked step
-    # call (which has the bits of 1e5 one-step calls); their truth comes from
+    # call (which has the bits of 1e5 1-block calls); their truth comes from
     # one stacked truth_at and their measurements from one stacked measure,
-    # whose rows have the bits of one-instant calls
+    # whose rows have the bits of 1-instant blocks
     spec = TrajectorySpec("tumble", radius=1.0, angular_rate=0.8, tumble_amplitude=(0.3, 0.2, 0.4))
     landmarks = np.array([[0.0, 0.0, 0.0], [2.0, 1.0, -0.5]])
     gains = Gains(2.0, 1.0, 12.0)
@@ -213,7 +213,7 @@ def test_criterion_7_lie_group_invariants():
         exp_so3([0.2, -0.1, 0.15]) @ truth0.dcm, truth0.position + 0.5, landmarks + 0.3
     )
     meas = measure(truths, NoiseSpec(), np.random.default_rng(0))
-    state = step(state, meas, truths.dcm, gains, dt).row(-1)
+    state = step(state, meas, truths.dcm, gains, dt)[0].row(-1)
     drift = float(np.linalg.norm(state.dcm.T @ state.dcm - np.eye(3)))
     drift_ok = drift < 1e-9
 
@@ -269,7 +269,7 @@ def test_criterion_9_integrator_order():
         n = int(round(scenario.duration / dt))
         truths = truth_at(tumble, np.arange(n) * dt, landmarks)
         meas = measure(truths, scenario.noise, rng_noise)
-        return step(state, meas, truths.dcm, scenario.gains, dt).row(-1)
+        return step(state, meas, truths.dcm, scenario.gains, dt)[0].row(-1)
 
     dt = 0.02
     ref = integrate(dt / 100.0)

@@ -98,6 +98,26 @@ def test_run_rejects_duplicate_names(short_scenario, tmp_path, capsys):
     assert not out.exists()  # rejected before any run
 
 
+@pytest.mark.parametrize("name", ["../escaped", "a/b", "''"], ids=["parent", "subdirectory", "empty"])
+@pytest.mark.parametrize("command", ["validate", "run", "sweep"])
+def test_a_name_that_is_not_a_file_name_exits_2_and_writes_nothing(
+    short_scenario, tmp_path, capsys, command, name
+):
+    # the name is the stem of the output files, so it must be one path component
+    text = short_scenario.read_text().replace("name: fig3_noisefree", f"name: {name}")
+    short_scenario.write_text(text)
+    out = tmp_path / "work" / "out"
+    options = {
+        "validate": [],
+        "run": ["--out", str(out)],
+        "sweep": ["--param", "gains.k3", "--values", "4,12", "--out", str(out)],
+    }[command]
+    assert main([command, str(short_scenario), *options]) == 2
+    message = f"error: {short_scenario}: name: must be a file name, not empty or a path"
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "work").exists()
+
+
 def test_sweep_cli(short_scenario, tmp_path, capsys):
     out = tmp_path / "sweep"
     code = main(

@@ -11,6 +11,7 @@ from conftest import (
     landmark_rates,
     random_rotation,
     reference_step,
+    step_once,
 )
 from se3slam import metrics, observer
 from se3slam.errors import DegenerateGeometry, EmptyMap, NonFiniteState, ZeroVector
@@ -39,10 +40,11 @@ def screw_spec():
 
 
 def perfect_setup(t=0.0):
-    truth = truth_at(screw_spec(), t, LANDMARKS)
-    state = ObserverState(truth.dcm, truth.position, LANDMARKS.copy(), t)
+    """The truth at t, a state equal to it, and the exact measurement, each at one instant."""
+    truth = truth_at(screw_spec(), np.array([t]), LANDMARKS)
+    state = ObserverState(truth.dcm[0], truth.position[0], LANDMARKS.copy(), t)
     meas = measure(truth, NoiseSpec(), np.random.default_rng(0))
-    return truth, state, meas
+    return truth.row(0), state, meas.row(0)
 
 
 def random_setup(rng):
@@ -172,7 +174,7 @@ def test_corrected_velocity_empty_map():
             meas, hat(np.zeros(3)), body(state)[1], innovations(*body(state), meas), Gains(1, 1, 1)
         )
     with pytest.raises(EmptyMap):
-        step(state, meas, np.eye(3), Gains(1, 1, 1), 0.01)
+        step_once(state, meas, np.eye(3), Gains(1, 1, 1), 0.01)
 
 
 def test_landmark_rate_zero_at_truth():
@@ -211,16 +213,13 @@ def test_landmark_rate_matches_transcription(rng):
 
 
 def test_step_equilibrium_on_screw():
-    spec = screw_spec()
-    truth, state, _ = perfect_setup()
+    _, state, _ = perfect_setup()
     gains = Gains(2.0, 1.0, 12.0)
     dt = 0.01
-    for k in range(200):
-        truth = truth_at(spec, k * dt, LANDMARKS)
-        meas = measure(truth, NoiseSpec(), np.random.default_rng(0))
-        state = step(state, meas, truth.dcm, gains, dt)
-    truth_end = truth_at(spec, 200 * dt, LANDMARKS)
-    err = metrics.evaluate(state, truth_end)
+    truth = truth_at(screw_spec(), np.arange(201) * dt, LANDMARKS)
+    meas = measure(truth.row(slice(0, 200)), NoiseSpec(), np.random.default_rng(0))
+    state = step(state, meas, truth.dcm[:200], gains, dt)[0].row(-1)
+    err = metrics.evaluate(state, truth.row(200))
     assert err.attitude_error_angle < 1e-9
     assert err.position_error < 1e-9
     assert np.allclose(state.landmarks, LANDMARKS, atol=1e-12)
@@ -237,12 +236,9 @@ def test_step_local_truncation_order():
     )
 
     def advance(dt, n):
-        state = state0
-        for k in range(n):
-            truth = truth_at(spec, k * dt, LANDMARKS)
-            meas = measure(truth, NoiseSpec(), np.random.default_rng(0))
-            state = step(state, meas, truth.dcm, gains, dt)
-        return state
+        truth = truth_at(spec, np.arange(n) * dt, LANDMARKS)
+        meas = measure(truth, NoiseSpec(), np.random.default_rng(0))
+        return step(state0, meas, truth.dcm, gains, dt)[0].row(-1)
 
     def dist(a, b):
         return rotation_angle(a.dcm @ b.dcm.T) + np.linalg.norm(
@@ -261,17 +257,17 @@ def test_step_lyapunov_non_increasing_from_perturbation():
     spec = screw_spec()
     gains = Gains(2.0, 1.0, 12.0)
     dt = 0.005
-    truth = truth_at(spec, 0.0, LANDMARKS)
+    truth = truth_at(spec, np.array([0.0, dt]), LANDMARKS)
     state = ObserverState(
-        exp_so3([0.2, 0.1, -0.3]) @ truth.dcm,
-        truth.position + [0.5, -0.3, 0.2],
+        exp_so3([0.2, 0.1, -0.3]) @ truth.dcm[0],
+        truth.position[0] + [0.5, -0.3, 0.2],
         LANDMARKS + np.array([[0.2, -0.1, 0.3]] * len(LANDMARKS)),
         0.0,
     )
-    meas = measure(truth, NoiseSpec(), np.random.default_rng(0))
-    v_before = metrics.evaluate(state, truth).lyapunov
-    new = step(state, meas, truth.dcm, gains, dt)
-    v_after = metrics.evaluate(new, truth_at(spec, dt, LANDMARKS)).lyapunov
+    meas = measure(truth.row(slice(0, 1)), NoiseSpec(), np.random.default_rng(0))
+    v_before = metrics.evaluate(state, truth.row(0)).lyapunov
+    new = step(state, meas, truth.dcm[:1], gains, dt)[0].row(0)
+    v_after = metrics.evaluate(new, truth.row(1)).lyapunov
     assert v_after <= v_before + 1e-9 * max(1.0, v_before)
 
 
@@ -280,7 +276,7 @@ def test_step_zero_gains_is_dead_reckoning(rng):
     meas = MeasurementFrame(rng.normal(size=3), rng.normal(size=3), rng.normal(size=(4, 3)))
     gains = Gains(0.0, 0.0, 0.0)
     dt = 0.01
-    new = step(state, meas, random_rotation(rng), gains, dt)
+    new = step_once(state, meas, random_rotation(rng), gains, dt)
     from se3slam.liegroup import homogeneous
 
     expected = compose_raw(state.dcm, state.position, *exp_se3(meas.omega * dt, meas.velocity * dt))
@@ -292,8 +288,8 @@ def test_step_preserves_landmark_count_and_is_deterministic(rng):
     state, meas = random_setup(rng)
     gains = Gains(1.0, 1.0, 1.0)
     c_ba = random_rotation(rng)
-    a = step(state, meas, c_ba, gains, 0.01)
-    b = step(state, meas, c_ba, gains, 0.01)
+    a = step_once(state, meas, c_ba, gains, 0.01)
+    b = step_once(state, meas, c_ba, gains, 0.01)
     assert len(a.landmarks) == len(state.landmarks)
     assert np.array_equal(a.dcm, b.dcm)
     assert np.array_equal(a.position, b.position)
@@ -305,7 +301,7 @@ def test_step_rotation_stays_orthonormal(rng):
     gains = Gains(1.0, 1.0, 1.0)
     for _ in range(500):
         meas = MeasurementFrame(rng.normal(size=3), rng.normal(size=3), rng.normal(size=(4, 3)))
-        state = step(state, meas, random_rotation(rng), gains, 0.005)
+        state = step_once(state, meas, random_rotation(rng), gains, 0.005)
     assert np.linalg.norm(state.dcm.T @ state.dcm - np.eye(3)) < 1e-12
 
 
@@ -327,7 +323,7 @@ def test_step_projects_only_a_drifted_attitude(rng, monkeypatch):
     monkeypatch.setattr(observer, "reorthonormalize", counted)
     # on the group: no projection, the Lie-Euler product itself
     dcm, position = _dead_reckoning(state, meas, dt)
-    on_group = step(state, meas, np.eye(3), gains, dt)
+    on_group = step_once(state, meas, np.eye(3), gains, dt)
     assert np.linalg.norm(dcm @ dcm.T - np.eye(3)) <= DRIFT_TOL
     assert projections == []
     assert np.allclose(on_group.dcm, dcm, rtol=0.0, atol=1e-15)
@@ -338,7 +334,7 @@ def test_step_projects_only_a_drifted_attitude(rng, monkeypatch):
     )
     dcm, position = _dead_reckoning(drifted, meas, dt)
     assert np.linalg.norm(dcm @ dcm.T - np.eye(3)) > 1e-9
-    out = step(drifted, meas, np.eye(3), gains, dt)
+    out = step_once(drifted, meas, np.eye(3), gains, dt)
     assert len(projections) == 1
     assert np.allclose(out.dcm, reorthonormalize(dcm), rtol=0.0, atol=1e-15)
     assert np.allclose(out.position, position, rtol=0.0, atol=1e-15)
@@ -360,7 +356,7 @@ def test_step_non_finite_increment_message(rng, gains, omega, velocity):
     state = ObserverState(state.dcm, state.position, state.landmarks, 0.25)
     bad = MeasurementFrame(omega, velocity, meas.landmark_obs)
     with pytest.raises(NonFiniteState, match=r"^non-finite pose increment at t=0\.25$"):
-        step(state, bad, random_rotation(rng), gains, 0.01)
+        step_once(state, bad, random_rotation(rng), gains, 0.01)
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -371,7 +367,7 @@ def test_step_non_finite_state_message(rng):
     far = ObserverState(state.dcm, state.position, np.array([[1e300, 0.0, 0.0]]), 0.5)
     meas = MeasurementFrame(meas.omega, meas.velocity, meas.landmark_obs[:1])
     with pytest.raises(NonFiniteState, match=r"^non-finite state after step at t=0\.5$"):
-        step(far, meas, random_rotation(rng), Gains(1e14, 0.0, 0.0), 0.01)
+        step_once(far, meas, random_rotation(rng), Gains(1e14, 0.0, 0.0), 0.01)
 
 
 @settings(max_examples=80, deadline=None)
@@ -389,7 +385,7 @@ def test_step_output_stays_on_so3(seed, n_landmarks, gains, dt, off_group):
     meas = MeasurementFrame(
         3.0 * rng.normal(size=3), 3.0 * rng.normal(size=3), 5.0 * rng.normal(size=(n_landmarks, 3))
     )
-    out = step(state, meas, random_rotation(rng), Gains(*gains), dt)
+    out = step_once(state, meas, random_rotation(rng), Gains(*gains), dt)
     assert np.linalg.norm(out.dcm.T @ out.dcm - np.eye(3)) <= 1e-12
 
 
@@ -421,11 +417,13 @@ LANDMARK_COUNTS = st.integers(1, 8) | st.just(256)
     st.sampled_from([0.0, 1e-10, 1e-6]),
 )
 def test_block_step_equals_single_steps_bit_for_bit(seed, n_landmarks, n, gains, dt, off_group):
+    # one n-block against n 1-blocks, each starting from the state the last made
     rng = np.random.default_rng(seed)
     state, meas, c_ba = random_block(rng, n, n_landmarks, off_group)
-    block = step(state, meas, c_ba, Gains(*gains), dt)
+    block = step(state, meas, c_ba, Gains(*gains), dt)[0]
     for i in range(n):
-        state = step(state, meas.row(i), c_ba[i], Gains(*gains), dt)
+        one = meas.row(slice(i, i + 1))
+        state = step(state, one, c_ba[i : i + 1], Gains(*gains), dt)[0].row(0)
         assert_same_states(block, i, state)
 
 
@@ -441,7 +439,7 @@ def test_step_matches_the_equations(seed, n_landmarks, gains, dt, off_group):
     # one step against the one-function-per-equation oracle
     rng = np.random.default_rng(seed)
     state, meas, c_ba = random_block(rng, 1, n_landmarks, off_group)
-    out = step(state, meas.row(0), c_ba[0], Gains(*gains), dt)
+    out = step(state, meas, c_ba, Gains(*gains), dt)[0].row(0)
     expected = reference_step(state, meas.row(0), c_ba[0], Gains(*gains), dt)
     # v_hat sums l innovations, so the position's rounding grows with l past 8
     # (1.4e-12 on a 2700 m position at l = 256, gains 10 and dt 0.05)
@@ -457,7 +455,7 @@ def test_step_matches_the_equations(seed, n_landmarks, gains, dt, off_group):
 def test_block_step_raises_where_single_steps_do(rng, n):
     # the map overflows at step 2 (W acting on the 1e300 m landmark); before it
     # C_ba equals the unmoving estimate, so e = 0. A block call names the same
-    # step as single calls, whether step 2 ends the block or is followed by more
+    # step as 1-block calls, whether step 2 ends the block or is followed by more
     state, _, c_ba = random_block(rng, n, 1, 0.0)
     state = ObserverState(state.dcm, state.position, np.array([[1e300, 0.0, 0.0]]), 0.5)
     meas = MeasurementFrame(np.zeros((n, 3)), np.zeros((n, 3)), np.ones((n, 1, 3)))
@@ -466,7 +464,8 @@ def test_block_step_raises_where_single_steps_do(rng, n):
     current = state
     with pytest.raises(NonFiniteState) as single:
         for i in range(n):
-            current = step(current, meas.row(i), c_ba[i], gains, dt)
+            one = meas.row(slice(i, i + 1))
+            current = step(current, one, c_ba[i : i + 1], gains, dt)[0].row(0)
     assert str(single.value) == "non-finite state after step at t=0.52"
     with pytest.raises(NonFiniteState, match=r"^non-finite state after step at t=0\.52$"):
         step(state, meas, c_ba, gains, dt)
@@ -518,7 +517,7 @@ def test_reconstructed_step_without_fallback_names_the_time(rng):
     collinear = state.position + np.outer(np.arange(1.0, 5.0), (1.0, 2.0, 3.0))
     state = ObserverState(state.dcm, state.position, collinear, 0.25)
     with pytest.raises(DegenerateGeometry) as raised:
-        step(state, meas.row(0), None, Gains(1.0, 1.0, 1.0), 0.01)
+        step(state, meas, None, Gains(1.0, 1.0, 1.0), 0.01)
     assert str(raised.value) == (
         "attitude solve at t=0.25: fewer than 2 non-collinear datum directions; "
         "the datum directions are the estimated landmarks seen from the estimated position"
@@ -548,7 +547,7 @@ def test_reconstructed_block_equals_single_steps_bit_for_bit(
     # a zero observation row makes a step's solve fail, never the first step's,
     # and two steps in a row fail from ``pair`` on: those steps (and any whose
     # drawn geometry degenerates) fall back to the last good solve, which each
-    # one-instant call carries into the next
+    # 1-block call carries into the next
     rng = np.random.default_rng(seed)
     state, meas, _ = random_block(rng, n, n_landmarks, 0.0)
     failing = {k for k in failing | {pair, pair + 1} if k < n}
@@ -557,7 +556,9 @@ def test_reconstructed_block_equals_single_steps_bit_for_bit(
     assert oks[0] and not oks[sorted(failing)].any()
     fallback = None
     for i in range(n):
-        state, ok, fallback = step(state, meas.row(i), None, Gains(*gains), dt, fallback)
+        one = meas.row(slice(i, i + 1))
+        states, ok, fallback = step(state, one, None, Gains(*gains), dt, fallback)
+        state = states.row(0)
         assert_same_states(block, i, state)
         assert ok.tolist() == [oks[i]]
     assert np.array_equal(last_good, fallback)
@@ -569,7 +570,7 @@ def test_reconstructed_block_raises_where_single_steps_do(rng, n):
     # every solve falls back (the 1e300 m landmark's direction has no finite
     # norm) to the estimate's own attitude, so e = 0 and nothing moves until the
     # measured rotation of step 2 turns the estimate; at step 3, W acts on the
-    # far landmark and the map overflows. A block call names step 3 as single
+    # far landmark and the map overflows. A block call names step 3 as 1-block
     # calls do, whether step 3 ends the block or is followed by more
     state, meas, _ = random_block(rng, n, 3, 0.0)
     landmarks = state.landmarks.copy()
@@ -582,8 +583,60 @@ def test_reconstructed_block_raises_where_single_steps_do(rng, n):
     current, fallback = state, state.dcm
     with pytest.raises(NonFiniteState) as single:
         for i in range(n):
-            current, ok, fallback = step(current, meas.row(i), None, gains, dt, fallback)
+            one = meas.row(slice(i, i + 1))
+            states, ok, fallback = step(current, one, None, gains, dt, fallback)
+            current = states.row(0)
             assert not ok[0]
     assert str(single.value) == "non-finite state after step at t=0.53"
     with pytest.raises(NonFiniteState, match=r"^non-finite state after step at t=0\.53$"):
         step(state, meas, None, gains, dt, state.dcm)
+
+
+@pytest.mark.parametrize("dt", [0.0, -1.0, np.nan, np.inf], ids=["zero", "negative", "nan", "inf"])
+def test_step_rejects_a_dt_that_is_not_finite_and_positive(rng, dt):
+    # before any arithmetic: a NaN dt would otherwise surface as a non-finite
+    # increment, and an infinite one as a warning first
+    state, meas, c_ba = random_block(rng, 2, 4, 0.0)
+    message = r"^dt must be finite and positive, got"
+    for attitudes in (c_ba, None):
+        with pytest.raises(ValueError, match=message):
+            step(state, meas, attitudes, Gains(1.0, 1.0, 1.0), dt)
+    with pytest.raises(ValueError, match=message):
+        reference_step(state, meas.row(0), c_ba[0], Gains(1.0, 1.0, 1.0), dt)
+
+
+def test_true_attitude_step_returns_flags_and_the_fallback(rng):
+    # one return shape in both modes: with true attitudes every flag is True
+    # and the fallback comes back as given
+    state, meas, c_ba = random_block(rng, 5, 4, 0.0)
+    for fallback in (None, random_rotation(rng)):
+        _, oks, last_good = step(state, meas, c_ba, Gains(1.0, 1.0, 1.0), 0.01, fallback)
+        assert oks.dtype == bool and oks.tolist() == [True] * 5
+        assert last_good is fallback
+
+
+@pytest.mark.parametrize(
+    "form, message",
+    [
+        ("scalar-t", r"^t must be a 1-D array of times, got shape \(\)$"),
+        ("unstacked-truth", r"^truth.dcm must be \(n, 3, 3\), got shape \(3, 3\)$"),
+        ("unstacked-meas", r"^landmark_obs must be \(n, l, 3\), got shape \(4, 3\)$"),
+        ("unstacked-meas-reconstructed", r"^landmark_obs must be \(n, l, 3\), got shape \(4, 3\)$"),
+        ("unstacked-c_ba", r"^c_ba must be \(1, 3, 3\) or None, got shape \(3, 3\)$"),
+    ],
+)
+def test_one_instant_forms_raise(rng, form, message):
+    # truth_at, measure and step take stacked blocks only; a one-instant
+    # argument is an error, not an n-block read another way
+    state, meas, c_ba = random_block(rng, 1, 4, 0.0)
+    truth = truth_at(screw_spec(), np.zeros(1), LANDMARKS)
+    gains, dt = Gains(1.0, 1.0, 1.0), 0.01
+    calls = {
+        "scalar-t": lambda: truth_at(screw_spec(), 0.0, LANDMARKS),
+        "unstacked-truth": lambda: measure(truth.row(0), NoiseSpec(), np.random.default_rng(0)),
+        "unstacked-meas": lambda: step(state, meas.row(0), c_ba, gains, dt),
+        "unstacked-meas-reconstructed": lambda: step(state, meas.row(0), None, gains, dt),
+        "unstacked-c_ba": lambda: step(state, meas, c_ba[0], gains, dt),
+    }
+    with pytest.raises(ValueError, match=message):
+        calls[form]()

@@ -1,9 +1,10 @@
 import dataclasses
+import importlib.util
 
 import numpy as np
 import pytest
 
-from conftest import SCENARIO_DIR, reference_resolve_attitude, stack_records
+from conftest import SCENARIO_DIR, reference_resolve_attitude, stack_records, truth_at_instant
 from se3slam import attitude, runner
 from se3slam.errors import ConfigInvalid, DegenerateGeometry, NonFiniteState
 from se3slam.liegroup import Pose
@@ -12,6 +13,9 @@ from se3slam.observer import Gains, step
 from se3slam.runner import csv_lines, initial_conditions, run, sweep, write_csv
 from se3slam.scenario import RECONSTRUCTED, Box, LandmarkLayout, load_scenario, set_parameter
 from se3slam.simulator import ChannelNoise, NoiseSpec, TrajectorySpec, measure, truth_at
+
+
+BENCH_TRACER = SCENARIO_DIR.parent / "bench" / "tracer.py"
 
 
 @pytest.fixture(scope="module")
@@ -200,25 +204,25 @@ def test_provenance_fields(short):
 
 def reference_records(scenario):
     """The run loop written plainly over the public API, two truth evaluations per
-    step, in reconstructed mode conftest's attitude solve, then a one-instant
-    ``step`` with the given attitude, scored one instant at a time, the k-th new
-    state at the instant (k + 1) * dt of its truth; the records are stacked for
-    comparison."""
+    step, a 1-instant ``measure``, in reconstructed mode conftest's attitude
+    solve, then a 1-block ``step`` with the given attitude, scored one instant at
+    a time, the k-th new state at the instant (k + 1) * dt of its truth; the
+    records are stacked for comparison."""
     landmarks, _, state, rng_noise = initial_conditions(scenario)
     traj, dt = scenario.trajectory, scenario.dt
-    records = [evaluate(state, truth_at(traj, 0.0, landmarks))]
+    records = [evaluate(state, truth_at_instant(traj, 0.0, landmarks))]
     last_good = None
     for k in range(int(round(scenario.duration / dt))):
-        truth = truth_at(traj, k * dt, landmarks)
+        truth = truth_at(traj, np.array([k * dt]), landmarks)
         meas = measure(truth, scenario.noise, rng_noise)
         if scenario.attitude_mode == RECONSTRUCTED:
-            c_ba, ok = reference_resolve_attitude(state, meas, fallback=last_good)
+            c_ba, ok = reference_resolve_attitude(state, meas.row(0), fallback=last_good)
             last_good = c_ba if ok else last_good
         else:
-            c_ba, ok = truth.dcm, True
-        state = step(state, meas, c_ba, scenario.gains, dt)
+            c_ba, ok = truth.dcm[0], True
+        state = step(state, meas, c_ba[None], scenario.gains, dt)[0].row(0)
         scored = dataclasses.replace(state, time=(k + 1) * dt)
-        records.append(evaluate(scored, truth_at(traj, (k + 1) * dt, landmarks), ok))
+        records.append(evaluate(scored, truth_at_instant(traj, (k + 1) * dt, landmarks), ok))
     return stack_records(records)
 
 
@@ -441,3 +445,14 @@ def test_score_overflow_names_first_bad_time(short):
     scenario = dataclasses.replace(short, landmarks=LandmarkLayout(positions=positions))
     with pytest.raises(NonFiniteState, match=r"non-finite error metric at t=0\.0$"):
         run(scenario)
+
+
+def test_every_name_the_tracer_wraps_resolves():
+    # the traced benchmark wraps these names where the package looks them up;
+    # a source edit that drops one fails here, not only in a traced run
+    spec = importlib.util.spec_from_file_location("tracer", BENCH_TRACER)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    for module, attr_path, _ in tracer.FULL_TARGETS:
+        owner, attr = tracer._resolve(module, attr_path)
+        assert callable(owner.__dict__.get(attr)), f"{module}: {attr_path}"

@@ -162,6 +162,17 @@ def test_landmark_count_is_bounded(base_doc):
         set_parameter(scenario, "landmarks.count", 1e9)
 
 
+@pytest.mark.parametrize("name", ["", ".", "a/", "a/b", "../escaped", "/x"])
+def test_name_must_be_a_file_name(base_doc, name):
+    # the name is the stem of a run's output files under --out
+    base_doc["name"] = name
+    message = f"^name: must be a file name, not empty or a path, got {name!r}$"
+    with pytest.raises(ConfigInvalid, match=message.replace(".", r"\.")):
+        parse_scenario(base_doc)
+    base_doc["name"] = "..."  # a file name, if an odd one
+    assert parse_scenario(base_doc).name == "..."
+
+
 def test_dt_must_not_exceed_duration(base_doc):
     base_doc["dt"] = 100.0
     with pytest.raises(ConfigInvalid, match="dt"):
@@ -449,7 +460,7 @@ def test_minimal_document_takes_dataclass_defaults():
     assert (spec.radius, spec.angular_rate, spec.vertical_rate) == (0.0, 0.0, 0.0)
     assert spec.tumble_amplitude == (0.0, 0.0, 0.0)
     assert spec.initial_position == spec.initial_rotation == (0.0, 0.0, 0.0)
-    start = truth_at(spec, 0.0)
+    start = truth_at(spec, np.zeros(1), np.zeros((0, 3))).row(0)
     np.testing.assert_array_equal(homogeneous(start.dcm, start.position), np.eye(4))
 
 

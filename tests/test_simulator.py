@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import se3slam
-from conftest import random_rotation
+from conftest import random_rotation, truth_at_instant
 from se3slam import simulator
 from se3slam.errors import NonFiniteState
 from se3slam.liegroup import exp_so3, hat, homogeneous
@@ -37,7 +37,7 @@ ALL_SPECS = [
 
 def test_static_family():
     spec = ALL_SPECS[0]
-    g = truth_at(spec, 3.7)
+    g = truth_at_instant(spec, 3.7)
     assert np.allclose(g.omega_body, 0.0)
     assert np.allclose(g.velocity_body, 0.0)
     initial = homogeneous(exp_so3(spec.initial_rotation), np.array(spec.initial_position))
@@ -50,15 +50,15 @@ def test_static_family_ignores_radius_and_rates():
                           initial_position=(1.0, -2.0, 3.0), initial_rotation=(0.1, 0.2, -0.3))
     t = np.concatenate([[0.0], np.linspace(1e-9, 50.0, 257)])
     c0 = exp_so3(spec.initial_rotation)
-    for g in (truth_at(spec, t, np.ones((2, 3))), truth_at(spec, 0.0)):
+    for g in (truth_at(spec, t, np.ones((2, 3))), truth_at_instant(spec, 0.0)):
         assert (g.dcm == c0).all() and (g.position == spec.initial_position).all()
         assert (g.omega_body == 0.0).all() and (g.velocity_body == 0.0).all()
 
 
 def test_circle_periodicity():
     spec = ALL_SPECS[1]
-    a = truth_at(spec, 0.0)
-    b = truth_at(spec, 2 * np.pi)
+    a = truth_at_instant(spec, 0.0)
+    b = truth_at_instant(spec, 2 * np.pi)
     assert np.allclose(homogeneous(a.dcm, a.position), homogeneous(b.dcm, b.position), atol=1e-9)
 
 
@@ -67,10 +67,10 @@ def test_finite_difference_consistency(spec, rng):
     # central difference of the closed-form pose must match the stated rates:
     # d/dt C_ba.T = C_ba.T @ hat(omega), d/dt r_a = C_ba.T @ v_b
     h = 1e-6
-    for t in rng.uniform(h, 20.0, size=100):
-        g = truth_at(spec, t)
-        gp = truth_at(spec, t + h)
-        gm = truth_at(spec, t - h)
+    ts = rng.uniform(h, 20.0, size=100)
+    blocks = [truth_at(spec, t, np.zeros((0, 3))) for t in (ts, ts + h, ts - h)]
+    for i in range(len(ts)):
+        g, gp, gm = (block.row(i) for block in blocks)
         rdot_num = (gp.position - gm.position) / (2 * h)
         assert np.allclose(rdot_num, g.dcm.T @ g.velocity_body, atol=1e-6)
         cdot_num = (gp.dcm.T - gm.dcm.T) / (2 * h)
@@ -79,9 +79,9 @@ def test_finite_difference_consistency(spec, rng):
 
 def test_truth_rejects_negative_time():
     with pytest.raises(ValueError):
-        truth_at(ALL_SPECS[1], -0.1)
+        truth_at_instant(ALL_SPECS[1], -0.1)
     with pytest.raises(ValueError):
-        truth_at(ALL_SPECS[1], np.nan)
+        truth_at_instant(ALL_SPECS[1], np.nan)
 
 
 @pytest.mark.parametrize("field", ["radius", "angular_rate", "vertical_rate", "tumble_amplitude"])
@@ -104,26 +104,26 @@ def test_trajectory_rejects_non_finite_fields(field):
 )
 def test_truth_rejects_overflow_of_finite_fields(spec, t):
     # finite fields whose attitude or position overflows must not yield NaN truth
-    assert np.isfinite(truth_at(spec, 0.0).dcm).all()
+    assert np.isfinite(truth_at_instant(spec, 0.0).dcm).all()
     with pytest.raises(NonFiniteState):
-        truth_at(spec, t)
+        truth_at_instant(spec, t)
 
 
 def test_stacked_truth_rejects_bad_times():
     with pytest.raises(ValueError, match="got -1.0$"):
-        truth_at(ALL_SPECS[1], np.array([0.0, 0.5, -1.0, np.nan]))
+        truth_at(ALL_SPECS[1], np.array([0.0, 0.5, -1.0, np.nan]), np.zeros((0, 3)))
     with pytest.raises(ValueError, match="1-D"):
-        truth_at(ALL_SPECS[1], np.zeros((2, 2)))
+        truth_at(ALL_SPECS[1], np.zeros((2, 2)), np.zeros((0, 3)))
 
 
 def test_stacked_truth_names_first_non_finite_time():
     # c * t overflows once t exceeds 179.77; t = 179.5 is still finite
     spec = TrajectorySpec("helix", vertical_rate=1e306)
-    assert np.isfinite(truth_at(spec, np.arange(360) * 0.5).position).all()
+    assert np.isfinite(truth_at(spec, np.arange(360) * 0.5, np.zeros((0, 3))).position).all()
     with np.errstate(over="ignore"), pytest.raises(
         NonFiniteState, match=r"position at t=180\.0$"
     ):
-        truth_at(spec, np.arange(400) * 0.5)
+        truth_at(spec, np.arange(400) * 0.5, np.zeros((0, 3)))
 
 
 times = st.one_of(
@@ -136,11 +136,12 @@ times = st.one_of(
 @settings(max_examples=60, deadline=None)
 @given(st.sampled_from(ALL_SPECS), st.lists(times, min_size=1, max_size=16))
 def test_stacked_truth_matches_per_time_bit_for_bit(spec, ts):
+    # one n-time block against n 1-time blocks
     landmarks = np.array([[1.0, 2.0, 3.0], [-1.0, 0.5, 0.0]])
     stacked = truth_at(spec, np.array(ts), landmarks)
     assert stacked.dcm.shape == (len(ts), 3, 3)
     for i, t in enumerate(ts):
-        row, one = stacked.row(i), truth_at(spec, t, landmarks)
+        row, one = stacked.row(i), truth_at(spec, np.array([t]), landmarks).row(0)
         assert np.array_equal(row.dcm, one.dcm)
         assert np.array_equal(row.position, one.position)
         assert np.array_equal(row.omega_body, one.omega_body)
@@ -162,7 +163,7 @@ def test_truth_at_reuses_the_spec_start_attitude(monkeypatch):
         monkeypatch.setattr(simulator, name, lambda a, f=original, n=name: calls.append(n) or f(a))
     for spec in ALL_SPECS:
         calls.clear()
-        truth = truth_at(spec, np.linspace(0.0, 2.0, 17))
+        truth = truth_at(spec, np.linspace(0.0, 2.0, 17), np.zeros((0, 3)))
         stacked = "exp_so3_with_right_jacobian" if spec.family == "tumble" else "exp_so3"
         assert calls == [stacked]
         assert np.array_equal(truth.dcm[0], exp_so3(spec.initial_rotation))
@@ -170,16 +171,18 @@ def test_truth_at_reuses_the_spec_start_attitude(monkeypatch):
 
 def test_measure_identity_pose():
     landmarks = np.array([[1.0, 2.0, 3.0]])
-    g = truth_at(TrajectorySpec("static"), 0.0, landmarks)
+    g = truth_at(TrajectorySpec("static"), np.zeros(1), landmarks)
     frame = measure(g, NoiseSpec(), np.random.default_rng(0))
-    assert np.array_equal(frame.landmark_obs, landmarks)
+    assert np.array_equal(frame.landmark_obs[0], landmarks)
 
 
 def test_measure_matches_transcription(rng):
     dcm, position = random_rotation(rng), rng.normal(size=3)
     landmarks = rng.normal(size=(5, 3))
-    g = GroundTruth(dcm, position, rng.normal(size=3), rng.normal(size=3), landmarks)
-    frame = measure(g, NoiseSpec(), np.random.default_rng(0))
+    omega, velocity = rng.normal(size=(1, 3)), rng.normal(size=(1, 3))
+    g = GroundTruth(dcm[None], position[None], omega, velocity, landmarks)
+    frame = measure(g, NoiseSpec(), np.random.default_rng(0)).row(0)
+    g = g.row(0)
     for i in range(5):
         expected = dcm @ (landmarks[i] - position)
         assert np.allclose(frame.landmark_obs[i], expected, atol=1e-13)
@@ -196,10 +199,10 @@ def test_gaussian_noise_scale():
 
 
 def test_bias_is_additive():
-    g = truth_at(TrajectorySpec("static"), 0.0, np.zeros((1, 3)))
+    g = truth_at(TrajectorySpec("static"), np.zeros(1), np.zeros((1, 3)))
     noise = NoiseSpec(velocity=ChannelNoise("none", bias=(0.1, -0.2, 0.3)))
     frame = measure(g, noise, np.random.default_rng(0))
-    assert np.allclose(frame.velocity, [0.1, -0.2, 0.3])
+    assert np.allclose(frame.velocity, [[0.1, -0.2, 0.3]])
 
 
 @pytest.mark.parametrize("family", ["gaussian", "student_t", "uniform"])
@@ -223,7 +226,7 @@ def test_student_t_requires_dof():
 
 
 def test_measurement_stream_deterministic():
-    g = truth_at(ALL_SPECS[3], 1.0, np.ones((3, 3)))
+    g = truth_at(ALL_SPECS[3], np.ones(1), np.ones((3, 3)))
     noise = NoiseSpec(
         omega=ChannelNoise("gaussian", 0.01),
         velocity=ChannelNoise("uniform", 0.05),
@@ -253,6 +256,8 @@ channels = st.builds(
     st.integers(0, 2**32 - 1),
 )
 def test_stacked_measure_matches_one_instant_calls(noise, n, n_landmarks, seed):
+    # one n-instant block against n 1-instant blocks: the same bits and the
+    # same generator state
     rng = np.random.default_rng(seed)
     truth = GroundTruth(
         np.array([random_rotation(rng) for _ in range(n)]).reshape(n, 3, 3),
@@ -265,7 +270,7 @@ def test_stacked_measure_matches_one_instant_calls(noise, n, n_landmarks, seed):
     stacked = measure(truth, noise, stacked_rng)
     assert stacked.landmark_obs.shape == (n, n_landmarks, 3)
     for i in range(n):
-        row, one = stacked.row(i), measure(truth.row(i), noise, one_rng)
+        row, one = stacked.row(i), measure(truth.row(slice(i, i + 1)), noise, one_rng).row(0)
         assert np.array_equal(row.omega, one.omega)
         assert np.array_equal(row.velocity, one.velocity)
         assert np.array_equal(row.landmark_obs, one.landmark_obs)
@@ -304,7 +309,7 @@ def test_simulator_does_not_import_observer():
         "import sys\n"
         "import numpy as np\n"
         "from se3slam.simulator import NoiseSpec, TrajectorySpec, measure, truth_at\n"
-        "truth = truth_at(TrajectorySpec('static'), 0.0, [[1.0, 0.0, 0.0]])\n"
+        "truth = truth_at(TrajectorySpec('static'), np.zeros(1), np.eye(3))\n"
         "measure(truth, NoiseSpec(), np.random.default_rng(0))\n"
         "print('se3slam.observer' in sys.modules)\n"
     )
