@@ -1,11 +1,13 @@
 """Print the sha256 of every output a run writes, one line per output.
 
-The runs are every bundled scenario under ``scenarios/`` and the benchmark's
-generated dense scenario (``DENSE_SCENARIO`` in ``bench/workloads.py``, read
-and not changed) at seeds 0-3. For each run it prints the digest of the full
-CSV, of the CSV at ``--decimate 10`` and of the summary, as ``se3slam run``
-would write them. Two source trees give the same output bits exactly when they
-print the same lines, so comparing them is one ``diff``:
+The runs are every bundled scenario under ``scenarios/``, the bundled
+reconstructed scenario with its landmarks moved into the circle's plane
+(``in_plane``), and the benchmark's generated dense scenario
+(``DENSE_SCENARIO`` in ``bench/workloads.py``, read and not changed) at seeds
+0-3. For each run it prints the digest of the full CSV, of the CSV at
+``--decimate 10`` and of the summary, as ``se3slam run`` would write them.
+Two source trees give the same output bits exactly when they print the same
+lines, so comparing them is one ``diff``:
 
     PYTHONPATH=src python scripts/output_digest.py > after.txt
     diff before.txt after.txt
@@ -13,6 +15,7 @@ print the same lines, so comparing them is one ``diff``:
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import importlib.util
 import sys
@@ -21,10 +24,21 @@ from pathlib import Path
 import yaml
 
 from se3slam.runner import csv_lines, run, summary_lines
-from se3slam.scenario import load_scenario, parse_scenario
+from se3slam.scenario import LandmarkLayout, load_scenario, parse_scenario
 
 ROOT = Path(__file__).resolve().parent.parent
 DENSE_SEEDS = range(4)
+
+
+def in_plane(scenario):
+    """``scenario`` (the bundled reconstructed one) with its landmarks moved into
+    the circle's plane z = 0.5, over 2000 steps. Once the map has converged the
+    datum directions are coplanar, so the attitude solve ranks them both by its
+    rank-3 certificate and by eigvalsh."""
+    positions = tuple((x, y, 0.5) for x, y, _ in scenario.landmarks.positions)
+    return dataclasses.replace(
+        scenario, landmarks=LandmarkLayout(positions=positions), duration=2000 * scenario.dt
+    )
 
 
 def _dense_scenario_text() -> str:
@@ -40,6 +54,8 @@ def _scenarios():
     for path in sorted((ROOT / "scenarios").glob("*.yaml")):
         scenario, digest = load_scenario(path)
         yield path.name, scenario, digest
+        if path.name == "reconstructed.yaml":
+            yield f"{path.name} in_plane", in_plane(scenario), digest
     template = _dense_scenario_text()
     for seed in DENSE_SEEDS:
         text = template.format(seed=seed)

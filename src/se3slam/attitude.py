@@ -8,6 +8,8 @@ current map/pose estimates.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .errors import DegenerateGeometry, ZeroVector
@@ -20,10 +22,29 @@ ZERO_NORM = 1e-12
 def collinearity_rank(directions) -> int:
     """Effective rank of the unit directions at the angle threshold.
     ``directions`` is an (n, 3) float array of unit rows, taken as given."""
-    # The eigenvalues of the 3x3 Gram matrix are the squared singular values
-    # of the unit rows, so this is the singular-value rule without an SVD.
-    eig = np.linalg.eigvalsh(directions.T @ directions).tolist()  # ascending
-    threshold = COLLINEARITY_ANGLE**2 * eig[-1]
+    # The eigenvalues l1 >= l2 >= l3 of the 3x3 Gram matrix G are the squared
+    # singular values of the unit rows, so counting those above tau * l1 (tau =
+    # COLLINEARITY_ANGLE**2) is the singular-value rule without an SVD.
+    tau = COLLINEARITY_ANGLE**2
+    gram = directions.T @ directions
+    g0, g1, g2, g3, g4, g5, g6, g7, g8 = gram.ravel().tolist()
+    # A rank-3 certificate in Python floats, from tr, det and e2 (the sum of the
+    # principal 2x2 minors) of G. For PSD G, l1 l2 <= e2, so det > 2 tau tr e2
+    # gives l3 = det / (l1 l2) >= det / e2 > 2 tau tr >= 2 tau l1: l3 clears the
+    # threshold tau l1 by a factor 2, which eigvalsh's rounding (a small multiple
+    # of eps l1 per eigenvalue) cannot undo. The term 64 eps tr^3 (eps = 2^-52)
+    # covers the rounding of det and e2: |g_ij| <= sqrt(g_ii g_jj), so the six
+    # products in det add up to at most 6 g_00 g_11 g_22 < tr^3 / 4. It also
+    # covers a computed G that is PSD only to within a few eps tr. Any other G
+    # is ranked by eigvalsh's count.
+    m48, m37, m36 = g4 * g8 - g5 * g7, g3 * g8 - g5 * g6, g3 * g7 - g4 * g6
+    tr = g0 + g4 + g8
+    e2 = (g0 * g4 - g1 * g3) + (g0 * g8 - g2 * g6) + m48
+    det = g0 * m48 - g1 * m37 + g2 * m36
+    if det > 2.0 * tau * tr * e2 + 64.0 * 2.0**-52 * tr * tr * tr:
+        return 3
+    eig = np.linalg.eigvalsh(gram).tolist()  # ascending
+    threshold = tau * eig[-1]
     return sum(e > threshold for e in eig)
 
 
@@ -40,13 +61,17 @@ def solve_attitude(body_vectors, datum_vectors) -> np.ndarray:
     datum = np.asarray(datum_vectors, dtype=float)
     if body.ndim != 2 or body.shape != datum.shape or body.shape[0] < 2:
         raise DegenerateGeometry("need at least 2 paired vectors of equal count")
-    # Both sides' rows normalized in one pass, with np.linalg.norm's bits. max()
-    # propagates NaN, and a squared norm past float range reads inf.
+    # Both sides' rows normalized in one pass, with np.linalg.norm's bits, and
+    # checked in one pass over Python floats. A squared norm past float range
+    # reads inf, so a finite norm is below sqrt(DBL_MAX) ~ 1.3e154 and a sum of
+    # finite norms cannot overflow: the sum is finite exactly when every norm
+    # is, and NaN and inf carry through it (Python's max would drop a NaN).
     rows = np.concatenate((body, datum))
     norms = np.sqrt((rows * rows).sum(axis=1))
-    if not norms.max() < np.inf:
+    ns = norms.tolist()
+    if not math.isfinite(sum(ns)):
         raise DegenerateGeometry("direction vector with a non-finite or overflowing norm")
-    if norms.min() < ZERO_NORM:
+    if min(ns) < ZERO_NORM:
         raise ZeroVector("direction vector with near-zero norm")
     dirs = rows / norms[:, None]
     b, d = dirs[: len(body)], dirs[len(body) :]

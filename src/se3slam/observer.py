@@ -120,8 +120,8 @@ def step(
     (states, flags, last_good): the n new states stacked, their times
     state.time + dt, + dt again, and so on; the n attitude flags; and the last
     good solve, the next call's ``fallback``. An n-block call has the bits of n
-    1-block calls. Any other shape of ``landmark_obs`` or ``c_ba`` raises
-    ValueError, as does a dt that is not finite and positive.
+    1-block calls. Any other shape of ``landmark_obs``, ``c_ba``, ``omega`` or
+    ``velocity`` raises ValueError, as does a dt that is not finite and positive.
 
     With ``c_ba`` None (reconstructed mode), step k solves its attitude from O_k
     and the map step k - 1 made (``resolve_attitude``), falling back to the last
@@ -141,6 +141,9 @@ def step(
     reconstructed = c_ba is None
     if not reconstructed and c_ba.shape != (n, 3, 3):
         raise ValueError(f"c_ba must be ({n}, 3, 3) or None, got shape {c_ba.shape}")
+    for name, field in (("omega", meas.omega), ("velocity", meas.velocity)):
+        if field.shape != (n, 3):
+            raise ValueError(f"{name} must be ({n}, 3), got shape {field.shape}")
     if num_landmarks == 0:
         raise EmptyMap("step needs at least one landmark")
 

@@ -1,5 +1,8 @@
+import contextlib
+import importlib.util
 import math
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -23,6 +26,27 @@ def random_rotation(rng, max_angle=np.pi):
     axis = rng.normal(size=3)
     axis /= np.linalg.norm(axis)
     return exp_so3(axis * rng.uniform(0.0, max_angle))
+
+
+def load_file_module(name, path):
+    """The module at ``path``, a file outside the package, run once."""
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@contextlib.contextmanager
+def counted_eigvalsh():
+    """A list that grows by one for each np.linalg.eigvalsh call in the block."""
+    calls, eigvalsh = [], np.linalg.eigvalsh
+
+    def counted(a, *args, **kwargs):
+        calls.append(None)
+        return eigvalsh(a, *args, **kwargs)
+
+    with mock.patch.object(np.linalg, "eigvalsh", counted):
+        yield calls
 
 
 def truth_at_instant(spec, t, landmarks=np.zeros((0, 3))):

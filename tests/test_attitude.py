@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_rotation
+from conftest import counted_eigvalsh, random_rotation
 from se3slam.attitude import COLLINEARITY_ANGLE, ZERO_NORM, collinearity_rank, solve_attitude
 from se3slam.errors import DegenerateGeometry, ZeroVector
 from se3slam.liegroup import is_rotation
@@ -79,27 +79,47 @@ def test_zero_vector_raises():
         solve_attitude(datum, datum)
 
 
+ZERO_ROW = [0.0, 0.5 * ZERO_NORM, 0.0]
+
+
 @pytest.mark.parametrize("side", ["body", "datum"])
 @pytest.mark.parametrize(
-    "row, error, message",
+    "bad, error, message",
     [
-        ([np.nan, 0.0, 0.0], DegenerateGeometry, "non-finite"),
-        ([0.0, np.inf, 0.0], DegenerateGeometry, "non-finite"),
-        ([0.0, 0.0, -np.inf], DegenerateGeometry, "non-finite"),
-        ([1.0e200, 0.0, 0.0], DegenerateGeometry, "non-finite or overflowing"),
-        ([0.0, 0.5 * ZERO_NORM, 0.0], ZeroVector, "near-zero"),
+        ({1: [np.nan, 0.0, 0.0]}, DegenerateGeometry, "non-finite"),
+        ({1: [0.0, np.inf, 0.0]}, DegenerateGeometry, "non-finite"),
+        ({1: [0.0, 0.0, -np.inf]}, DegenerateGeometry, "non-finite"),
+        ({1: [1.0e200, 0.0, 0.0]}, DegenerateGeometry, "non-finite or overflowing"),
+        ({1: ZERO_ROW}, ZeroVector, "near-zero"),
+        ({0: ZERO_ROW, 2: [np.nan, 0.0, 0.0]}, DegenerateGeometry, "non-finite"),
+        ({0: ZERO_ROW, 2: [0.0, np.inf, 0.0]}, DegenerateGeometry, "non-finite"),
+        ({1: [np.nan, 0.0, 0.0], 3: ZERO_ROW}, DegenerateGeometry, "non-finite"),
+        ({1: [0.0, -np.inf, 0.0], 3: ZERO_ROW}, DegenerateGeometry, "non-finite"),
     ],
-    ids=["nan", "inf", "-inf", "overflowing", "zero"],
+    ids=[
+        "nan",
+        "inf",
+        "-inf",
+        "overflowing",
+        "zero",
+        "zero-then-nan",
+        "zero-then-inf",
+        "nan-and-zero-across",
+        "inf-and-zero-across",
+    ],
 )
-def test_bad_row_among_good_ones_raises(side, row, error, message):
+def test_bad_row_among_good_ones_raises(side, bad, error, message):
     # the solve checks every row before the rank and the SVD: a NaN, infinite
     # or overflowing direction ends in DegenerateGeometry, never in numpy's
     # LinAlgError, and a finite row whose squared norm overflows is not read
-    # as a zero direction
-    vectors = {"body": np.eye(3), "datum": np.eye(3)}
-    vectors[side][1] = row
+    # as a zero direction. A non-finite row wins over a zero row wherever
+    # either sits. ``bad`` places rows by index in [side's 3 rows; other's 3].
+    rows = np.vstack((np.eye(3), np.eye(3)))
+    for index, row in bad.items():
+        rows[index] = row
+    body, datum = (rows[:3], rows[3:]) if side == "body" else (rows[3:], rows[:3])
     with np.errstate(over="ignore"), pytest.raises(error, match=message):
-        solve_attitude(vectors["body"], vectors["datum"])
+        solve_attitude(body, datum)
 
 
 def test_solve_is_scale_invariant(rng):
@@ -174,6 +194,42 @@ def test_rank_random_directions_full(rng):
         s = np.linalg.svd(unit, compute_uv=False)
         expected = int(np.sum(s > 1e-4 * s[0]))
         assert collinearity_rank(unit) == expected == 3
+
+
+def test_rank_three_needs_no_eigvalsh_and_lower_ranks_do(rng):
+    # well-spread directions are ranked by the certificate alone; coplanar and
+    # collinear ones cannot be, and eigvalsh counts them
+    spread = [np.eye(3), _unit_rows(rng.normal(size=(10, 3)))]
+    plane = _unit_rows(rng.normal(size=(6, 2)) @ random_rotation(rng)[:2])
+    line = np.outer([1.0, -1.0, 1.0], random_rotation(rng)[0])
+    for dirs, rank, calls in [(d, 3, 0) for d in spread] + [(plane, 2, 1), (line, 1, 1)]:
+        with counted_eigvalsh() as eigvalsh_calls:
+            assert collinearity_rank(dirs) == rank
+        assert len(eigvalsh_calls) == calls
+
+
+@settings(max_examples=500, deadline=None)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.integers(1, 12),
+    st.floats(-1.0, 1.0),
+    st.integers(1, 2),
+)
+def test_certificate_fires_only_where_eigvalsh_counts_three(seed, count, log_ratio, base_rank):
+    # unit directions about a line or a plane, spread within a decade of the
+    # collinearity angle either way, so the smallest eigenvalue sits on both
+    # sides of the threshold. Whenever the rank comes back without eigvalsh,
+    # eigvalsh would have counted 3 eigenvalues above the threshold.
+    rng = np.random.default_rng(seed)
+    dirs = rng.normal(size=(count, base_rank)) @ random_rotation(rng)[:base_rank]
+    spread = COLLINEARITY_ANGLE * 10.0**log_ratio
+    dirs += spread * np.linalg.norm(dirs, axis=1)[:, None] * rng.normal(size=(count, 3))
+    unit = _unit_rows(dirs)
+    with counted_eigvalsh() as eigvalsh_calls:
+        rank = collinearity_rank(unit)
+    if not eigvalsh_calls:
+        eig = np.linalg.eigvalsh(unit.T @ unit)
+        assert rank == np.count_nonzero(eig > COLLINEARITY_ANGLE**2 * eig[-1]) == 3
 
 
 @settings(max_examples=300, deadline=None)

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -623,6 +625,11 @@ def test_true_attitude_step_returns_flags_and_the_fallback(rng):
         ("unstacked-meas", r"^landmark_obs must be \(n, l, 3\), got shape \(4, 3\)$"),
         ("unstacked-meas-reconstructed", r"^landmark_obs must be \(n, l, 3\), got shape \(4, 3\)$"),
         ("unstacked-c_ba", r"^c_ba must be \(1, 3, 3\) or None, got shape \(3, 3\)$"),
+        ("unstacked-omega", r"^omega must be \(1, 3\), got shape \(3,\)$"),
+        ("unstacked-velocity", r"^velocity must be \(1, 3\), got shape \(3,\)$"),
+        ("unstacked-omega-reconstructed", r"^omega must be \(1, 3\), got shape \(3,\)$"),
+        ("short-velocity", r"^velocity must be \(1, 3\), got shape \(0, 3\)$"),
+        ("wide-omega", r"^omega must be \(1, 3\), got shape \(1, 4\)$"),
     ],
 )
 def test_one_instant_forms_raise(rng, form, message):
@@ -631,12 +638,27 @@ def test_one_instant_forms_raise(rng, form, message):
     state, meas, c_ba = random_block(rng, 1, 4, 0.0)
     truth = truth_at(screw_spec(), np.zeros(1), LANDMARKS)
     gains, dt = Gains(1.0, 1.0, 1.0), 0.01
+
+    def with_fields(**fields):
+        return dataclasses.replace(meas, **fields)
+
     calls = {
         "scalar-t": lambda: truth_at(screw_spec(), 0.0, LANDMARKS),
         "unstacked-truth": lambda: measure(truth.row(0), NoiseSpec(), np.random.default_rng(0)),
         "unstacked-meas": lambda: step(state, meas.row(0), c_ba, gains, dt),
         "unstacked-meas-reconstructed": lambda: step(state, meas.row(0), None, gains, dt),
         "unstacked-c_ba": lambda: step(state, meas, c_ba[0], gains, dt),
+        "unstacked-omega": lambda: step(state, with_fields(omega=meas.omega[0]), c_ba, gains, dt),
+        "unstacked-velocity": lambda: step(
+            state, with_fields(velocity=meas.velocity[0]), c_ba, gains, dt
+        ),
+        "unstacked-omega-reconstructed": lambda: step(
+            state, with_fields(omega=meas.omega[0]), None, gains, dt
+        ),
+        "short-velocity": lambda: step(
+            state, with_fields(velocity=meas.velocity[:0]), c_ba, gains, dt
+        ),
+        "wide-omega": lambda: step(state, with_fields(omega=np.zeros((1, 4))), c_ba, gains, dt),
     }
     with pytest.raises(ValueError, match=message):
         calls[form]()
