@@ -5,7 +5,9 @@ reconstructed scenario with its landmarks moved into the circle's plane
 (``in_plane``), and the benchmark's generated dense scenario
 (``DENSE_SCENARIO`` in ``bench/workloads.py``, read and not changed) at seeds
 0-3. For each run it prints the digest of the full CSV, of the CSV at
-``--decimate 10`` and of the summary, as ``se3slam run`` would write them.
+``--decimate 10`` and of the summary. The CSV digests are of the bytes
+``write_csv`` writes, as ``se3slam run`` writes them, and the script exits
+non-zero where those bytes differ from ``csv_lines``.
 Two source trees give the same output bits exactly when they print the same
 lines, so comparing them is one ``diff``:
 
@@ -19,11 +21,12 @@ import dataclasses
 import hashlib
 import importlib.util
 import sys
+import tempfile
 from pathlib import Path
 
 import yaml
 
-from se3slam.runner import csv_lines, run, summary_lines
+from se3slam.runner import csv_lines, run, summary_lines, write_csv
 from se3slam.scenario import LandmarkLayout, load_scenario, parse_scenario
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -67,12 +70,23 @@ def _sha256(lines: list[str]) -> str:
     return hashlib.sha256(("\n".join(lines) + "\n").encode()).hexdigest()
 
 
+def _csv_sha256(records, decimate: int, path: Path) -> str:
+    """The digest of the file ``write_csv`` writes, which must hold ``csv_lines``."""
+    write_csv(records, path, decimate)
+    data = path.read_bytes()
+    if data != ("\n".join(csv_lines(records, decimate)) + "\n").encode():
+        sys.exit(f"{path.name}: write_csv and csv_lines differ at --decimate {decimate}")
+    return hashlib.sha256(data).hexdigest()
+
+
 def main() -> None:
-    for label, scenario, digest in _scenarios():
-        result = run(scenario, scenario_hash=digest)
-        print(f"{label} csv {_sha256(csv_lines(result.records))}")
-        print(f"{label} csv_decimate_10 {_sha256(csv_lines(result.records, 10))}")
-        print(f"{label} summary {_sha256(summary_lines(result))}")
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "out.csv"
+        for label, scenario, digest in _scenarios():
+            result = run(scenario, scenario_hash=digest)
+            print(f"{label} csv {_csv_sha256(result.records, 1, path)}")
+            print(f"{label} csv_decimate_10 {_csv_sha256(result.records, 10, path)}")
+            print(f"{label} summary {_sha256(summary_lines(result))}")
 
 
 if __name__ == "__main__":

@@ -61,6 +61,14 @@ def step_once(state, meas, c_ba, gains, dt):
     return step(state, block, c_ba[None], gains, dt)[0].row(0)
 
 
+def per_field_row(r) -> str:
+    """The CSV row of the one-instant record r by one format call per field,
+    numpy scalars formatted as themselves: the oracle the CSV writer is held to."""
+    values = [r.time, r.lyapunov, r.attitude_error_angle, r.position_error]
+    fields = [f"{x:.17g}" for x in [*values, *r.map_error, *r.relative_map_error]]
+    return ",".join(fields + ["1" if r.attitude_source_ok else "0"])
+
+
 def stack_records(records) -> ErrorRecord:
     """One stacked ErrorRecord from single-instant records, row i from records[i]."""
     return ErrorRecord(*map(np.array, zip(*(r.columns() for r in records))))

@@ -7,6 +7,7 @@ from conftest import (
     SCENARIO_DIR,
     counted_eigvalsh,
     load_file_module,
+    per_field_row,
     reference_resolve_attitude,
     stack_records,
     truth_at_instant,
@@ -97,13 +98,6 @@ def test_csv_shape_and_header(short):
     assert all(len(line.split(",")) == len(header) for line in lines[1:])
 
 
-def _per_field_row(r):
-    # one format call per field, numpy scalars formatted as themselves
-    values = [r.time, r.lyapunov, r.attitude_error_angle, r.position_error]
-    fields = [f"{x:.17g}" for x in [*values, *r.map_error, *r.relative_map_error]]
-    return ",".join(fields + ["1" if r.attitude_source_ok else "0"])
-
-
 def test_csv_roundtrip_lossless(short, tmp_path):
     result = run(short)
     path = tmp_path / "out.csv"
@@ -120,19 +114,19 @@ def test_csv_roundtrip_lossless(short, tmp_path):
         relative_map_error=np.array([[2.0**-1030, 1.7976931348623157e308, 123456789.123456789]]),
         attitude_source_ok=np.array([False]),
     )
-    rows = [_per_field_row(result.records.row(i)) for i in range(len(result.records))]
+    rows = [per_field_row(result.records.row(i)) for i in range(len(result.records))]
     assert path.read_text().splitlines()[1:] == rows
-    assert csv_lines(edge)[1] == _per_field_row(edge.row(0))
+    assert csv_lines(edge)[1] == per_field_row(edge.row(0))
 
 
 def test_write_csv_streams_blocks_with_the_same_rows(short, tmp_path, monkeypatch):
     records = run(short).records
     monkeypatch.setattr(runner, "CSV_BLOCK_VALUES", 50)  # two 21-value rows per block
-    for decimate in (1, 3):
+    for decimate in (1, 3, 10):  # 3 leaves the final row off the grid, 10 keeps it on
         path = tmp_path / f"every_{decimate}.csv"
         write_csv(records, path, decimate)
         kept = sorted({*range(0, len(records), decimate), len(records) - 1})
-        assert path.read_text().splitlines()[1:] == [_per_field_row(records.row(i)) for i in kept]
+        assert path.read_text().splitlines()[1:] == [per_field_row(records.row(i)) for i in kept]
         assert path.read_text() == "\n".join(csv_lines(records, decimate)) + "\n"
     with pytest.raises(ValueError, match="decimate"):
         write_csv(records, tmp_path / "bad.csv", 0)
