@@ -11,7 +11,8 @@ Error definitions:
 An ``ErrorRecord`` holds them at one instant, or at n instants stacked along a
 leading axis of every field, as ``GroundTruth`` does. ``evaluate`` works on the
 plain (dcm, position) arrays of ``ObserverState`` and ``GroundTruth``, and is
-the one public path to these numbers.
+the one public path to these numbers. The truth brings the record's instants
+and the true body-frame landmarks, so neither is made again here.
 """
 
 from __future__ import annotations
@@ -73,9 +74,9 @@ def map_errors(state: ObserverState, truth: GroundTruth) -> np.ndarray:
 
 
 def relative_map_errors(state: ObserverState, truth: GroundTruth) -> np.ndarray:
-    """(..., l, 3) array of estimated-relative minus true-relative landmark positions."""
-    est = to_body(offsets(state.landmarks, state.position), state.dcm)
-    return est - to_body(offsets(truth.landmarks, truth.position), truth.dcm)
+    """(..., l, 3) array of estimated-relative minus true-relative landmark
+    positions; the true ones are the truth's ``landmarks_body``."""
+    return to_body(offsets(state.landmarks, state.position), state.dcm) - truth.landmarks_body
 
 
 def _norms(sq: np.ndarray) -> np.ndarray:
@@ -96,19 +97,19 @@ def evaluate(state: ObserverState, truth: GroundTruth, attitude_source_ok=True):
     """Error record of one instant, or of n instants stacked along a leading axis.
 
     For a block of n instants, ``state`` holds stacked estimates (dcm
-    (n, 3, 3), position (n, 3), landmarks (n, l, 3), times (n,)), ``truth`` the
-    stacked truth at the same times and ``attitude_source_ok`` n flags; every
-    field of the record then has the leading axis n, and each row has the bits
-    of the single-instant call. ``time`` and ``attitude_source_ok`` are the
-    inputs themselves, not copies. The map errors are squared once, for the
-    energy and for their norms.
+    (n, 3, 3), position (n, 3), landmarks (n, l, 3)), ``truth`` the stacked
+    truth at the instants they are scored at and ``attitude_source_ok`` n
+    flags; every field of the record then has the leading axis n, and each row
+    has the bits of the single-instant call. ``time`` is ``truth.time`` and
+    ``attitude_source_ok`` the flags given, the inputs themselves, not copies.
+    The map errors are squared once, for the energy and for their norms.
     """
     err_dcm, err_position = _pose_error_raw(state.dcm, state.position, truth.dcm, truth.position)
     m = map_errors(state, truth)
     sq = m * m
     rel = relative_map_errors(state, truth)
     return ErrorRecord(
-        state.time,
+        truth.time,
         _energy(err_dcm, err_position, sq),
         rotation_angle(err_dcm),
         vector_norm(err_position),

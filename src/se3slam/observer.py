@@ -42,7 +42,9 @@ k - 1 made, seen from the float position (``resolve_attitude``), so a block of
 either mode is one call.
 
 An ``ObserverState`` holds the pose as the plain arrays C_ea and r_hat, and the
-map, and checks none of them; ``step`` checks the states it returns.
+map, and checks none of them; ``step`` checks the states it returns. It has no
+clock: the instants are the measurements' own (``MeasurementFrame.time``), and
+``step`` names them in its errors.
 """
 
 from __future__ import annotations
@@ -82,17 +84,18 @@ class Gains:
 class ObserverState:
     """Pose estimate (dcm, position) plus landmark-position estimates (datum
     frame, meters) at one instant, or at n instants stacked along a leading
-    axis of every field. Holds the arrays it is given, unchecked, as
-    ``GroundTruth`` does. Compares by identity (eq=False): its fields are arrays."""
+    axis of every field. It holds no time: which instant a state belongs to is
+    the caller's, whose truth carries it. Holds the arrays it is given,
+    unchecked, as ``GroundTruth`` does. Compares by identity (eq=False): its
+    fields are arrays."""
 
     dcm: np.ndarray  # datum-to-body, (3, 3) or (n, 3, 3)
     position: np.ndarray  # m, datum frame, (3,) or (n, 3)
     landmarks: np.ndarray  # (l, 3) or (n, l, 3)
-    time: float = 0.0  # s, or (n,)
 
     def row(self, i: int) -> "ObserverState":
         """The state at the i-th instant of a stacked state."""
-        return ObserverState(self.dcm[i], self.position[i], self.landmarks[i], float(self.time[i]))
+        return ObserverState(self.dcm[i], self.position[i], self.landmarks[i])
 
 
 def resolve_attitude(body, datum, time: float, fallback: np.ndarray | None):
@@ -115,13 +118,15 @@ def step(
     state: ObserverState, meas: MeasurementFrame, c_ba, gains: Gains, dt: float, fallback=None
 ):
     """Advance the one-instant ``state`` by n time steps of length dt, given the
-    n stacked measurements ``meas`` (``landmark_obs`` (n, l, 3)) and the
+    n stacked measurements ``meas`` (``landmark_obs`` (n, l, 3), n >= 1) and the
     datum-to-body attitudes ``c_ba`` (n, 3, 3) used by the corrections. Returns
-    (states, flags, last_good): the n new states stacked, their times
-    state.time + dt, + dt again, and so on; the n attitude flags; and the last
-    good solve, the next call's ``fallback``. An n-block call has the bits of n
-    1-block calls. Any other shape of ``landmark_obs``, ``c_ba``, ``omega`` or
-    ``velocity`` raises ValueError, as does a dt that is not finite and positive.
+    (states, flags, last_good): the n new states stacked, the n attitude flags,
+    and the last good solve, the next call's ``fallback``. An n-block call has
+    the bits of n 1-block calls. Step k reads its instant from ``meas.time[k]``,
+    and an error in step k names that instant; step names no instant of its
+    own, and its states carry none. Any other shape of ``landmark_obs``,
+    ``c_ba``, ``time``, ``omega`` or ``velocity`` raises ValueError, as does a
+    dt that is not finite and positive.
 
     With ``c_ba`` None (reconstructed mode), step k solves its attitude from O_k
     and the map step k - 1 made (``resolve_attitude``), falling back to the last
@@ -135,15 +140,15 @@ def step(
     if not 0.0 < dt < math.inf:
         raise ValueError(f"dt must be finite and positive, got {dt}")
     obs = meas.landmark_obs
-    if obs.ndim != 3:
-        raise ValueError(f"landmark_obs must be (n, l, 3), got shape {obs.shape}")
+    if obs.ndim != 3 or len(obs) == 0:
+        raise ValueError(f"landmark_obs must be (n, l, 3) with n >= 1, got shape {obs.shape}")
     n, num_landmarks = obs.shape[:2]
     reconstructed = c_ba is None
     if not reconstructed and c_ba.shape != (n, 3, 3):
         raise ValueError(f"c_ba must be ({n}, 3, 3) or None, got shape {c_ba.shape}")
-    for name, field in (("omega", meas.omega), ("velocity", meas.velocity)):
-        if field.shape != (n, 3):
-            raise ValueError(f"{name} must be ({n}, 3), got shape {field.shape}")
+    for name, shape in (("time", (n,)), ("omega", (n, 3)), ("velocity", (n, 3))):
+        if getattr(meas, name).shape != shape:
+            raise ValueError(f"{name} must be {shape}, got shape {getattr(meas, name).shape}")
     if num_landmarks == 0:
         raise EmptyMap("step needs at least one landmark")
 
@@ -156,7 +161,8 @@ def step(
     m = np.empty((7, 6))
     m_entries = m.reshape(-1)
     ones, s_sum = np.ones(num_landmarks), np.empty(3)
-    omegas, velocities, anchors = meas.omega.tolist(), meas.velocity.tolist(), obs[:, 0].tolist()
+    times, omegas, velocities = meas.time.tolist(), meas.omega.tolist(), meas.velocity.tolist()
+    anchors = obs[:, 0].tolist()
     attitudes = [None] * n if reconstructed else c_ba.reshape(n, 9).tolist()
     oks = [True] * n
 
@@ -164,10 +170,9 @@ def step(
     dk2 = dt * k2
     c0, c1, c2, c3, c4, c5, c6, c7, c8 = state.dcm.ravel().tolist()
     r0, r1, r2 = state.position.tolist()
-    t = float(state.time)
-    times, dcms, positions = [], [], []
+    dcms, positions = [], []
     isfinite = math.isfinite
-    for k in range(n):
+    for k, t in enumerate(times):
         if reconstructed:
             fallback, oks[k] = resolve_attitude(obs[k], rows[k, :, 4:7] - (r0, r1, r2), t, fallback)
             attitudes[k] = fallback.ravel().tolist()
@@ -223,7 +228,7 @@ def step(
         except NonFiniteState:
             # A map that went non-finite at step k - 1 shows first here, in v_hat.
             if k and not np.isfinite(rows[k, :, 4:7]).all():
-                raise NonFiniteState(f"non-finite state after step at t={times[-1]}") from None
+                raise NonFiniteState(f"non-finite state after step at t={times[k - 1]}") from None
             raise NonFiniteState(f"non-finite pose increment at t={t}") from None
 
         # The new pose (exp(...) C, C^T d + r_hat), projected if it drifted.
@@ -241,8 +246,6 @@ def step(
             (c0, c1, c2), (c3, c4, c5), (c6, c7, c8) = dcm
         if not (isfinite(r0) and isfinite(r1) and isfinite(r2)):
             raise NonFiniteState(f"non-finite state after step at t={t}")
-        times.append(t)
-        t += dt
         dcms.append(dcm)
         positions.append((r0, r1, r2))
 
@@ -250,6 +253,4 @@ def step(
     if not np.isfinite(landmarks).all():
         first = np.argmin(np.isfinite(landmarks).all(axis=(1, 2)))
         raise NonFiniteState(f"non-finite state after step at t={times[first]}")
-    times.append(t)
-    new = ObserverState(np.array(dcms), np.array(positions), landmarks, np.array(times[1:]))
-    return new, np.array(oks), fallback
+    return ObserverState(np.array(dcms), np.array(positions), landmarks), np.array(oks), fallback

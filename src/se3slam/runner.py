@@ -9,7 +9,7 @@ A run keeps its errors as one stacked ``ErrorRecord``, one row per instant.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -87,7 +87,7 @@ def initial_conditions(scenario: Scenario):
     estimates0 = landmarks + offsets
     if not (np.isfinite(position0).all() and np.isfinite(estimates0).all()):
         raise NonFiniteState("initial_estimate: initial position or map is not finite")
-    state0 = ObserverState(dcm0, position0, estimates0, 0.0)
+    state0 = ObserverState(dcm0, position0, estimates0)
     return landmarks, truth0, state0, np.random.default_rng(noise_seq)
 
 
@@ -112,10 +112,11 @@ def run(scenario: Scenario, scenario_hash: str | None = None) -> RunResult:
     either attitude mode: with the true attitudes or, in reconstructed mode,
     solving each from the map the step before made and carrying the last good
     solve from block to block as the fallback of the next. One ``evaluate``
-    scores the block's new states against truth rows 1 ... n, at those rows'
-    instants, so a record's time is exactly k * dt; the state carried into the
-    next block holds its instant too. The blocks' columns are concatenated
-    once, into the run's stacked record.
+    scores the block's new states against truth rows 1 ... n. The truth is the
+    run's one clock: a record's time is its row's instant, exactly k * dt, and
+    a step or solve error names the instant of the measurement it read, truth
+    row k's. The blocks' columns are concatenated once, into the run's stacked
+    record.
 
     ``run`` owns numpy's error state: overflow and invalid never warn inside it,
     and every value it returns has passed a check. ``initial_conditions``,
@@ -131,12 +132,10 @@ def run(scenario: Scenario, scenario_hash: str | None = None) -> RunResult:
     blocks = []
     for start in range(0, n_steps, rows):
         n = min(rows, n_steps - start)
-        times = np.arange(start, start + n + 1) * dt
-        truth = truth_at(spec, times, landmarks)
+        truth = truth_at(spec, np.arange(start, start + n + 1) * dt, landmarks)
         meas = measure(truth.row(slice(0, n)), noise, rng_noise)
         c_ba = None if scenario.attitude_mode == RECONSTRUCTED else truth.dcm[:n]
         block, oks, last_good = step(state, meas, c_ba, gains, dt, fallback=last_good)
-        block = replace(block, time=times[1:])
         blocks.append(evaluate(block, truth.row(slice(1, None)), oks).columns())
         state = block.row(-1)
 

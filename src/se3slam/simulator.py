@@ -9,9 +9,11 @@ checked the fields they come from once, on construction.
 
 ``truth_at`` and ``measure`` both work on n instants stacked along a leading
 axis, and on no other shape, so a run makes a block's truth and measurements
-in one call each. ``measure`` reads the noise generator as n 1-instant blocks
-would: one draw for the block when every channel that draws has one law, and
-one instant at a time when the channels mix families.
+in one call each. The truth owns each instant: it carries the times it was
+made at and the exact body-frame landmarks C_ba (p_i - r), and the layers
+downstream read both from it. ``measure`` reads the noise generator as n
+1-instant blocks would: one draw for the block when every channel that draws
+has one law, and one instant at a time when the channels mix families.
 """
 
 from __future__ import annotations
@@ -58,7 +60,8 @@ class TrajectorySpec:
     yawing at the same rate. ``tumble`` follows the same translational path with
     a sinusoidal axis-angle attitude of amplitudes ``tumble_amplitude``.
     ``static`` holds the initial pose: ``truth_at`` runs it as a circle with
-    ``radius``, ``angular_rate`` and ``vertical_rate`` set to 0.
+    ``radius``, ``angular_rate`` and ``vertical_rate`` set to 0. Only ``tumble``
+    reads ``tumble_amplitude``, so any other family needs it zero.
     """
 
     family: str
@@ -73,6 +76,8 @@ class TrajectorySpec:
         require_finite(self)
         if self.family not in FAMILIES:
             raise ValueError(f"unknown trajectory family: {self.family!r}")
+        if self.family != "tumble" and any(self.tumble_amplitude):
+            raise ValueError(f"tumble_amplitude must be 0 unless family is tumble, not {self.family}")
         try:  # finite entries can still overflow the rotation vector's norm
             dcm = exp_so3(self.initial_rotation)
         except NonFiniteState as exc:
@@ -84,7 +89,10 @@ class TrajectorySpec:
 
 @dataclass(frozen=True)
 class ChannelNoise:
-    """Additive i.i.d. noise plus a constant bias on one measurement channel."""
+    """Additive i.i.d. noise plus a constant bias on one measurement channel.
+    Family ``none`` reads no ``scale``, and only ``student_t`` reads ``dof``, so
+    the constructor rejects a non-zero scale or a dof other than 3.0 that no
+    draw would read."""
 
     family: str = "none"
     scale: float = 0.0
@@ -97,6 +105,10 @@ class ChannelNoise:
             raise ValueError(f"unknown noise family: {self.family!r}")
         if self.scale < 0.0:
             raise ValueError("noise scale must be >= 0")
+        if self.family == "none" and self.scale != 0.0:
+            raise ValueError(f"scale must be 0 for family none, got {self.scale:g}")
+        if self.family != "student_t" and self.dof != ChannelNoise.dof:
+            raise ValueError(f"dof must be 3 unless family is student_t, not {self.family}")
         if not np.isfinite(2.0 * self.scale):
             raise ValueError(f"noise scale {self.scale:g} overflows its span 2 * scale")
         if self.family == "student_t" and self.dof <= 2.0:
@@ -112,31 +124,38 @@ class NoiseSpec:
 
 @dataclass(frozen=True, eq=False)
 class GroundTruth:
-    """True pose (dcm, position), body rates, and landmark positions at n
-    instants stacked along a leading axis of the pose and rate fields, or at
-    one instant (``row``). Compares by identity (eq=False): its fields are arrays."""
+    """The instants, and the true pose (dcm, position), body rates, landmark
+    positions and landmarks in the body frame, C_ba (p_i - r), at n instants
+    stacked along a leading axis of every field but ``landmarks``, or at one
+    instant (``row``). ``truth_at`` makes them all: the run's records take their
+    instants from here, and the measurements and the relative map errors their
+    exact observations. Compares by identity (eq=False): its fields are arrays."""
 
+    time: np.ndarray  # s, () or (n,)
     dcm: np.ndarray  # datum-to-body, (3, 3) or (n, 3, 3)
     position: np.ndarray  # m, datum frame, (3,) or (n, 3)
     omega_body: np.ndarray  # rad/s, (3,) or (n, 3)
     velocity_body: np.ndarray  # m/s, (3,) or (n, 3)
     landmarks: np.ndarray  # (l, 3), datum frame
+    landmarks_body: np.ndarray  # m, body frame, (l, 3) or (n, l, 3)
 
     def row(self, i) -> "GroundTruth":
         """The truth at the i-th instant of a stacked truth, or the stacked truth
         at the instants of a slice i."""
         return GroundTruth(
-            self.dcm[i], self.position[i], self.omega_body[i], self.velocity_body[i], self.landmarks
+            self.time[i], self.dcm[i], self.position[i], self.omega_body[i],
+            self.velocity_body[i], self.landmarks, self.landmarks_body[i],
         )
 
 
 @dataclass(frozen=True, eq=False)
 class MeasurementFrame:
-    """Body-frame sensor data at n instants stacked along a leading axis of
-    every field, or at one instant (``row``). Holds the arrays it is given,
-    unchecked, as ``GroundTruth`` does. Compares by identity (eq=False): its
-    fields are arrays."""
+    """Body-frame sensor data, and the instants they were taken at, at n
+    instants stacked along a leading axis of every field, or at one instant
+    (``row``). Holds the arrays it is given, unchecked, as ``GroundTruth`` does.
+    Compares by identity (eq=False): its fields are arrays."""
 
+    time: np.ndarray  # s, (n,) or ()
     omega: np.ndarray  # rad/s, (n, 3) or (3,)
     velocity: np.ndarray  # m/s, (n, 3) or (3,)
     landmark_obs: np.ndarray  # m, (n, l, 3) or (l, 3)
@@ -144,17 +163,18 @@ class MeasurementFrame:
     def row(self, i) -> "MeasurementFrame":
         """The measurement at the i-th instant of a stacked frame, or the
         stacked frame at the instants of a slice i."""
-        return MeasurementFrame(self.omega[i], self.velocity[i], self.landmark_obs[i])
+        return MeasurementFrame(self.time[i], self.omega[i], self.velocity[i], self.landmark_obs[i])
 
 
 def truth_at(spec: TrajectorySpec, t, landmarks) -> GroundTruth:
     """Closed-form ground truth at each time of the 1-D array t (times >= 0),
     with the (l, 3) ``landmarks``.
 
-    The pose and body-rate fields have a leading axis of length n, one row per
-    time (``GroundTruth.row`` picks one instant), and the landmarks are shared.
-    Each time is computed on its own, so row i has the bits of the truth at
-    t[i:i + 1]. Any other shape of t raises ValueError.
+    ``time`` is t as a float array, and every other field but the shared
+    landmarks has a leading axis of length n, one row per time
+    (``GroundTruth.row`` picks one instant); ``landmarks_body`` is one stacked
+    product over all n. Each time is computed on its own, so row i has the bits
+    of the truth at t[i:i + 1]. Any other shape of t raises ValueError.
 
     The spec's fields are finite (its constructor checks them), so the pose is
     a product of rotations by construction and is not validated again. Finite
@@ -196,19 +216,9 @@ def truth_at(spec: TrajectorySpec, t, landmarks) -> GroundTruth:
         rot = exp_so3(omega * ts[:, None])  # C_ba(t).T = C0.T @ rot, C0 = initial_dcm
     dcm = np.swapaxes(rot, -1, -2) @ spec.initial_dcm
     v_body = (dcm @ rdot[:, :, None])[:, :, 0]
-
-    return GroundTruth(dcm, position, omega, v_body, np.asarray(landmarks, dtype=float))
-
-
-def _draws(channel: ChannelNoise) -> bool:
-    """Whether the channel takes variates from the generator: a zero scale
-    draws none, whatever the family."""
-    return channel.family != "none" and channel.scale != 0.0
-
-
-def _law(channel: ChannelNoise):
-    """The distribution of the channel's standard variate."""
-    return channel.family, channel.dof if channel.family == "student_t" else None
+    landmarks = np.asarray(landmarks, dtype=float)
+    body = to_body(offsets(landmarks, position), dcm)
+    return GroundTruth(ts, dcm, position, omega, v_body, landmarks, body)
 
 
 def _standard(channel: ChannelNoise, rng: np.random.Generator, shape) -> np.ndarray:
@@ -234,11 +244,12 @@ def _scaled(channel: ChannelNoise, z: np.ndarray) -> np.ndarray:
 def _variates(drawing, n: int, rng: np.random.Generator) -> list[np.ndarray]:
     """Standard variates of the drawing (channel, width) pairs, an (n, width)
     array each, in the order n one-instant draws take them: instant by instant,
-    channel by channel. Channels of one law share a single draw."""
+    channel by channel. Channels of one law, (family, dof), share a single draw:
+    every channel but a Student-t one holds the default dof."""
     if not drawing:
         return []
     widths = [w for _, w in drawing]
-    if len({_law(c) for c, _ in drawing}) == 1:
+    if len({(c.family, c.dof) for c, _ in drawing}) == 1:
         z = _standard(drawing[0][0], rng, (n, sum(widths)))
         return np.split(z, np.cumsum(widths)[:-1], axis=1)
     rows = [[_standard(c, rng, w) for c, w in drawing] for _ in range(n)]
@@ -268,31 +279,32 @@ def measure(truth: GroundTruth, noise: NoiseSpec, rng: np.random.Generator) -> M
 
     For a truth of n instants every field of the frame has a leading axis of
     length n (``MeasurementFrame.row`` picks one instant); a truth whose dcm is
-    not (n, 3, 3) raises ValueError. Landmark model: s_b_i = C_ba @ (p_a_i -
-    r_a). The generator is read in a fixed order, instant by instant and within
-    an instant omega, velocity, landmarks, so one call over n instants leaves
-    the bits and the generator state of n calls on 1-instant blocks. When every
+    not (n, 3, 3) raises ValueError. ``time`` is the truth's own array, and the
+    landmark model s_b_i = C_ba @ (p_a_i - r_a) is the truth's ``landmarks_body``.
+    The generator is read in a fixed order, instant by instant and within an
+    instant omega, velocity, landmarks, so one call over n instants leaves the
+    bits and the generator state of n calls on 1-instant blocks. When every
     channel that draws has one law, the whole block is one draw; channels of
     mixed families draw one instant at a time.
     """
     dcm = truth.dcm
     if dcm.shape[1:] != (3, 3):
         raise ValueError(f"truth.dcm must be (n, 3, 3), got shape {dcm.shape}")
-    exact = to_body(offsets(truth.landmarks, truth.position), dcm)
-    values = (truth.omega_body, truth.velocity_body, exact)
+    values = (truth.omega_body, truth.velocity_body, truth.landmarks_body)
     channels = (noise.omega, noise.velocity, noise.landmark)
-    drawing = [(c, math.prod(v.shape[1:])) for c, v in zip(channels, values) if _draws(c)]
+    # A channel of zero scale, as every channel of family none is, draws nothing.
+    drawing = [(c, math.prod(v.shape[1:])) for c, v in zip(channels, values) if c.scale]
     variates = iter(_variates(drawing, len(dcm), rng))
     measured = []
     for channel, value in zip(channels, values):
-        if _draws(channel):
+        if channel.scale:
             y = _scaled(channel, next(variates).reshape(value.shape))
             y += channel.bias
             y += value  # value + noise: the bits are the same either way round
         else:
             y = value + channel.bias
         measured.append(y)
-    return MeasurementFrame(*measured)
+    return MeasurementFrame(truth.time, *measured)
 
 
 def place_landmarks(count: int, box_min, box_max, rng: np.random.Generator) -> np.ndarray:

@@ -57,7 +57,9 @@ def truth_at_instant(spec, t, landmarks=np.zeros((0, 3))):
 def step_once(state, meas, c_ba, gains, dt):
     """One true-attitude step of the block kernel, from the one-instant
     measurement ``meas`` and attitude ``c_ba`` made 1-blocks; the new state."""
-    block = MeasurementFrame(meas.omega[None], meas.velocity[None], meas.landmark_obs[None])
+    block = MeasurementFrame(
+        np.array([meas.time]), meas.omega[None], meas.velocity[None], meas.landmark_obs[None]
+    )
     return step(state, block, c_ba[None], gains, dt)[0].row(0)
 
 
@@ -119,7 +121,7 @@ def landmark_rates(body_landmarks, w, s_tilde, c_ea, gains):
 
 def reference_step(state, meas, c_ba, gains, dt):
     """One Lie-Euler step of the equations above, for one instant, with the checks
-    and messages of ``se3slam.observer.step``."""
+    and messages of ``se3slam.observer.step``, which name the measurement's instant."""
     if not 0.0 < dt < math.inf:
         raise ValueError(f"dt must be finite and positive, got {dt}")
     c_ea, position = state.dcm, state.position
@@ -132,14 +134,14 @@ def reference_step(state, meas, c_ba, gains, dt):
     try:
         motion = exp_se3((o0 * dt, o1 * dt, o2 * dt), (v0 * dt, v1 * dt, v2 * dt))
     except NonFiniteState:
-        raise NonFiniteState(f"non-finite pose increment at t={state.time}") from None
+        raise NonFiniteState(f"non-finite pose increment at t={meas.time}") from None
     dcm, position = compose_raw(c_ea, position, *motion)
     if rotation_drift(dcm.tolist()) > DRIFT_TOL:
         dcm = reorthonormalize(dcm)
     new_landmarks = state.landmarks + dt * landmark_rates(body_landmarks, w, s_tilde, c_ea, gains)
     if not (np.isfinite(new_landmarks).all() and all(map(math.isfinite, position.tolist()))):
-        raise NonFiniteState(f"non-finite state after step at t={state.time}")
-    return ObserverState(dcm, position, new_landmarks, state.time + dt)
+        raise NonFiniteState(f"non-finite state after step at t={meas.time}")
+    return ObserverState(dcm, position, new_landmarks)
 
 
 def reference_resolve_attitude(state, meas, fallback=None):
@@ -152,6 +154,6 @@ def reference_resolve_attitude(state, meas, fallback=None):
         if fallback is not None:
             return fallback, False
         raise type(exc)(
-            f"attitude solve at t={state.time}: {exc}; the datum directions are the "
+            f"attitude solve at t={meas.time}: {exc}; the datum directions are the "
             "estimated landmarks seen from the estimated position"
         ) from None

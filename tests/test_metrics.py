@@ -22,12 +22,16 @@ def random_pose(rng):
     return Pose(random_rotation(rng), rng.normal(size=3))
 
 
-def make_state(pose, landmarks, time=0.0):
-    return ObserverState(pose.dcm, pose.position, landmarks, time)
+def make_state(pose, landmarks):
+    return ObserverState(pose.dcm, pose.position, landmarks)
 
 
-def make_truth(pose, landmarks):
-    return GroundTruth(pose.dcm, pose.position, np.zeros(3), np.zeros(3), np.atleast_2d(landmarks))
+def make_truth(pose, landmarks, time=0.0):
+    """The one-instant truth at ``pose``, its body-frame landmarks in the plain
+    form C (p_i - r)."""
+    landmarks = np.atleast_2d(landmarks)
+    body = (landmarks - pose.position) @ pose.dcm.T
+    return GroundTruth(time, pose.dcm, pose.position, np.zeros(3), np.zeros(3), landmarks, body)
 
 
 IDENTITY = Pose(np.eye(3), np.zeros(3))
@@ -151,8 +155,8 @@ def test_lyapunov_nonnegative(rng):
 def test_evaluate_record_fields(rng):
     pose = random_pose(rng)
     landmarks = rng.normal(size=(2, 3))
-    state = make_state(pose, landmarks, time=1.5)
-    truth = make_truth(random_pose(rng), landmarks)
+    state = make_state(pose, landmarks)
+    truth = make_truth(random_pose(rng), landmarks, time=1.5)
     rec = evaluate(state, truth, attitude_source_ok=False)
     assert rec.time == 1.5
     assert not rec.attitude_source_ok
@@ -172,19 +176,19 @@ def test_stacked_evaluate_matches_per_record(rng, l):
     times = np.cumsum(rng.uniform(0.0, 0.1, n))
     oks = rng.uniform(size=n) < 0.5
     landmarks = rng.normal(size=(l, 3))
-    state = ObserverState(
-        np.array([p.dcm for p in est]), np.array([p.position for p in est]), guesses, times
-    )
+    state = ObserverState(np.array([p.dcm for p in est]), np.array([p.position for p in est]), guesses)
     truth = GroundTruth(
+        times,
         np.array([p.dcm for p in tru]),
         np.array([p.position for p in tru]),
         np.zeros((n, 3)),
         np.zeros((n, 3)),
         landmarks,
+        np.array([make_truth(p, landmarks).landmarks_body for p in tru]),
     )
     records = evaluate(state, truth, oks)
     singles = [
-        evaluate(make_state(est[i], guesses[i], float(times[i])), truth.row(i), bool(oks[i]))
+        evaluate(make_state(est[i], guesses[i]), truth.row(i), bool(oks[i]))
         for i in range(n)
     ]
     assert len(records) == n
@@ -208,7 +212,7 @@ def test_error_record_equality_is_identity():
         lambda: Pose(np.eye(3), np.zeros(3)),
         lambda: ObserverState(np.eye(3), np.zeros(3), np.ones((2, 3))),
         lambda: make_truth(Pose(np.eye(3), np.zeros(3)), np.ones((2, 3))),
-        lambda: MeasurementFrame(np.zeros(3), np.zeros(3), np.ones((2, 3))),
+        lambda: MeasurementFrame(0.0, np.zeros(3), np.zeros(3), np.ones((2, 3))),
     ]
     for make in makers:
         one = make()

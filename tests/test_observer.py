@@ -44,14 +44,14 @@ def screw_spec():
 def perfect_setup(t=0.0):
     """The truth at t, a state equal to it, and the exact measurement, each at one instant."""
     truth = truth_at(screw_spec(), np.array([t]), LANDMARKS)
-    state = ObserverState(truth.dcm[0], truth.position[0], LANDMARKS.copy(), t)
+    state = ObserverState(truth.dcm[0], truth.position[0], LANDMARKS.copy())
     meas = measure(truth, NoiseSpec(), np.random.default_rng(0))
     return truth.row(0), state, meas.row(0)
 
 
 def random_setup(rng):
-    state = ObserverState(random_rotation(rng), rng.normal(size=3), rng.normal(size=(4, 3)), 0.0)
-    meas = MeasurementFrame(rng.normal(size=3), rng.normal(size=3), rng.normal(size=(4, 3)))
+    state = ObserverState(random_rotation(rng), rng.normal(size=3), rng.normal(size=(4, 3)))
+    meas = MeasurementFrame(0.0, rng.normal(size=3), rng.normal(size=3), rng.normal(size=(4, 3)))
     return state, meas
 
 
@@ -84,7 +84,7 @@ def test_innovation_zero_at_truth():
 
 def test_innovation_direct_substitution():
     state = ObserverState(np.eye(3), np.zeros(3), np.array([[1.0, 0, 0]]))
-    meas = MeasurementFrame(np.zeros(3), np.zeros(3), np.zeros((1, 3)))
+    meas = MeasurementFrame(0.0, np.zeros(3), np.zeros(3), np.zeros((1, 3)))
     assert np.allclose(innovations(*body(state), meas)[0], [1.0, 0.0, 0.0])
 
 
@@ -113,10 +113,10 @@ def test_attitude_error_antisymmetric(rng):
 
 
 def test_corrected_angular_velocity():
-    meas = MeasurementFrame(np.array([0.1, 0.2, 0.3]), np.zeros(3), np.zeros((1, 3)))
+    meas = MeasurementFrame(0.0, np.array([0.1, 0.2, 0.3]), np.zeros(3), np.zeros((1, 3)))
     gains = Gains(2.0, 1.0, 1.0)
     assert np.allclose(corrected_angular_velocity(meas, np.zeros(3), gains), meas.omega)
-    meas0 = MeasurementFrame(np.zeros(3), np.zeros(3), np.zeros((1, 3)))
+    meas0 = MeasurementFrame(0.0, np.zeros(3), np.zeros(3), np.zeros((1, 3)))
     assert np.allclose(
         corrected_angular_velocity(meas0, np.array([0, 0, 1.0]), gains), [0, 0, -2.0]
     )
@@ -170,7 +170,7 @@ def test_corrected_velocity_matches_transcription(rng):
 
 def test_corrected_velocity_empty_map():
     state = ObserverState(np.eye(3), np.zeros(3), np.zeros((0, 3)))
-    meas = MeasurementFrame(np.zeros(3), np.zeros(3), np.zeros((0, 3)))
+    meas = MeasurementFrame(0.0, np.zeros(3), np.zeros(3), np.zeros((0, 3)))
     with pytest.raises(EmptyMap):
         corrected_velocity(
             meas, hat(np.zeros(3)), body(state)[1], innovations(*body(state), meas), Gains(1, 1, 1)
@@ -193,7 +193,7 @@ def test_landmark_rate_zero_at_truth():
 
 def test_landmark_rate_direct_substitution():
     state = ObserverState(np.eye(3), np.zeros(3), np.array([[2.0, 0, 0]]))
-    meas = MeasurementFrame(np.zeros(3), np.zeros(3), np.array([[1.0, 0, 0]]))
+    meas = MeasurementFrame(0.0, np.zeros(3), np.zeros(3), np.array([[1.0, 0, 0]]))
     # omega_hat == omega, s_tilde = (1,0,0), k2 = 1 -> rate = -(1,0,0)
     gains = Gains(1.0, 1.0, 1.0)
     s_tilde = innovations(*body(state), meas)
@@ -234,7 +234,7 @@ def test_step_local_truncation_order():
     )
     gains = Gains(1.0, 1.0, 1.0)
     state0 = ObserverState(
-        exp_so3([0.1, -0.05, 0.2]), np.array([0.3, -0.2, 0.1]), LANDMARKS + 0.1, 0.0
+        exp_so3([0.1, -0.05, 0.2]), np.array([0.3, -0.2, 0.1]), LANDMARKS + 0.1
     )
 
     def advance(dt, n):
@@ -264,7 +264,6 @@ def test_step_lyapunov_non_increasing_from_perturbation():
         exp_so3([0.2, 0.1, -0.3]) @ truth.dcm[0],
         truth.position[0] + [0.5, -0.3, 0.2],
         LANDMARKS + np.array([[0.2, -0.1, 0.3]] * len(LANDMARKS)),
-        0.0,
     )
     meas = measure(truth.row(slice(0, 1)), NoiseSpec(), np.random.default_rng(0))
     v_before = metrics.evaluate(state, truth.row(0)).lyapunov
@@ -275,7 +274,7 @@ def test_step_lyapunov_non_increasing_from_perturbation():
 
 def test_step_zero_gains_is_dead_reckoning(rng):
     state, _ = random_setup(rng)
-    meas = MeasurementFrame(rng.normal(size=3), rng.normal(size=3), rng.normal(size=(4, 3)))
+    meas = MeasurementFrame(0.0, rng.normal(size=3), rng.normal(size=3), rng.normal(size=(4, 3)))
     gains = Gains(0.0, 0.0, 0.0)
     dt = 0.01
     new = step_once(state, meas, random_rotation(rng), gains, dt)
@@ -302,7 +301,7 @@ def test_step_rotation_stays_orthonormal(rng):
     state, _ = random_setup(rng)
     gains = Gains(1.0, 1.0, 1.0)
     for _ in range(500):
-        meas = MeasurementFrame(rng.normal(size=3), rng.normal(size=3), rng.normal(size=(4, 3)))
+        meas = MeasurementFrame(0.0, rng.normal(size=3), rng.normal(size=3), rng.normal(size=(4, 3)))
         state = step_once(state, meas, random_rotation(rng), gains, 0.005)
     assert np.linalg.norm(state.dcm.T @ state.dcm - np.eye(3)) < 1e-12
 
@@ -355,8 +354,7 @@ def test_step_projects_only_a_drifted_attitude(rng, monkeypatch):
 )
 def test_step_non_finite_increment_message(rng, gains, omega, velocity):
     state, meas = random_setup(rng)
-    state = ObserverState(state.dcm, state.position, state.landmarks, 0.25)
-    bad = MeasurementFrame(omega, velocity, meas.landmark_obs)
+    bad = MeasurementFrame(0.25, omega, velocity, meas.landmark_obs)
     with pytest.raises(NonFiniteState, match=r"^non-finite pose increment at t=0\.25$"):
         step_once(state, bad, random_rotation(rng), gains, 0.01)
 
@@ -366,8 +364,8 @@ def test_step_non_finite_state_message(rng):
     # a finite increment (W acts on the small position), but W acting on the
     # huge landmark overflows its update: dt k1 |P_hat| is 1e312
     state, meas = random_setup(rng)
-    far = ObserverState(state.dcm, state.position, np.array([[1e300, 0.0, 0.0]]), 0.5)
-    meas = MeasurementFrame(meas.omega, meas.velocity, meas.landmark_obs[:1])
+    far = ObserverState(state.dcm, state.position, np.array([[1e300, 0.0, 0.0]]))
+    meas = MeasurementFrame(0.5, meas.omega, meas.velocity, meas.landmark_obs[:1])
     with pytest.raises(NonFiniteState, match=r"^non-finite state after step at t=0\.5$"):
         step_once(far, meas, random_rotation(rng), Gains(1e14, 0.0, 0.0), 0.01)
 
@@ -385,7 +383,10 @@ def test_step_output_stays_on_so3(seed, n_landmarks, gains, dt, off_group):
     dcm = random_rotation(rng) + off_group * rng.normal(size=(3, 3))
     state = ObserverState(dcm, 5.0 * rng.normal(size=3), 5.0 * rng.normal(size=(n_landmarks, 3)))
     meas = MeasurementFrame(
-        3.0 * rng.normal(size=3), 3.0 * rng.normal(size=3), 5.0 * rng.normal(size=(n_landmarks, 3))
+        0.0,
+        3.0 * rng.normal(size=3),
+        3.0 * rng.normal(size=3),
+        5.0 * rng.normal(size=(n_landmarks, 3)),
     )
     out = step_once(state, meas, random_rotation(rng), Gains(*gains), dt)
     assert np.linalg.norm(out.dcm.T @ out.dcm - np.eye(3)) <= 1e-12
@@ -393,11 +394,12 @@ def test_step_output_stays_on_so3(seed, n_landmarks, gains, dt, off_group):
 
 def random_block(rng, n, n_landmarks, off_group):
     """A state whose attitude is off SO(3) by about ``off_group``, and n stacked
-    measurements and correction attitudes."""
+    measurements, taken at 0.25, 0.26, ..., and correction attitudes."""
     dcm = random_rotation(rng) + off_group * rng.normal(size=(3, 3))
     landmarks = 5.0 * rng.normal(size=(n_landmarks, 3))
-    state = ObserverState(dcm, 5.0 * rng.normal(size=3), landmarks, 0.25)
+    state = ObserverState(dcm, 5.0 * rng.normal(size=3), landmarks)
     meas = MeasurementFrame(
+        np.arange(25, 25 + n) * 0.01,
         3.0 * rng.normal(size=(n, 3)),
         3.0 * rng.normal(size=(n, 3)),
         5.0 * rng.normal(size=(n, n_landmarks, 3)),
@@ -449,7 +451,6 @@ def test_step_matches_the_equations(seed, n_landmarks, gains, dt, off_group):
     assert np.allclose(out.dcm, expected.dcm, rtol=0.0, atol=1e-12)
     assert np.allclose(out.position, expected.position, rtol=0.0, atol=position_tol)
     assert np.allclose(out.landmarks, expected.landmarks, rtol=0.0, atol=1e-12)
-    assert out.time == expected.time
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -459,8 +460,9 @@ def test_block_step_raises_where_single_steps_do(rng, n):
     # C_ba equals the unmoving estimate, so e = 0. A block call names the same
     # step as 1-block calls, whether step 2 ends the block or is followed by more
     state, _, c_ba = random_block(rng, n, 1, 0.0)
-    state = ObserverState(state.dcm, state.position, np.array([[1e300, 0.0, 0.0]]), 0.5)
-    meas = MeasurementFrame(np.zeros((n, 3)), np.zeros((n, 3)), np.ones((n, 1, 3)))
+    state = ObserverState(state.dcm, state.position, np.array([[1e300, 0.0, 0.0]]))
+    times = np.arange(50, 50 + n) * 0.01
+    meas = MeasurementFrame(times, np.zeros((n, 3)), np.zeros((n, 3)), np.ones((n, 1, 3)))
     c_ba[:2] = state.dcm
     gains, dt = Gains(1e14, 0.0, 0.0), 0.01
     current = state
@@ -475,7 +477,7 @@ def test_block_step_raises_where_single_steps_do(rng, n):
 
 def test_resolve_attitude_reconstructed_and_fallback(rng):
     truth, state, meas = perfect_setup(t=0.4)
-    c, ok = resolve_attitude(meas.landmark_obs, state.landmarks - state.position, state.time, None)
+    c, ok = resolve_attitude(meas.landmark_obs, state.landmarks - state.position, meas.time, None)
     assert ok
     assert rotation_angle(c @ truth.dcm.T) < 1e-9
     # collinear observations: falls back to the supplied attitude and flags it
@@ -492,9 +494,9 @@ def test_resolve_attitude_zero_direction_takes_fallback():
     datum = state.landmarks - state.position
     datum[2] = 0.0
     with pytest.raises(ZeroVector):
-        resolve_attitude(meas.landmark_obs, datum, state.time, None)
+        resolve_attitude(meas.landmark_obs, datum, meas.time, None)
     fb = np.eye(3)
-    c, ok = resolve_attitude(meas.landmark_obs, datum, state.time, fb)
+    c, ok = resolve_attitude(meas.landmark_obs, datum, meas.time, fb)
     assert not ok
     assert c is fb
 
@@ -506,9 +508,9 @@ def test_resolve_attitude_nan_direction_takes_fallback():
     datum = state.landmarks - state.position
     datum[1, 0] = np.nan
     with pytest.raises(DegenerateGeometry, match="non-finite"):
-        resolve_attitude(meas.landmark_obs, datum, state.time, None)
+        resolve_attitude(meas.landmark_obs, datum, meas.time, None)
     fb = np.eye(3)
-    c, ok = resolve_attitude(meas.landmark_obs, datum, state.time, fb)
+    c, ok = resolve_attitude(meas.landmark_obs, datum, meas.time, fb)
     assert not ok
     assert c is fb
 
@@ -517,7 +519,7 @@ def test_reconstructed_step_without_fallback_names_the_time(rng):
     # a map collinear as seen from the position, and no earlier solve to fall back on
     state, meas, _ = random_block(rng, 1, 4, 0.0)
     collinear = state.position + np.outer(np.arange(1.0, 5.0), (1.0, 2.0, 3.0))
-    state = ObserverState(state.dcm, state.position, collinear, 0.25)
+    state = ObserverState(state.dcm, state.position, collinear)
     with pytest.raises(DegenerateGeometry) as raised:
         step(state, meas, None, Gains(1.0, 1.0, 1.0), 0.01)
     assert str(raised.value) == (
@@ -530,7 +532,6 @@ def assert_same_states(block, i, state):
     assert np.array_equal(block.dcm[i], state.dcm)
     assert np.array_equal(block.position[i], state.position)
     assert np.array_equal(block.landmarks[i], state.landmarks)
-    assert block.time[i] == state.time
 
 
 @settings(max_examples=60, deadline=None)
@@ -577,10 +578,11 @@ def test_reconstructed_block_raises_where_single_steps_do(rng, n):
     state, meas, _ = random_block(rng, n, 3, 0.0)
     landmarks = state.landmarks.copy()
     landmarks[0] = (1e300, 0.0, 0.0)
-    state = ObserverState(state.dcm, state.position, landmarks, 0.5)
+    state = ObserverState(state.dcm, state.position, landmarks)
     omega = np.zeros((n, 3))
     omega[2] = (0.1, 0.2, 0.3)
-    meas = MeasurementFrame(omega, np.zeros((n, 3)), meas.landmark_obs)
+    times = np.arange(50, 50 + n) * 0.01
+    meas = MeasurementFrame(times, omega, np.zeros((n, 3)), meas.landmark_obs)
     gains, dt = Gains(1e14, 0.0, 0.0), 0.01
     current, fallback = state, state.dcm
     with pytest.raises(NonFiniteState) as single:
@@ -617,14 +619,20 @@ def test_true_attitude_step_returns_flags_and_the_fallback(rng):
         assert last_good is fallback
 
 
+OBS_SHAPE = r"landmark_obs must be \(n, l, 3\) with n >= 1"
+
+
 @pytest.mark.parametrize(
     "form, message",
     [
         ("scalar-t", r"^t must be a 1-D array of times, got shape \(\)$"),
         ("unstacked-truth", r"^truth.dcm must be \(n, 3, 3\), got shape \(3, 3\)$"),
-        ("unstacked-meas", r"^landmark_obs must be \(n, l, 3\), got shape \(4, 3\)$"),
-        ("unstacked-meas-reconstructed", r"^landmark_obs must be \(n, l, 3\), got shape \(4, 3\)$"),
+        ("unstacked-meas", rf"^{OBS_SHAPE}, got shape \(4, 3\)$"),
+        ("unstacked-meas-reconstructed", rf"^{OBS_SHAPE}, got shape \(4, 3\)$"),
+        ("empty-block", rf"^{OBS_SHAPE}, got shape \(0, 2, 3\)$"),
+        ("empty-block-reconstructed", rf"^{OBS_SHAPE}, got shape \(0, 2, 3\)$"),
         ("unstacked-c_ba", r"^c_ba must be \(1, 3, 3\) or None, got shape \(3, 3\)$"),
+        ("unstacked-time", r"^time must be \(1,\), got shape \(\)$"),
         ("unstacked-omega", r"^omega must be \(1, 3\), got shape \(3,\)$"),
         ("unstacked-velocity", r"^velocity must be \(1, 3\), got shape \(3,\)$"),
         ("unstacked-omega-reconstructed", r"^omega must be \(1, 3\), got shape \(3,\)$"),
@@ -642,11 +650,17 @@ def test_one_instant_forms_raise(rng, form, message):
     def with_fields(**fields):
         return dataclasses.replace(meas, **fields)
 
+    # n = 0: a block of no instants has no state to return
+    empty = MeasurementFrame(np.zeros(0), np.zeros((0, 3)), np.zeros((0, 3)), np.zeros((0, 2, 3)))
+
     calls = {
         "scalar-t": lambda: truth_at(screw_spec(), 0.0, LANDMARKS),
         "unstacked-truth": lambda: measure(truth.row(0), NoiseSpec(), np.random.default_rng(0)),
         "unstacked-meas": lambda: step(state, meas.row(0), c_ba, gains, dt),
         "unstacked-meas-reconstructed": lambda: step(state, meas.row(0), None, gains, dt),
+        "empty-block": lambda: step(state, empty, c_ba[:0], gains, dt),
+        "empty-block-reconstructed": lambda: step(state, empty, None, gains, dt),
+        "unstacked-time": lambda: step(state, with_fields(time=meas.time[0]), c_ba, gains, dt),
         "unstacked-c_ba": lambda: step(state, meas, c_ba[0], gains, dt),
         "unstacked-omega": lambda: step(state, with_fields(omega=meas.omega[0]), c_ba, gains, dt),
         "unstacked-velocity": lambda: step(

@@ -224,8 +224,7 @@ def reference_records(scenario):
         else:
             c_ba, ok = truth.dcm[0], True
         state = step(state, meas, c_ba[None], scenario.gains, dt)[0].row(0)
-        scored = dataclasses.replace(state, time=(k + 1) * dt)
-        records.append(evaluate(scored, truth_at_instant(traj, (k + 1) * dt, landmarks), ok))
+        records.append(evaluate(state, truth_at_instant(traj, (k + 1) * dt, landmarks), ok))
     return stack_records(records)
 
 
@@ -446,6 +445,28 @@ def test_truth_overflow_mid_run_names_first_bad_time(noisefree):
     assert 360 > 3 * block
     with pytest.raises(NonFiniteState, match=r"position at t=180\.0$"):
         run(scenario)
+
+
+@pytest.mark.parametrize(
+    "name, path, value, message",
+    [
+        ("fig3_noisy", "gains.k2", 60.0, "non-finite pose increment at t=6.2700000000000005"),
+        ("reconstructed", "gains.k2", 100.0, "non-finite pose increment at t=2.775"),
+    ],
+)
+def test_step_errors_name_an_instant_of_the_record_grid(name, path, value, message):
+    # step k names the instant of the measurement it read, truth row k's, which
+    # is k * dt, the t the CSV writes; a clock summed dt by dt would drift off
+    # that grid (to 6.269999999999976 by step 1254). Both fail mid-block, and
+    # the reconstructed run solves its attitude in every step before it fails.
+    scenario, _ = load_scenario(SCENARIO_DIR / f"{name}.yaml")
+    scenario = set_parameter(scenario, path, value)
+    with pytest.raises(NonFiniteState) as info:
+        run(scenario)
+    assert str(info.value) == message
+    t = float(message.rsplit("=", 1)[1])
+    k = round(t / scenario.dt)
+    assert t == k * scenario.dt and k % _records_and_block(scenario)[1] != 0
 
 
 def test_score_overflow_names_first_bad_time(short):

@@ -250,9 +250,45 @@ def test_set_parameter_gain(base_doc):
 
 
 def test_set_parameter_nested_noise(base_doc):
+    # fig3_noisefree's channels are of family none, which reads no scale
+    with pytest.raises(ConfigInvalid, match=r"^noise.omega: scale must be 0 for family none, got 0\.5$"):
+        set_parameter(parse_scenario(base_doc), "noise.omega.scale", 0.5)
+    base_doc["noise"]["omega"] = {"family": "gaussian", "scale": 0.01}
     scenario = parse_scenario(base_doc)
     updated = set_parameter(scenario, "noise.omega.scale", 0.5)
     assert updated.noise.omega.scale == 0.5
+
+
+@pytest.mark.parametrize(
+    "section, fields, message",
+    [
+        (
+            ["trajectory"],
+            {"tumble_amplitude": [0.1, 0.0, 0.0]},
+            "trajectory: tumble_amplitude must be 0 unless family is tumble, not circle",
+        ),
+        (
+            ["noise", "omega"],
+            {"family": "none", "scale": 0.5},
+            "noise.omega: scale must be 0 for family none, got 0.5",
+        ),
+        (
+            ["noise", "omega"],
+            {"family": "gaussian", "scale": 0.1, "dof": 5.0},
+            "noise.omega: dof must be 3 unless family is student_t, not gaussian",
+        ),
+    ],
+    ids=["tumble_amplitude-on-circle", "scale-on-none", "dof-on-gaussian"],
+)
+def test_a_field_the_family_does_not_read_is_an_error(base_doc, section, fields, message):
+    # run as written, each would silently run something other than the file says
+    node = base_doc
+    for key in section:
+        node = node[key]
+    node.update(fields)
+    with pytest.raises(ConfigInvalid) as info:
+        parse_scenario(base_doc)
+    assert str(info.value) == message
 
 
 def test_set_parameter_unknown_path(base_doc):

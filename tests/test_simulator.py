@@ -136,7 +136,7 @@ times = st.one_of(
 @settings(max_examples=60, deadline=None)
 @given(st.sampled_from(ALL_SPECS), st.lists(times, min_size=1, max_size=16))
 def test_stacked_truth_matches_per_time_bit_for_bit(spec, ts):
-    # one n-time block against n 1-time blocks
+    # one n-time block against n 1-time blocks, whatever the block length
     landmarks = np.array([[1.0, 2.0, 3.0], [-1.0, 0.5, 0.0]])
     stacked = truth_at(spec, np.array(ts), landmarks)
     assert stacked.dcm.shape == (len(ts), 3, 3)
@@ -147,6 +147,10 @@ def test_stacked_truth_matches_per_time_bit_for_bit(spec, ts):
         assert np.array_equal(row.omega_body, one.omega_body)
         assert np.array_equal(row.velocity_body, one.velocity_body)
         assert np.array_equal(row.landmarks, one.landmarks)
+        # the block's clock and its one stacked C_ba (p_i - r) product, bit for bit
+        assert row.time.tobytes() == one.time.tobytes() == np.float64(t).tobytes()
+        assert row.landmarks_body.tobytes() == one.landmarks_body.tobytes()
+        assert np.allclose(row.landmarks_body, (landmarks - row.position) @ row.dcm.T, atol=1e-12)
 
 
 def test_truth_at_reuses_the_spec_start_attitude(monkeypatch):
@@ -177,14 +181,14 @@ def test_measure_identity_pose():
 
 
 def test_measure_matches_transcription(rng):
-    dcm, position = random_rotation(rng), rng.normal(size=3)
+    # the exact observations come from the truth, C_ba (p_i - r) made by truth_at
     landmarks = rng.normal(size=(5, 3))
-    omega, velocity = rng.normal(size=(1, 3)), rng.normal(size=(1, 3))
-    g = GroundTruth(dcm[None], position[None], omega, velocity, landmarks)
-    frame = measure(g, NoiseSpec(), np.random.default_rng(0)).row(0)
-    g = g.row(0)
+    g = truth_at(ALL_SPECS[3], rng.uniform(0.0, 20.0, size=1), landmarks)
+    frame = measure(g, NoiseSpec(), np.random.default_rng(0))
+    assert frame.time is g.time
+    frame, g = frame.row(0), g.row(0)
     for i in range(5):
-        expected = dcm @ (landmarks[i] - position)
+        expected = g.dcm @ (landmarks[i] - g.position)
         assert np.allclose(frame.landmark_obs[i], expected, atol=1e-13)
     assert np.array_equal(frame.omega, g.omega_body)
     assert np.array_equal(frame.velocity, g.velocity_body)
@@ -239,8 +243,15 @@ def test_measurement_stream_deterministic():
     assert np.array_equal(a.landmark_obs, b.landmark_obs)
 
 
+def _channel(family, scale, dof, bias):
+    """A channel of the drawn fields, with the scale of family none 0 and the
+    dof of any family but student_t the default, as ChannelNoise requires."""
+    scale = 0.0 if family == "none" else scale
+    return ChannelNoise(family, scale, dof if family == "student_t" else 3.0, bias)
+
+
 channels = st.builds(
-    ChannelNoise,
+    _channel,
     st.sampled_from(NOISE_FAMILIES),
     st.one_of(st.just(0.0), st.floats(1e-3, 2.0)),
     st.sampled_from([2.5, 3.0, 7.0]),
@@ -260,17 +271,21 @@ def test_stacked_measure_matches_one_instant_calls(noise, n, n_landmarks, seed):
     # same generator state
     rng = np.random.default_rng(seed)
     truth = GroundTruth(
+        np.arange(n) * 0.005,
         np.array([random_rotation(rng) for _ in range(n)]).reshape(n, 3, 3),
         rng.normal(size=(n, 3)),
         rng.normal(size=(n, 3)),
         rng.normal(size=(n, 3)),
         rng.normal(size=(n_landmarks, 3)),
+        rng.normal(size=(n, n_landmarks, 3)),
     )
     stacked_rng, one_rng = np.random.default_rng(seed), np.random.default_rng(seed)
     stacked = measure(truth, noise, stacked_rng)
     assert stacked.landmark_obs.shape == (n, n_landmarks, 3)
+    assert stacked.time is truth.time
     for i in range(n):
         row, one = stacked.row(i), measure(truth.row(slice(i, i + 1)), noise, one_rng).row(0)
+        assert row.time == one.time
         assert np.array_equal(row.omega, one.omega)
         assert np.array_equal(row.velocity, one.velocity)
         assert np.array_equal(row.landmark_obs, one.landmark_obs)
