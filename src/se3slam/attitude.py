@@ -13,6 +13,7 @@ import math
 import numpy as np
 
 from .errors import DegenerateGeometry, ZeroVector
+from .liegroup import norms_from_squares
 
 # Datum directions closer than this angle (rad) count as collinear.
 COLLINEARITY_ANGLE = 1e-4
@@ -67,7 +68,7 @@ def solve_attitude(body_vectors, datum_vectors) -> np.ndarray:
     # finite norms cannot overflow: the sum is finite exactly when every norm
     # is, and NaN and inf carry through it (Python's max would drop a NaN).
     rows = np.concatenate((body, datum))
-    norms = np.sqrt((rows * rows).sum(axis=1))
+    norms = norms_from_squares(rows * rows)
     ns = norms.tolist()
     if not math.isfinite(sum(ns)):
         raise DegenerateGeometry("direction vector with a non-finite or overflowing norm")

@@ -9,10 +9,10 @@ Conventions:
       rotation block.
 
 Inside the package a pose is the plain pair of arrays (dcm, position):
-``exp_se3`` returns one, and ``compose_raw`` (the pose product) and
-``homogeneous`` (the 4x4 matrix) take them, with no checks, for code whose
-inputs are rotations and finite vectors by construction. ``Pose`` is the
-checked public value: its constructor validates both fields.
+``exp_se3`` returns one, and ``homogeneous`` (the 4x4 matrix) takes one, with
+no checks, for code whose inputs are rotations and finite vectors by
+construction. ``Pose`` is the checked public value: its constructor validates
+both fields.
 """
 
 from __future__ import annotations
@@ -70,6 +70,13 @@ def vector_norm(v):
     """Euclidean norm over the last axis of v, with the bits np.linalg.norm
     gives a single 1-D vector (a dot product, not a sum of squares)."""
     return np.sqrt((v[..., None, :] @ v[..., :, None])[..., 0, 0])
+
+
+def norms_from_squares(sq):
+    """Row norms from the squares sq (..., 3) of the rows: the bits of
+    np.linalg.norm(x, axis=-1), which is sqrt(add.reduce(x * x)) summed in
+    this order, without a reduction over a length-3 axis."""
+    return np.sqrt((sq[..., 0] + sq[..., 1]) + sq[..., 2])
 
 
 def _hat_stacked(v) -> np.ndarray:
@@ -151,17 +158,12 @@ def reorthonormalize(m) -> np.ndarray:
 
 def rotation_angle(r):
     """Rotation angle atan2(|vee(R - R.T)| / 2, (tr R - 1) / 2) in [0, pi], exact
-    near 0 too: a float for one matrix, elementwise (same bits) for a stack."""
+    near 0 too: np.float64 (a float) for one matrix, elementwise (same bits)
+    for a stack."""
     r = np.asarray(r, dtype=float)
     cos = (np.trace(r, axis1=-2, axis2=-1) - 1.0) / 2.0
     x, y, z = r[..., 2, 1] - r[..., 1, 2], r[..., 0, 2] - r[..., 2, 0], r[..., 1, 0] - r[..., 0, 1]
-    angle = np.arctan2(0.5 * np.sqrt(x * x + y * y + z * z), cos)
-    return float(angle) if angle.ndim == 0 else angle
-
-
-def compose_raw(dcm_a, position_a, dcm_b, position_b):
-    """(dcm, position) of the product a @ b of two poses given as raw arrays."""
-    return dcm_b @ dcm_a, dcm_a.T @ position_b + position_a
+    return np.arctan2(0.5 * np.sqrt(x * x + y * y + z * z), cos)
 
 
 def homogeneous(dcm, position) -> np.ndarray:

@@ -8,11 +8,13 @@ Error definitions:
       the estimated pose and map (the unobservable gauge).
     * energy      V = 0.5 * ||I4 - Xtilde||_F^2 + sum_i ||ptilde_i||^2
 
-An ``ErrorRecord`` holds them at one instant, or at n instants stacked along a
-leading axis of every field, as ``GroundTruth`` does. ``evaluate`` works on the
-plain (dcm, position) arrays of ``ObserverState`` and ``GroundTruth``, and is
-the one public path to these numbers. The truth brings the record's instants
-and the true body-frame landmarks, so neither is made again here.
+``evaluate`` scores n >= 1 stacked instants in one call, a run's record 0 as a
+1-instant block like any other, and an ``ErrorRecord`` holds the n instants
+stacked along a leading axis of every field; ``ErrorRecord.row`` picks one.
+``evaluate`` works on the plain (dcm, position) arrays of ``ObserverState``
+and ``GroundTruth``, and is the one public path to these numbers. The truth
+brings the record's instants and the true body-frame landmarks, so neither is
+made again here.
 """
 
 from __future__ import annotations
@@ -21,15 +23,16 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .liegroup import homogeneous, rotation_angle, vector_norm
+from .liegroup import homogeneous, norms_from_squares, rotation_angle, vector_norm
 from .observer import ObserverState
 from .simulator import GroundTruth, offsets, to_body
 
 
 @dataclass(frozen=True, eq=False)
 class ErrorRecord:
-    """Errors at one instant, or at n instants stacked along a leading axis;
-    the runner writes one CSV row per instant. Records compare by identity (eq=False)."""
+    """Errors at n instants stacked along a leading axis, or at one instant
+    (``row``); the runner writes one CSV row per instant. Records compare by
+    identity (eq=False)."""
 
     time: np.ndarray  # s, () or (n,)
     lyapunov: np.ndarray  # () or (n,)
@@ -63,7 +66,8 @@ def _column(m: np.ndarray, v: np.ndarray) -> np.ndarray:
 
 def _pose_error_raw(est_dcm, est_position, true_dcm, true_position):
     """(dcm, position) of Xhat @ X^-1 over any leading axes, unvalidated: the
-    arithmetic of compose_raw with the inverse (C.T, -C @ p) of the truth."""
+    pose product a @ b = (C_b C_a, C_a^T p_b + p_a) with the inverse
+    (C.T, -C @ p) of the truth as b."""
     inv_position = -_column(true_dcm, true_position)
     return _t(true_dcm) @ est_dcm, _column(_t(est_dcm), inv_position) + est_position
 
@@ -79,13 +83,6 @@ def relative_map_errors(state: ObserverState, truth: GroundTruth) -> np.ndarray:
     return to_body(offsets(state.landmarks, state.position), state.dcm) - truth.landmarks_body
 
 
-def _norms(sq: np.ndarray) -> np.ndarray:
-    """Row norms from the squares sq (..., 3) of the rows: the bits of
-    np.linalg.norm(x, axis=-1), which is sqrt(add.reduce(x * x)) summed in
-    this order, without a reduction over a length-3 axis."""
-    return np.sqrt((sq[..., 0] + sq[..., 1]) + sq[..., 2])
-
-
 def _energy(err_dcm: np.ndarray, err_position: np.ndarray, map_sq: np.ndarray):
     """V = 0.5 * ||I4 - Xtilde||_F^2 + sum of squared map-error norms, over any
     leading axes, from the squared map-error entries ``map_sq``."""
@@ -93,27 +90,25 @@ def _energy(err_dcm: np.ndarray, err_position: np.ndarray, map_sq: np.ndarray):
     return 0.5 * (diff * diff).sum(axis=(-2, -1)) + map_sq.sum(axis=(-2, -1))
 
 
-def evaluate(state: ObserverState, truth: GroundTruth, attitude_source_ok=True):
-    """Error record of one instant, or of n instants stacked along a leading axis.
+def evaluate(state: ObserverState, truth: GroundTruth, attitude_source_ok):
+    """Error record of n >= 1 instants stacked along a leading axis.
 
-    For a block of n instants, ``state`` holds stacked estimates (dcm
-    (n, 3, 3), position (n, 3), landmarks (n, l, 3)), ``truth`` the stacked
-    truth at the instants they are scored at and ``attitude_source_ok`` n
-    flags; every field of the record then has the leading axis n, and each row
-    has the bits of the single-instant call. ``time`` is ``truth.time`` and
-    ``attitude_source_ok`` the flags given, the inputs themselves, not copies.
-    The map errors are squared once, for the energy and for their norms.
+    ``state`` holds stacked estimates (dcm (n, 3, 3), position (n, 3),
+    landmarks (n, l, 3)), ``truth`` the stacked truth at the instants they are
+    scored at and ``attitude_source_ok`` their n flags; every field of the
+    record has the leading axis n, and each row has the bits of a 1-instant
+    call. ``time`` is ``truth.time`` and ``attitude_source_ok`` the flags given,
+    the inputs themselves, not copies. The map errors are squared once, for the
+    energy and for their norms.
     """
     err_dcm, err_position = _pose_error_raw(state.dcm, state.position, truth.dcm, truth.position)
-    m = map_errors(state, truth)
-    sq = m * m
-    rel = relative_map_errors(state, truth)
+    sq = np.square(map_errors(state, truth))
     return ErrorRecord(
         truth.time,
         _energy(err_dcm, err_position, sq),
         rotation_angle(err_dcm),
         vector_norm(err_position),
-        _norms(sq),
-        _norms(rel * rel),
+        norms_from_squares(sq),
+        norms_from_squares(np.square(relative_map_errors(state, truth))),
         attitude_source_ok,
     )

@@ -22,7 +22,9 @@ as the drift stays at 2e-14 to 4e-14 over their 4000 steps and at 3.5e-14 after
 1e5.
 
 ``step`` is a block kernel: it makes n consecutive steps in one call, from n
-stacked measurements, and takes no other shape. The pose of each step runs in
+stacked measurements, and takes no other shape. It continues from the last
+instant of a stacked state and returns the stack of the n states it made, so
+its output is its next call's input. The pose of each step runs in
 Python floats (C = C_ea, r_hat, e, omega_hat, v_hat, the SE(3) increment, the
 composition and the drift check). All (l, 3) work is two products per step:
 [O | 1 | P_hat] @ M = [P_hat' | s_tilde], with O the (l, 3) observations,
@@ -42,9 +44,10 @@ k - 1 made, seen from the float position (``resolve_attitude``), so a block of
 either mode is one call.
 
 An ``ObserverState`` holds the pose as the plain arrays C_ea and r_hat, and the
-map, and checks none of them; ``step`` checks the states it returns. It has no
-clock: the instants are the measurements' own (``MeasurementFrame.time``), and
-``step`` names them in its errors.
+map, at m >= 1 instants stacked, and checks none of them; ``step`` checks the
+shapes of the state it is given and the values of the states it returns. It
+has no clock: the instants are the measurements' own
+(``MeasurementFrame.time``), and ``step`` names them in its errors.
 """
 
 from __future__ import annotations
@@ -83,19 +86,15 @@ class Gains:
 @dataclass(frozen=True, eq=False)
 class ObserverState:
     """Pose estimate (dcm, position) plus landmark-position estimates (datum
-    frame, meters) at one instant, or at n instants stacked along a leading
-    axis of every field. It holds no time: which instant a state belongs to is
-    the caller's, whose truth carries it. Holds the arrays it is given,
-    unchecked, as ``GroundTruth`` does. Compares by identity (eq=False): its
-    fields are arrays."""
+    frame, meters) at n >= 1 instants stacked along a leading axis of every
+    field, a 1-instant stack for one instant. It holds no time: which instant
+    a state belongs to is the caller's, whose truth carries it. Holds the
+    arrays it is given, unchecked, as ``GroundTruth`` does. Compares by
+    identity (eq=False): its fields are arrays."""
 
-    dcm: np.ndarray  # datum-to-body, (3, 3) or (n, 3, 3)
-    position: np.ndarray  # m, datum frame, (3,) or (n, 3)
-    landmarks: np.ndarray  # (l, 3) or (n, l, 3)
-
-    def row(self, i: int) -> "ObserverState":
-        """The state at the i-th instant of a stacked state."""
-        return ObserverState(self.dcm[i], self.position[i], self.landmarks[i])
+    dcm: np.ndarray  # datum-to-body, (n, 3, 3)
+    position: np.ndarray  # m, datum frame, (n, 3)
+    landmarks: np.ndarray  # (n, l, 3)
 
 
 def resolve_attitude(body, datum, time: float, fallback: np.ndarray | None):
@@ -117,16 +116,18 @@ def resolve_attitude(body, datum, time: float, fallback: np.ndarray | None):
 def step(
     state: ObserverState, meas: MeasurementFrame, c_ba, gains: Gains, dt: float, fallback=None
 ):
-    """Advance the one-instant ``state`` by n time steps of length dt, given the
-    n stacked measurements ``meas`` (``landmark_obs`` (n, l, 3), n >= 1) and the
-    datum-to-body attitudes ``c_ba`` (n, 3, 3) used by the corrections. Returns
-    (states, flags, last_good): the n new states stacked, the n attitude flags,
-    and the last good solve, the next call's ``fallback``. An n-block call has
-    the bits of n 1-block calls. Step k reads its instant from ``meas.time[k]``,
-    and an error in step k names that instant; step names no instant of its
-    own, and its states carry none. Any other shape of ``landmark_obs``,
-    ``c_ba``, ``time``, ``omega`` or ``velocity`` raises ValueError, as does a
-    dt that is not finite and positive.
+    """Advance the last instant of the stacked ``state`` (dcm (m, 3, 3),
+    position (m, 3), landmarks (m, l, 3), m >= 1) by n time steps of length dt,
+    given the n stacked measurements ``meas`` (``landmark_obs`` (n, l, 3),
+    n >= 1) and the datum-to-body attitudes ``c_ba`` (n, 3, 3) used by the
+    corrections. Returns (states, flags, last_good): the n new states stacked,
+    which the next call continues from, the n attitude flags, and the last good
+    solve, the next call's ``fallback``. An n-block call has the bits of n
+    1-block calls. Step k reads its instant from ``meas.time[k]``, and an error
+    in step k names that instant; step names no instant of its own, and its
+    states carry none. The fields of ``meas`` and ``state``, and ``c_ba``, are
+    read as arrays; any other shape of them raises ValueError naming the
+    shape, as does a dt that is not finite and positive.
 
     With ``c_ba`` None (reconstructed mode), step k solves its attitude from O_k
     and the map step k - 1 made (``resolve_attitude``), falling back to the last
@@ -139,16 +140,22 @@ def step(
     warn before NonFiniteState."""
     if not 0.0 < dt < math.inf:
         raise ValueError(f"dt must be finite and positive, got {dt}")
-    obs = meas.landmark_obs
+    given = meas.time, meas.omega, meas.velocity, meas.landmark_obs, state.dcm, state.position
+    time, omega, velocity, obs, est_dcm, est_position = (np.asarray(x, float) for x in given)
+    est_map = np.asarray(state.landmarks, float)
     if obs.ndim != 3 or len(obs) == 0:
         raise ValueError(f"landmark_obs must be (n, l, 3) with n >= 1, got shape {obs.shape}")
     n, num_landmarks = obs.shape[:2]
     reconstructed = c_ba is None
-    if not reconstructed and c_ba.shape != (n, 3, 3):
-        raise ValueError(f"c_ba must be ({n}, 3, 3) or None, got shape {c_ba.shape}")
-    for name, shape in (("time", (n,)), ("omega", (n, 3)), ("velocity", (n, 3))):
-        if getattr(meas, name).shape != shape:
-            raise ValueError(f"{name} must be {shape}, got shape {getattr(meas, name).shape}")
+    if not reconstructed and np.shape(c_ba) != (n, 3, 3):
+        raise ValueError(f"c_ba must be ({n}, 3, 3) or None, got shape {np.shape(c_ba)}")
+    if est_dcm.ndim != 3 or est_dcm.shape[1:] != (3, 3) or len(est_dcm) == 0:
+        raise ValueError(f"state.dcm must be (m, 3, 3) with m >= 1, got shape {est_dcm.shape}")
+    names = "time", "omega", "velocity", "state.position", "state.landmarks"
+    shapes = (n,), (n, 3), (n, 3), (len(est_dcm), 3), (len(est_dcm), num_landmarks, 3)
+    for name, value, shape in zip(names, (time, omega, velocity, est_position, est_map), shapes):
+        if value.shape != shape:
+            raise ValueError(f"{name} must be {shape}, got shape {value.shape}")
     if num_landmarks == 0:
         raise EmptyMap("step needs at least one landmark")
 
@@ -157,19 +164,19 @@ def step(
     rows = np.empty((n + 1, num_landmarks, 10))
     rows[:n, :, :3] = obs
     rows[:n, :, 3] = 1.0
-    rows[0, :, 4:7] = state.landmarks
+    rows[0, :, 4:7] = est_map[-1]
     m = np.empty((7, 6))
     m_entries = m.reshape(-1)
     ones, s_sum = np.ones(num_landmarks), np.empty(3)
-    times, omegas, velocities = meas.time.tolist(), meas.omega.tolist(), meas.velocity.tolist()
+    times, omegas, velocities = time.tolist(), omega.tolist(), velocity.tolist()
     anchors = obs[:, 0].tolist()
-    attitudes = [None] * n if reconstructed else c_ba.reshape(n, 9).tolist()
+    attitudes = [None] * n if reconstructed else np.reshape(c_ba, (n, 9)).tolist()
     oks = [True] * n
 
     k1, k2, k3 = gains.k1, gains.k2, gains.k3
     dk2 = dt * k2
-    c0, c1, c2, c3, c4, c5, c6, c7, c8 = state.dcm.ravel().tolist()
-    r0, r1, r2 = state.position.tolist()
+    c0, c1, c2, c3, c4, c5, c6, c7, c8 = est_dcm[-1].ravel().tolist()
+    r0, r1, r2 = est_position[-1].tolist()
     dcms, positions = [], []
     isfinite = math.isfinite
     for k, t in enumerate(times):

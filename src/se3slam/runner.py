@@ -64,8 +64,9 @@ class RunResult:
 
 def initial_conditions(scenario: Scenario):
     """Landmarks, truth at t = 0, initial observer state and noise generator,
-    from the seed. Numpy's error state is the caller's (``run`` turns overflow
-    warnings off), so an estimate that overflows may warn before NonFiniteState."""
+    from the seed; the truth and the state are 1-instant stacks. Numpy's error
+    state is the caller's (``run`` turns overflow warnings off), so an estimate
+    that overflows may warn before NonFiniteState."""
     lm_seq, init_seq, noise_seq = np.random.SeedSequence(scenario.seed).spawn(3)
     layout = scenario.landmarks
     if layout.positions is not None:
@@ -75,7 +76,7 @@ def initial_conditions(scenario: Scenario):
             layout.count, layout.box.min, layout.box.max, np.random.default_rng(lm_seq)
         )
 
-    truth0 = truth_at(scenario.trajectory, np.zeros(1), landmarks).row(0)
+    truth0 = truth_at(scenario.trajectory, np.zeros(1), landmarks)
     est = scenario.initial_estimate
     axis = np.asarray(est.attitude_error_axis, dtype=float)
     norm = np.linalg.norm(axis)
@@ -84,7 +85,7 @@ def initial_conditions(scenario: Scenario):
     scale = est.landmark_offset_scale
     offsets = np.random.default_rng(init_seq).uniform(-scale, scale, landmarks.shape)
     position0 = truth0.position + np.asarray(est.position_offset, dtype=float)
-    estimates0 = landmarks + offsets
+    estimates0 = (landmarks + offsets)[None]
     if not (np.isfinite(position0).all() and np.isfinite(estimates0).all()):
         raise NonFiniteState("initial_estimate: initial position or map is not finite")
     state0 = ObserverState(dcm0, position0, estimates0)
@@ -112,35 +113,36 @@ def run(scenario: Scenario, scenario_hash: str | None = None) -> RunResult:
     either attitude mode: with the true attitudes or, in reconstructed mode,
     solving each from the map the step before made and carrying the last good
     solve from block to block as the fallback of the next. One ``evaluate``
-    scores the block's new states against truth rows 1 ... n. The truth is the
-    run's one clock: a record's time is its row's instant, exactly k * dt, and
-    a step or solve error names the instant of the measurement it read, truth
-    row k's. The blocks' columns are concatenated once, into the run's stacked
-    record.
+    scores the block's new states against truth rows 1 ... n, and the next
+    block's ``step`` continues from the last of them. Record 0, the initial
+    state against the truth at t = 0, is the first block, scored the same way
+    with a True flag. The truth is the run's one clock: a record's time is its
+    row's instant, exactly k * dt, and a step or solve error names the instant
+    of the measurement it read, truth row k's. The blocks' columns are
+    concatenated once, into the run's stacked record.
 
     ``run`` owns numpy's error state: overflow and invalid never warn inside it,
     and every value it returns has passed a check. ``initial_conditions``,
     ``truth_at``, ``step`` and the solve check what they make, and the record's
-    scores are checked finite once, after the steps; a blow-up is a Se3SlamError.
+    scores are checked finite once, after the steps, so a step's error comes
+    before any score's; a blow-up is a Se3SlamError.
     """
-    landmarks, truth0, initial, rng_noise = initial_conditions(scenario)
+    landmarks, truth0, state, rng_noise = initial_conditions(scenario)
     spec, noise, gains, dt = scenario.trajectory, scenario.noise, scenario.gains, scenario.dt
     n_steps = int(round(scenario.duration / dt))
-    state, last_good = initial, None
+    last_good = None
 
     rows = block_records(len(landmarks))
-    blocks = []
+    blocks = [evaluate(state, truth0, np.ones(1, bool)).columns()]
     for start in range(0, n_steps, rows):
         n = min(rows, n_steps - start)
         truth = truth_at(spec, np.arange(start, start + n + 1) * dt, landmarks)
         meas = measure(truth.row(slice(0, n)), noise, rng_noise)
         c_ba = None if scenario.attitude_mode == RECONSTRUCTED else truth.dcm[:n]
-        block, oks, last_good = step(state, meas, c_ba, gains, dt, fallback=last_good)
-        blocks.append(evaluate(block, truth.row(slice(1, None)), oks).columns())
-        state = block.row(-1)
+        state, oks, last_good = step(state, meas, c_ba, gains, dt, fallback=last_good)
+        blocks.append(evaluate(state, truth.row(slice(1, None)), oks).columns())
 
-    first = evaluate(initial, truth0).columns()
-    records = ErrorRecord(*(np.concatenate([[c], *cs]) for c, *cs in zip(first, *blocks)))
+    records = ErrorRecord(*map(np.concatenate, zip(*blocks)))
     ok = np.isfinite(records.lyapunov) & np.isfinite(records.position_error)
     ok &= np.isfinite(records.map_error).all(1) & np.isfinite(records.relative_map_error).all(1)
     if not ok.all():

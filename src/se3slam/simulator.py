@@ -9,11 +9,12 @@ checked the fields they come from once, on construction.
 
 ``truth_at`` and ``measure`` both work on n instants stacked along a leading
 axis, and on no other shape, so a run makes a block's truth and measurements
-in one call each. The truth owns each instant: it carries the times it was
-made at and the exact body-frame landmarks C_ba (p_i - r), and the layers
-downstream read both from it. ``measure`` reads the noise generator as n
-1-instant blocks would: one draw for the block when every channel that draws
-has one law, and one instant at a time when the channels mix families.
+in one call each, and the truth at t = 0 as a 1-instant block. The truth owns
+each instant: it carries the times it was made at and the exact body-frame
+landmarks C_ba (p_i - r), and the layers downstream read both from it.
+``measure`` reads the noise generator as n 1-instant blocks would: one draw for
+the block when every channel that draws has one law, and one instant at a time
+when the channels mix families.
 """
 
 from __future__ import annotations
@@ -150,20 +151,16 @@ class GroundTruth:
 
 @dataclass(frozen=True, eq=False)
 class MeasurementFrame:
-    """Body-frame sensor data, and the instants they were taken at, at n
-    instants stacked along a leading axis of every field, or at one instant
-    (``row``). Holds the arrays it is given, unchecked, as ``GroundTruth`` does.
-    Compares by identity (eq=False): its fields are arrays."""
+    """Body-frame sensor data, and the instants they were taken at, at n >= 1
+    instants stacked along a leading axis of every field. Holds what it is
+    given, unchecked, as ``GroundTruth`` does; ``step`` reads the fields as
+    float arrays and checks their shapes. Compares by identity (eq=False): its
+    fields are arrays."""
 
-    time: np.ndarray  # s, (n,) or ()
-    omega: np.ndarray  # rad/s, (n, 3) or (3,)
-    velocity: np.ndarray  # m/s, (n, 3) or (3,)
-    landmark_obs: np.ndarray  # m, (n, l, 3) or (l, 3)
-
-    def row(self, i) -> "MeasurementFrame":
-        """The measurement at the i-th instant of a stacked frame, or the
-        stacked frame at the instants of a slice i."""
-        return MeasurementFrame(self.time[i], self.omega[i], self.velocity[i], self.landmark_obs[i])
+    time: np.ndarray  # s, (n,)
+    omega: np.ndarray  # rad/s, (n, 3)
+    velocity: np.ndarray  # m/s, (n, 3)
+    landmark_obs: np.ndarray  # m, (n, l, 3)
 
 
 def truth_at(spec: TrajectorySpec, t, landmarks) -> GroundTruth:
@@ -278,9 +275,9 @@ def measure(truth: GroundTruth, noise: NoiseSpec, rng: np.random.Generator) -> M
     """Body-frame measurements of a stacked truth: exact model plus configured noise.
 
     For a truth of n instants every field of the frame has a leading axis of
-    length n (``MeasurementFrame.row`` picks one instant); a truth whose dcm is
-    not (n, 3, 3) raises ValueError. ``time`` is the truth's own array, and the
-    landmark model s_b_i = C_ba @ (p_a_i - r_a) is the truth's ``landmarks_body``.
+    length n; a truth whose dcm is not (n, 3, 3) raises ValueError. ``time``
+    is the truth's own array, and the landmark model s_b_i = C_ba @ (p_a_i - r_a)
+    is the truth's ``landmarks_body``.
     The generator is read in a fixed order, instant by instant and within an
     instant omega, velocity, landmarks, so one call over n instants leaves the
     bits and the generator state of n calls on 1-instant blocks. When every

@@ -9,9 +9,9 @@ import pytest
 
 from se3slam import attitude
 from se3slam.errors import DegenerateGeometry, EmptyMap, NonFiniteState
-from se3slam.liegroup import compose_raw, exp_se3, exp_so3, hat, reorthonormalize, rotation_drift, vee
+from se3slam.liegroup import exp_se3, exp_so3, hat, reorthonormalize, rotation_drift, vee
 from se3slam.metrics import ErrorRecord
-from se3slam.observer import DRIFT_TOL, ObserverState, step
+from se3slam.observer import DRIFT_TOL, ObserverState
 from se3slam.simulator import MeasurementFrame, truth_at
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
@@ -54,13 +54,11 @@ def truth_at_instant(spec, t, landmarks=np.zeros((0, 3))):
     return truth_at(spec, np.array([t]), landmarks).row(0)
 
 
-def step_once(state, meas, c_ba, gains, dt):
-    """One true-attitude step of the block kernel, from the one-instant
-    measurement ``meas`` and attitude ``c_ba`` made 1-blocks; the new state."""
-    block = MeasurementFrame(
-        np.array([meas.time]), meas.omega[None], meas.velocity[None], meas.landmark_obs[None]
-    )
-    return step(state, block, c_ba[None], gains, dt)[0].row(0)
+def frames(meas, start, stop=None):
+    """The stacked measurements at instants start ... stop - 1 of ``meas``, or
+    the 1-instant block at ``start`` alone."""
+    k = slice(start, start + 1 if stop is None else stop)
+    return MeasurementFrame(meas.time[k], meas.omega[k], meas.velocity[k], meas.landmark_obs[k])
 
 
 def per_field_row(r) -> str:
@@ -72,18 +70,20 @@ def per_field_row(r) -> str:
 
 
 def stack_records(records) -> ErrorRecord:
-    """One stacked ErrorRecord from single-instant records, row i from records[i]."""
-    return ErrorRecord(*map(np.array, zip(*(r.columns() for r in records))))
+    """One stacked ErrorRecord from stacked records, their rows in turn."""
+    return ErrorRecord(*map(np.concatenate, zip(*(r.columns() for r in records))))
 
 
 # The observer written one function per equation, as the module docstring of
-# se3slam.observer states them: the oracle that step is held to.
+# se3slam.observer states them: the oracle that step is held to. Each equation
+# takes the arrays of one instant.
 
 
-def innovations(body_landmarks, body_position, meas):
+def innovations(body_landmarks, body_position, obs):
     """All landmark residuals stacked as an (l, 3) array, from the estimates in
-    the body frame: body_landmarks = P_hat @ C_ea.T, body_position = C_ea @ r_hat."""
-    return body_landmarks - body_position - meas.landmark_obs
+    the body frame: body_landmarks = P_hat @ C_ea.T, body_position = C_ea @ r_hat,
+    and the (l, 3) observations."""
+    return body_landmarks - body_position - obs
 
 
 def attitude_error(c_ba, c_ea):
@@ -93,19 +93,20 @@ def attitude_error(c_ba, c_ea):
     return tuple(vee([[0.0, s01, s02], [-s01, 0.0, s12], [-s02, -s12, 0.0]]).tolist())
 
 
-def corrected_angular_velocity(meas, e, gains):
-    (o0, o1, o2), (e0, e1, e2), k1 = meas.omega.tolist(), e, gains.k1
+def corrected_angular_velocity(omega, e, gains):
+    (o0, o1, o2), (e0, e1, e2), k1 = omega.tolist(), e, gains.k1
     return o0 - k1 * e0, o1 - k1 * e1, o2 - k1 * e2
 
 
-def corrected_velocity(meas, w, body_position, s_tilde, gains):
-    """Velocity input of the pose update, given w = hat(omega_hat - omega_meas),
-    body_position = C_ea @ r_hat and the innovations; k3 anchors on landmark 0."""
+def corrected_velocity(velocity, obs, w, body_position, s_tilde, gains):
+    """Velocity input of the pose update, given the measured velocity and
+    observations, w = hat(omega_hat - omega_meas), body_position = C_ea @ r_hat
+    and the innovations; k3 anchors on landmark 0."""
     if len(s_tilde) == 0:
         raise EmptyMap("corrected_velocity needs at least one landmark")
     (x, y, z), (w0, w1, w2), (w3, w4, w5), (w6, w7, w8) = body_position, *w.tolist()
-    (v0, v1, v2), (s0, s1, s2) = meas.velocity.tolist(), s_tilde.sum(axis=0).tolist()
-    (a0, a1, a2), k2, k3 = meas.landmark_obs[0].tolist(), gains.k2, gains.k3
+    (v0, v1, v2), (s0, s1, s2) = velocity.tolist(), s_tilde.sum(axis=0).tolist()
+    (a0, a1, a2), k2, k3 = obs[0].tolist(), gains.k2, gains.k3
     return (
         v0 + (w0 * x + w1 * y + w2 * z) + k2 * s0 - k3 * (x + a0),
         v1 + (w3 * x + w4 * y + w5 * z) + k2 * s1 - k3 * (y + a1),
@@ -119,41 +120,52 @@ def landmark_rates(body_landmarks, w, s_tilde, c_ea, gains):
     return (body_landmarks @ w.T - gains.k2 * s_tilde) @ c_ea
 
 
+def compose_raw(dcm_a, position_a, dcm_b, position_b):
+    """(dcm, position) of the product a @ b of two poses given as raw arrays."""
+    return dcm_b @ dcm_a, dcm_a.T @ position_b + position_a
+
+
 def reference_step(state, meas, c_ba, gains, dt):
-    """One Lie-Euler step of the equations above, for one instant, with the checks
-    and messages of ``se3slam.observer.step``, which name the measurement's instant."""
+    """One Lie-Euler step of the equations above, in the forms ``se3slam.observer.step``
+    takes for one step: from the last instant of the stacked ``state``, with the
+    1-instant ``meas`` and ``c_ba`` (1, 3, 3). Returns the new state as a
+    1-instant stack, with the checks and messages of ``step``, which name the
+    measurement's instant."""
     if not 0.0 < dt < math.inf:
         raise ValueError(f"dt must be finite and positive, got {dt}")
-    c_ea, position = state.dcm, state.position
-    body_landmarks, body_position = state.landmarks @ c_ea.T, (c_ea @ position).tolist()
-    o0, o1, o2 = corrected_angular_velocity(meas, attitude_error(c_ba, c_ea), gains)
-    m0, m1, m2 = meas.omega.tolist()
+    c_ea, position, landmarks = state.dcm[-1], state.position[-1], state.landmarks[-1]
+    (t,), (omega,), (velocity,), (obs,) = meas.time, meas.omega, meas.velocity, meas.landmark_obs
+    body_landmarks, body_position = landmarks @ c_ea.T, (c_ea @ position).tolist()
+    o0, o1, o2 = corrected_angular_velocity(omega, attitude_error(c_ba[0], c_ea), gains)
+    m0, m1, m2 = omega.tolist()
     w = hat((o0 - m0, o1 - m1, o2 - m2))
-    s_tilde = innovations(body_landmarks, body_position, meas)
-    v0, v1, v2 = corrected_velocity(meas, w, body_position, s_tilde, gains)
+    s_tilde = innovations(body_landmarks, body_position, obs)
+    v0, v1, v2 = corrected_velocity(velocity, obs, w, body_position, s_tilde, gains)
     try:
         motion = exp_se3((o0 * dt, o1 * dt, o2 * dt), (v0 * dt, v1 * dt, v2 * dt))
     except NonFiniteState:
-        raise NonFiniteState(f"non-finite pose increment at t={meas.time}") from None
+        raise NonFiniteState(f"non-finite pose increment at t={t}") from None
     dcm, position = compose_raw(c_ea, position, *motion)
     if rotation_drift(dcm.tolist()) > DRIFT_TOL:
         dcm = reorthonormalize(dcm)
-    new_landmarks = state.landmarks + dt * landmark_rates(body_landmarks, w, s_tilde, c_ea, gains)
+    new_landmarks = landmarks + dt * landmark_rates(body_landmarks, w, s_tilde, c_ea, gains)
     if not (np.isfinite(new_landmarks).all() and all(map(math.isfinite, position.tolist()))):
-        raise NonFiniteState(f"non-finite state after step at t={meas.time}")
-    return ObserverState(dcm, position, new_landmarks)
+        raise NonFiniteState(f"non-finite state after step at t={t}")
+    return ObserverState(dcm[None], position[None], new_landmarks[None])
 
 
 def reference_resolve_attitude(state, meas, fallback=None):
-    """The attitude of reconstructed mode for one instant, solved from the
-    observations and the map of ``state`` seen from its position, plus a health
-    flag, with the fallback and message of ``se3slam.observer.step``."""
+    """The attitude of reconstructed mode for the 1-instant ``meas``, solved from
+    the observations and the map of the last instant of the stacked ``state``
+    seen from its position, plus a health flag, with the fallback and message
+    of ``se3slam.observer.step``."""
+    datum = state.landmarks[-1] - state.position[-1]
     try:
-        return attitude.solve_attitude(meas.landmark_obs, state.landmarks - state.position), True
+        return attitude.solve_attitude(meas.landmark_obs[0], datum), True
     except DegenerateGeometry as exc:
         if fallback is not None:
             return fallback, False
         raise type(exc)(
-            f"attitude solve at t={meas.time}: {exc}; the datum directions are the "
+            f"attitude solve at t={meas.time[0]}: {exc}; the datum directions are the "
             "estimated landmarks seen from the estimated position"
         ) from None

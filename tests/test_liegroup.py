@@ -4,7 +4,7 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_rotation
+from conftest import compose_raw, random_rotation
 from se3slam.errors import DegenerateMatrix, NonFiniteState, NotSkewSymmetric
 from se3slam.liegroup import (
     _NUMPY,
@@ -14,7 +14,6 @@ from se3slam.liegroup import (
     _small_angle_coefficients,
     _so3_terms_stacked,
     _trig_coefficients,
-    compose_raw,
     exp_se3,
     exp_so3,
     exp_so3_with_right_jacobian,

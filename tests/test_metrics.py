@@ -3,11 +3,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_rotation, stack_records
-from se3slam.liegroup import Pose, compose_raw, exp_so3, homogeneous
+from conftest import compose_raw, random_rotation, stack_records
+from se3slam.liegroup import Pose, exp_so3, homogeneous, norms_from_squares
 from se3slam.metrics import (
     ErrorRecord,
-    _norms,
     _pose_error_raw,
     evaluate,
     map_errors,
@@ -23,15 +22,19 @@ def random_pose(rng):
 
 
 def make_state(pose, landmarks):
-    return ObserverState(pose.dcm, pose.position, landmarks)
+    """The 1-instant state at ``pose`` with the (l, 3) map ``landmarks``."""
+    return ObserverState(pose.dcm[None], pose.position[None], landmarks[None])
 
 
 def make_truth(pose, landmarks, time=0.0):
-    """The one-instant truth at ``pose``, its body-frame landmarks in the plain
+    """The 1-instant truth at ``pose``, its body-frame landmarks in the plain
     form C (p_i - r)."""
     landmarks = np.atleast_2d(landmarks)
     body = (landmarks - pose.position) @ pose.dcm.T
-    return GroundTruth(time, pose.dcm, pose.position, np.zeros(3), np.zeros(3), landmarks, body)
+    return GroundTruth(
+        np.array([time]), pose.dcm[None], pose.position[None], np.zeros((1, 3)),
+        np.zeros((1, 3)), landmarks, body[None],
+    )
 
 
 IDENTITY = Pose(np.eye(3), np.zeros(3))
@@ -47,7 +50,7 @@ def lyapunov(pose_err, map_errs):
     error pose against the identity truth, and the true landmarks are -map_errs
     against estimates at the datum origin, so the map errors are map_errs exactly."""
     state = make_state(pose_err, np.zeros(map_errs.shape))
-    return float(evaluate(state, make_truth(IDENTITY, -map_errs)).lyapunov)
+    return float(evaluate(state, make_truth(IDENTITY, -map_errs), np.ones(1, bool)).lyapunov[0])
 
 
 def test_pose_error_identity_at_truth(rng):
@@ -89,9 +92,10 @@ def test_map_error_identity_attitudes(rng):
 def test_map_error_matches_transcription(rng):
     state = make_state(random_pose(rng), rng.normal(size=(4, 3)))
     truth = make_truth(random_pose(rng), rng.normal(size=(4, 3)))
-    errs = map_errors(state, truth)
+    (errs,) = map_errors(state, truth)
+    (c_ea,), (c_ba,), (guesses,) = state.dcm, truth.dcm, state.landmarks
     for i in range(4):
-        expected = state.dcm @ state.landmarks[i] - truth.dcm @ truth.landmarks[i]
+        expected = c_ea @ guesses[i] - c_ba @ truth.landmarks[i]
         assert np.allclose(errs[i], expected, atol=1e-13)
 
 
@@ -108,17 +112,18 @@ def test_relative_map_error_gauge_invariant(rng):
     landmarks = rng.normal(size=(3, 3))
     truth = make_truth(pose, landmarks)
     shift = rng.normal(size=3)
-    shifted = ObserverState(pose.dcm, pose.position + shift, landmarks + shift)
+    shifted = make_state(Pose(pose.dcm, pose.position + shift), landmarks + shift)
     assert np.allclose(relative_map_errors(shifted, truth), 0.0, atol=1e-13)
 
 
 def test_relative_map_error_matches_transcription(rng):
     state = make_state(random_pose(rng), rng.normal(size=(4, 3)))
     truth = make_truth(random_pose(rng), rng.normal(size=(4, 3)))
-    errs = relative_map_errors(state, truth)
+    (errs,) = relative_map_errors(state, truth)
+    (c_ea,), (c_ba,), (guesses,) = state.dcm, truth.dcm, state.landmarks
     for i in range(4):
-        expected = state.dcm @ (state.landmarks[i] - state.position) - truth.dcm @ (
-            truth.landmarks[i] - truth.position
+        expected = c_ea @ (guesses[i] - state.position[0]) - c_ba @ (
+            truth.landmarks[i] - truth.position[0]
         )
         assert np.allclose(errs[i], expected, atol=1e-13)
 
@@ -157,7 +162,7 @@ def test_evaluate_record_fields(rng):
     landmarks = rng.normal(size=(2, 3))
     state = make_state(pose, landmarks)
     truth = make_truth(random_pose(rng), landmarks, time=1.5)
-    rec = evaluate(state, truth, attitude_source_ok=False)
+    rec = evaluate(state, truth, np.zeros(1, bool)).row(0)
     assert rec.time == 1.5
     assert not rec.attitude_source_ok
     assert rec.lyapunov >= 0.0
@@ -184,11 +189,11 @@ def test_stacked_evaluate_matches_per_record(rng, l):
         np.zeros((n, 3)),
         np.zeros((n, 3)),
         landmarks,
-        np.array([make_truth(p, landmarks).landmarks_body for p in tru]),
+        np.concatenate([make_truth(p, landmarks).landmarks_body for p in tru]),
     )
     records = evaluate(state, truth, oks)
     singles = [
-        evaluate(make_state(est[i], guesses[i]), truth.row(i), bool(oks[i]))
+        evaluate(make_state(est[i], guesses[i]), truth.row(slice(i, i + 1)), oks[i : i + 1])
         for i in range(n)
     ]
     assert len(records) == n
@@ -197,7 +202,7 @@ def test_stacked_evaluate_matches_per_record(rng, l):
     assert csv_lines(records) == csv_lines(stack_records(singles))
     assert records.attitude_source_ok.tolist() == oks.tolist()
     last = records.row(-1)
-    assert last.lyapunov == singles[-1].lyapunov and last.time == times[-1]
+    assert last.lyapunov == singles[-1].lyapunov[0] and last.time == times[-1]
 
 
 def test_error_record_equality_is_identity():
@@ -210,9 +215,9 @@ def test_error_record_equality_is_identity():
     # so do the other records of arrays: two equal-valued copies are distinct
     makers = [
         lambda: Pose(np.eye(3), np.zeros(3)),
-        lambda: ObserverState(np.eye(3), np.zeros(3), np.ones((2, 3))),
+        lambda: make_state(Pose(np.eye(3), np.zeros(3)), np.ones((2, 3))),
         lambda: make_truth(Pose(np.eye(3), np.zeros(3)), np.ones((2, 3))),
-        lambda: MeasurementFrame(0.0, np.zeros(3), np.zeros(3), np.ones((2, 3))),
+        lambda: MeasurementFrame(np.zeros(1), np.zeros((1, 3)), np.zeros((1, 3)), np.ones((1, 2, 3))),
     ]
     for make in makers:
         one = make()
@@ -248,6 +253,6 @@ def test_elementwise_forms_have_the_plain_bits(n, l, data):
     origins = np.array(data.draw(st.lists(ENTRIES, min_size=3 * n, max_size=3 * n)))
     points, origins = points.reshape(n, l, 3), origins.reshape(n, 3)
     with np.errstate(over="ignore", invalid="ignore"):
-        assert same_bits(_norms(points * points), np.linalg.norm(points, axis=-1))
+        assert same_bits(norms_from_squares(points * points), np.linalg.norm(points, axis=-1))
         for p, o in [(points, origins), (points[0], origins), (points[0], origins[0])]:
             assert same_bits(offsets(p, o), p - o[..., None, :])

@@ -10,7 +10,6 @@ from conftest import (
     per_field_row,
     reference_resolve_attitude,
     stack_records,
-    truth_at_instant,
 )
 from se3slam import attitude, runner
 from se3slam.errors import ConfigInvalid, DegenerateGeometry, NonFiniteState
@@ -210,21 +209,22 @@ def reference_records(scenario):
     step, a 1-instant ``measure``, in reconstructed mode conftest's attitude
     solve, then a 1-block ``step`` with the given attitude, scored one instant at
     a time, the k-th new state at the instant (k + 1) * dt of its truth; the
-    records are stacked for comparison."""
+    records are concatenated for comparison."""
     landmarks, _, state, rng_noise = initial_conditions(scenario)
     traj, dt = scenario.trajectory, scenario.dt
-    records = [evaluate(state, truth_at_instant(traj, 0.0, landmarks))]
+    records = [evaluate(state, truth_at(traj, np.zeros(1), landmarks), np.ones(1, bool))]
     last_good = None
     for k in range(int(round(scenario.duration / dt))):
         truth = truth_at(traj, np.array([k * dt]), landmarks)
         meas = measure(truth, scenario.noise, rng_noise)
         if scenario.attitude_mode == RECONSTRUCTED:
-            c_ba, ok = reference_resolve_attitude(state, meas.row(0), fallback=last_good)
+            c_ba, ok = reference_resolve_attitude(state, meas, fallback=last_good)
             last_good = c_ba if ok else last_good
         else:
             c_ba, ok = truth.dcm[0], True
-        state = step(state, meas, c_ba[None], scenario.gains, dt)[0].row(0)
-        records.append(evaluate(state, truth_at_instant(traj, (k + 1) * dt, landmarks), ok))
+        state = step(state, meas, c_ba[None], scenario.gains, dt)[0]
+        truth = truth_at(traj, np.array([(k + 1) * dt]), landmarks)
+        records.append(evaluate(state, truth, np.array([ok])))
     return stack_records(records)
 
 

@@ -186,10 +186,10 @@ def test_measure_matches_transcription(rng):
     g = truth_at(ALL_SPECS[3], rng.uniform(0.0, 20.0, size=1), landmarks)
     frame = measure(g, NoiseSpec(), np.random.default_rng(0))
     assert frame.time is g.time
-    frame, g = frame.row(0), g.row(0)
+    (dcm,), (position,) = g.dcm, g.position
     for i in range(5):
-        expected = g.dcm @ (landmarks[i] - g.position)
-        assert np.allclose(frame.landmark_obs[i], expected, atol=1e-13)
+        expected = dcm @ (landmarks[i] - position)
+        assert np.allclose(frame.landmark_obs[0, i], expected, atol=1e-13)
     assert np.array_equal(frame.omega, g.omega_body)
     assert np.array_equal(frame.velocity, g.velocity_body)
 
@@ -284,11 +284,11 @@ def test_stacked_measure_matches_one_instant_calls(noise, n, n_landmarks, seed):
     assert stacked.landmark_obs.shape == (n, n_landmarks, 3)
     assert stacked.time is truth.time
     for i in range(n):
-        row, one = stacked.row(i), measure(truth.row(slice(i, i + 1)), noise, one_rng).row(0)
-        assert row.time == one.time
-        assert np.array_equal(row.omega, one.omega)
-        assert np.array_equal(row.velocity, one.velocity)
-        assert np.array_equal(row.landmark_obs, one.landmark_obs)
+        one = measure(truth.row(slice(i, i + 1)), noise, one_rng)
+        assert stacked.time[i : i + 1] == one.time
+        assert np.array_equal(stacked.omega[i : i + 1], one.omega)
+        assert np.array_equal(stacked.velocity[i : i + 1], one.velocity)
+        assert np.array_equal(stacked.landmark_obs[i : i + 1], one.landmark_obs)
     assert stacked_rng.bit_generator.state == one_rng.bit_generator.state
 
 
