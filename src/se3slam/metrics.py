@@ -98,17 +98,20 @@ def evaluate(state: ObserverState, truth: GroundTruth, attitude_source_ok):
     scored at and ``attitude_source_ok`` their n flags; every field of the
     record has the leading axis n, and each row has the bits of a 1-instant
     call. ``time`` is ``truth.time`` and ``attitude_source_ok`` the flags given,
-    the inputs themselves, not copies. The map errors are squared once, for the
-    energy and for their norms.
+    the inputs themselves, not copies. The map errors are squared once, in
+    place, for the energy and for their norms.
     """
     err_dcm, err_position = _pose_error_raw(state.dcm, state.position, truth.dcm, truth.position)
-    sq = np.square(map_errors(state, truth))
+    sq = map_errors(state, truth)
+    np.square(sq, out=sq)
+    rel_sq = relative_map_errors(state, truth)
+    np.square(rel_sq, out=rel_sq)
     return ErrorRecord(
         truth.time,
         _energy(err_dcm, err_position, sq),
         rotation_angle(err_dcm),
         vector_norm(err_position),
         norms_from_squares(sq),
-        norms_from_squares(np.square(relative_map_errors(state, truth))),
+        norms_from_squares(rel_sq),
         attitude_source_ok,
     )

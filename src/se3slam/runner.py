@@ -25,9 +25,13 @@ from .simulator import measure, place_landmarks, truth_at
 # Steps per block (see block_records). 2048 landmark rows of (l, 3)
 # estimates are 48 kB, so a block's buffers and scoring temporaries stay small
 # next to the run's record columns; 4096 rows ran no faster and raised the peak
-# RSS of the 8-landmark runs by another 0.25 MB.
+# RSS of the 8-landmark runs by another 0.25 MB. A block also costs 300-390 us
+# of calls whatever its length, so a large map takes at least 25 steps per
+# block. On a 2-vCPU Xeon at 256 landmarks, 100 steps as 4 blocks of 25 ran
+# 12 % faster than as 6 of 16 and one of 4; 3 or 2 blocks ran another 4 or 7 %
+# faster, but raised the benchmark's dense job's peak RSS by another 0.6 or 1.3 MB.
 BLOCK_LANDMARK_ROWS = 2048
-MIN_BLOCK_RECORDS = 16
+MIN_BLOCK_RECORDS = 25
 # Values formatted and written at a time (see csvtext): a block's slots, text
 # and scratch arrays stay near 300 kB. 4096 values wrote dense_sweep's CSV
 # about 10 % faster, but raised the peak RSS of the 8-landmark runs by 0.38 MB.
@@ -118,8 +122,11 @@ def run(scenario: Scenario, scenario_hash: str | None = None) -> RunResult:
     state against the truth at t = 0, is the first block, scored the same way
     with a True flag. The truth is the run's one clock: a record's time is its
     row's instant, exactly k * dt, and a step or solve error names the instant
-    of the measurement it read, truth row k's. The blocks' columns are
-    concatenated once, into the run's stacked record.
+    of the measurement it read, truth row k's. The run's record columns are
+    allocated once, shaped from record 0's, and each block's scores are
+    written into its rows. A block's measurements go before it is scored, and
+    between blocks ``run`` keeps only the state's last instant, the one the
+    next ``step`` reads.
 
     ``run`` owns numpy's error state: overflow and invalid never warn inside it,
     and every value it returns has passed a check. ``initial_conditions``,
@@ -132,17 +139,24 @@ def run(scenario: Scenario, scenario_hash: str | None = None) -> RunResult:
     n_steps = int(round(scenario.duration / dt))
     last_good = None
 
+    record0 = evaluate(state, truth0, np.ones(1, bool)).columns()
+    columns = [np.empty((n_steps + 1, *c.shape[1:]), c.dtype) for c in record0]
+    for column, c in zip(columns, record0):
+        column[0] = c[0]
     rows = block_records(len(landmarks))
-    blocks = [evaluate(state, truth0, np.ones(1, bool)).columns()]
     for start in range(0, n_steps, rows):
         n = min(rows, n_steps - start)
         truth = truth_at(spec, np.arange(start, start + n + 1) * dt, landmarks)
         meas = measure(truth.row(slice(0, n)), noise, rng_noise)
         c_ba = None if scenario.attitude_mode == RECONSTRUCTED else truth.dcm[:n]
         state, oks, last_good = step(state, meas, c_ba, gains, dt, fallback=last_good)
-        blocks.append(evaluate(state, truth.row(slice(1, None)), oks).columns())
+        del meas
+        for column, c in zip(columns, evaluate(state, truth.row(slice(1, None)), oks).columns()):
+            column[start + 1 : start + n + 1] = c
+        # the last instant alone, copied so that the block's (n, l, 3) map can go
+        state = ObserverState(state.dcm[-1:], state.position[-1:], state.landmarks[-1:].copy())
 
-    records = ErrorRecord(*map(np.concatenate, zip(*blocks)))
+    records = ErrorRecord(*columns)
     ok = np.isfinite(records.lyapunov) & np.isfinite(records.position_error)
     ok &= np.isfinite(records.map_error).all(1) & np.isfinite(records.relative_map_error).all(1)
     if not ok.all():

@@ -244,9 +244,9 @@ BOX = Box((-5.0, -5.0, -5.0), (5.0, 5.0, 5.0))
 
 
 def _many_landmarks(scenario):
-    """1000 landmarks: 16-record blocks, so 60 steps cross 3 block boundaries."""
+    """1000 landmarks: 25-record blocks, so 90 steps cross 3 block boundaries."""
     layout = LandmarkLayout(count=1000, box=BOX)
-    return dataclasses.replace(_tumble(scenario), landmarks=layout, duration=60 * scenario.dt)
+    return dataclasses.replace(_tumble(scenario), landmarks=layout, duration=90 * scenario.dt)
 
 
 def _many_steps(scenario):
@@ -349,6 +349,18 @@ def test_run_matches_reference_loop(name, variant):
     assert csv_lines(records) == csv_lines(reference_records(scenario))
 
 
+def _recorded_steps(monkeypatch):
+    """The number of steps of each ``step`` call run() makes from now on, in call order."""
+    stepped = []
+
+    def counted(state, meas, *args, **kwargs):
+        stepped.append(len(meas.omega))
+        return step(state, meas, *args, **kwargs)
+
+    monkeypatch.setattr(runner, "step", counted)
+    return stepped
+
+
 @pytest.mark.parametrize("n_steps", [900, 768])
 def test_run_measures_once_per_block(monkeypatch, n_steps):
     # the loop holds only the attitude solve and step: a block's steps are
@@ -375,15 +387,32 @@ def test_run_steps_once_per_block(monkeypatch, name):
     scenario, _ = load_scenario(SCENARIO_DIR / f"{name}.yaml")
     scenario = dataclasses.replace(scenario, duration=900 * scenario.dt)
     _, block = _records_and_block(scenario)
-    stepped = []
-
-    def counted(state, meas, *args, **kwargs):
-        stepped.append(len(meas.omega))
-        return step(state, meas, *args, **kwargs)
-
-    monkeypatch.setattr(runner, "step", counted)
+    stepped = _recorded_steps(monkeypatch)
     run(scenario)
     assert stepped == [block] * (900 // block) + [900 % block]
+
+
+@pytest.mark.parametrize(
+    "name, variant",
+    [("fig3_noisy", None), ("reconstructed", None), ("fig3_noisy", _tumble)],
+    ids=["fig3_noisy", "reconstructed", "tumble_64_landmarks"],
+)
+@pytest.mark.parametrize("block", [1, 7, None], ids=["1_step", "7_steps", "one_block"])
+def test_run_output_does_not_depend_on_the_blocks(monkeypatch, name, variant, block):
+    # an n-step call of every layer has the bits of n 1-step calls, so any
+    # split of the run into blocks writes the same CSV; None: the whole run
+    scenario, _ = load_scenario(SCENARIO_DIR / f"{name}.yaml")
+    scenario = dataclasses.replace(scenario, duration=1.0)
+    if variant is not None:
+        layout = LandmarkLayout(count=64, box=BOX)
+        scenario = dataclasses.replace(variant(scenario), landmarks=layout)
+    expected = csv_lines(run(scenario).records)
+    n_steps = _records_and_block(scenario)[0] - 1
+    size = block or n_steps
+    monkeypatch.setattr(runner, "block_records", lambda _: size)
+    stepped = _recorded_steps(monkeypatch)
+    assert csv_lines(run(scenario).records) == expected
+    assert stepped == [size] * (n_steps // size) + [n_steps % size] * bool(n_steps % size)
 
 
 def _flaky_solve(failing_calls):
