@@ -2,10 +2,11 @@
 
 The runs are every bundled scenario under ``scenarios/``, the bundled
 reconstructed scenario with its landmarks moved into the circle's plane
-(``in_plane``), and the benchmark's generated dense scenario
-(``DENSE_SCENARIO`` in ``bench/workloads.py``, read and not changed) at seeds
-0-3. For each run it prints the digest of the full CSV, of the CSV at
-``--decimate 10`` and of the summary. The CSV digests are of the bytes
+(``in_plane``), the benchmark's generated dense scenario (``DENSE_SCENARIO``
+in ``bench/workloads.py``, read and not changed) at seeds 0-3, and last the
+bundled heavytail scenario with uniform, Gaussian and Student-t channels
+(``mixed_noise``). For each run it prints the digest of the full CSV, of the
+CSV at ``--decimate 10`` and of the summary. The CSV digests are of the bytes
 ``write_csv`` writes, as ``se3slam run`` writes them, and the script exits
 non-zero where those bytes differ from ``csv_lines``.
 Two source trees give the same output bits exactly when they print the same
@@ -28,6 +29,7 @@ import yaml
 
 from se3slam.runner import csv_lines, run, summary_lines, write_csv
 from se3slam.scenario import LandmarkLayout, load_scenario, parse_scenario
+from se3slam.simulator import ChannelNoise, NoiseSpec
 
 ROOT = Path(__file__).resolve().parent.parent
 DENSE_SEEDS = range(4)
@@ -42,6 +44,19 @@ def in_plane(scenario):
     return dataclasses.replace(
         scenario, landmarks=LandmarkLayout(positions=positions), duration=2000 * scenario.dt
     )
+
+
+def mixed_noise(scenario):
+    """``scenario`` (the bundled heavytail one) with uniform angular-velocity
+    noise, Gaussian velocity noise with a bias, and its Student-t landmark
+    noise. Channels of mixed families draw one instant at a time, and no other
+    run reaches that path or the uniform family's arithmetic."""
+    noise = NoiseSpec(
+        omega=ChannelNoise("uniform", scale=0.01),
+        velocity=ChannelNoise("gaussian", scale=0.01, bias=(0.02, -0.01, 0.005)),
+        landmark=scenario.noise.landmark,
+    )
+    return dataclasses.replace(scenario, noise=noise)
 
 
 def _dense_scenario_text() -> str:
@@ -64,6 +79,8 @@ def _scenarios():
         text = template.format(seed=seed)
         digest = hashlib.sha256(text.encode()).hexdigest()
         yield f"dense_sweep seed {seed}", parse_scenario(yaml.safe_load(text)), digest
+    heavytail, digest = load_scenario(ROOT / "scenarios" / "heavytail.yaml")
+    yield "heavytail.yaml mixed_noise", mixed_noise(heavytail), digest
 
 
 def _sha256(lines: list[str]) -> str:

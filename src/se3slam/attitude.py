@@ -12,7 +12,7 @@ import math
 
 import numpy as np
 
-from .errors import DegenerateGeometry, ZeroVector
+from .errors import DegenerateGeometry
 from .liegroup import norms_from_squares
 
 # Datum directions closer than this angle (rad) count as collinear.
@@ -55,8 +55,10 @@ def solve_attitude(body_vectors, datum_vectors) -> np.ndarray:
     Both arguments are (n, 3) arrays of paired vectors, n >= 2; pairs are
     unit-normalized and uniformly weighted, so only directions matter. The
     determinant of the result is forced to +1. Exact pairs (body = R @ datum
-    with >= 2 non-collinear datum directions) are recovered exactly. Numpy's
-    error state is the caller's: an overflowing norm may warn before DegenerateGeometry.
+    with >= 2 non-collinear datum directions) are recovered exactly. A row with
+    a non-finite or near-zero norm, fewer than 2 pairs and collinear datum
+    directions all raise DegenerateGeometry. Numpy's error state is the
+    caller's: an overflowing norm may warn before DegenerateGeometry.
     """
     body = np.asarray(body_vectors, dtype=float)
     datum = np.asarray(datum_vectors, dtype=float)
@@ -73,7 +75,7 @@ def solve_attitude(body_vectors, datum_vectors) -> np.ndarray:
     if not math.isfinite(sum(ns)):
         raise DegenerateGeometry("direction vector with a non-finite or overflowing norm")
     if min(ns) < ZERO_NORM:
-        raise ZeroVector("direction vector with near-zero norm")
+        raise DegenerateGeometry("direction vector with near-zero norm")
     dirs = rows / norms[:, None]
     b, d = dirs[: len(body)], dirs[len(body) :]
     if collinearity_rank(d) < 2:

@@ -14,15 +14,8 @@ class DegenerateMatrix(Se3SlamError):
 
 
 class DegenerateGeometry(Se3SlamError):
-    """Landmark geometry too collinear for a well-posed attitude solve."""
-
-
-class ZeroVector(DegenerateGeometry):
-    """A direction vector with (near-)zero norm was supplied."""
-
-
-class EmptyMap(Se3SlamError):
-    """An operation that needs at least one landmark got an empty map."""
+    """Landmark geometry too collinear for a well-posed attitude solve, or a
+    direction vector with a non-finite or near-zero norm."""
 
 
 class NonFiniteState(Se3SlamError):

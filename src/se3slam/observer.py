@@ -58,7 +58,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import attitude as attitude_mod
-from .errors import DegenerateGeometry, EmptyMap, NonFiniteState
+from .errors import DegenerateGeometry, NonFiniteState
 from .liegroup import exp_se3_floats, reorthonormalize, rotation_drift
 from .liegroup import exp_se3, hat, vee  # noqa: F401  wrapped here by bench/tracer.py
 from .simulator import MeasurementFrame, require_finite
@@ -119,7 +119,7 @@ def step(
     """Advance the last instant of the stacked ``state`` (dcm (m, 3, 3),
     position (m, 3), landmarks (m, l, 3), m >= 1) by n time steps of length dt,
     given the n stacked measurements ``meas`` (``landmark_obs`` (n, l, 3),
-    n >= 1) and the datum-to-body attitudes ``c_ba`` (n, 3, 3) used by the
+    n, l >= 1) and the datum-to-body attitudes ``c_ba`` (n, 3, 3) used by the
     corrections. Returns (states, flags, last_good): the n new states stacked,
     which the next call continues from, the n attitude flags, and the last good
     solve, the next call's ``fallback``. An n-block call has the bits of n
@@ -157,7 +157,7 @@ def step(
         if value.shape != shape:
             raise ValueError(f"{name} must be {shape}, got shape {value.shape}")
     if num_landmarks == 0:
-        raise EmptyMap("step needs at least one landmark")
+        raise ValueError(f"landmark_obs must hold at least one landmark, got shape {obs.shape}")
 
     # Row k holds [O_k | 1 | P_hat_k | s_tilde_{k-1}]: step k multiplies its first seven
     # columns by M and writes [P_hat_{k+1} | s_tilde_k] into the last six of row k + 1.

@@ -45,6 +45,11 @@ MAX_STEPS = 10**6
 # Upper bound on the landmark count: every step works on (l, 3) arrays, and
 # every row of a run's errors keeps two l-vectors.
 MAX_LANDMARKS = 10**4
+# Upper bound on the values of a run's record, (steps + 1) rows of 2 l + 5
+# columns: the two bounds above alone admit 1.6e11 values (about 160 GB). One
+# run() of 4000 steps x 1024 landmarks (8.2e6 values) raised the peak RSS by
+# 9.5 bytes per value on CPython 3.11 and numpy 2.4, so this caps a run near 1 GB.
+MAX_RECORD_VALUES = 10**8
 
 
 @dataclass(frozen=True)
@@ -153,6 +158,13 @@ class Scenario:
             raise ValueError(
                 f"landmarks.{key}: {self.landmarks.num_landmarks} landmarks exceed "
                 f"the limit of {MAX_LANDMARKS}"
+            )
+        values = (round(steps) + 1) * (2 * self.landmarks.num_landmarks + 5)
+        if values > MAX_RECORD_VALUES:
+            raise ValueError(
+                f"duration/dt, landmarks: {round(steps)} steps of {self.landmarks.num_landmarks} "
+                f"landmarks make a record of {values} values, (steps + 1) x (2 landmarks + 5), "
+                f"over the limit of {MAX_RECORD_VALUES}"
             )
         if self.attitude_mode not in (TRUE_ATTITUDE, RECONSTRUCTED):
             raise ValueError(f"attitude_mode: must be '{TRUE_ATTITUDE}' or '{RECONSTRUCTED}'")

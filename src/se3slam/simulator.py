@@ -27,7 +27,7 @@ import numpy as np
 from .errors import NonFiniteState
 from .liegroup import exp_so3, exp_so3_with_right_jacobian
 
-FAMILIES = ("static", "circle", "helix", "tumble")
+FAMILIES = ("circle", "tumble")
 NOISE_FAMILIES = ("none", "gaussian", "student_t", "uniform")
 
 # Frequency multipliers for the three axis-angle components of the tumble
@@ -56,13 +56,13 @@ class TrajectorySpec:
     The body starts at ``initial_position`` (datum frame) with the datum-to-body
     attitude exp_so3(``initial_rotation``), an axis-angle vector; the
     constructor keeps that dcm, as rows of floats, in ``initial_dcm``.
-    ``circle``/``helix`` run one path: a circle of ``radius`` at
-    ``angular_rate``, climbing at ``vertical_rate`` (a circle climbs too), while
-    yawing at the same rate. ``tumble`` follows the same translational path with
-    a sinusoidal axis-angle attitude of amplitudes ``tumble_amplitude``.
-    ``static`` holds the initial pose: ``truth_at`` runs it as a circle with
-    ``radius``, ``angular_rate`` and ``vertical_rate`` set to 0. Only ``tumble``
-    reads ``tumble_amplitude``, so any other family needs it zero.
+    The two families are the two attitude laws. ``circle`` runs a circle of
+    ``radius`` at ``angular_rate``, climbing at ``vertical_rate``, while yawing
+    at the same rate: with the default zero radius and rates it holds the
+    initial pose, and with a ``vertical_rate`` it climbs as it turns. ``tumble``
+    follows the same translational path with a sinusoidal axis-angle attitude
+    of amplitudes ``tumble_amplitude``, which only ``tumble`` reads, so a
+    ``circle`` needs it zero.
     """
 
     family: str
@@ -76,7 +76,7 @@ class TrajectorySpec:
     def __post_init__(self):
         require_finite(self)
         if self.family not in FAMILIES:
-            raise ValueError(f"unknown trajectory family: {self.family!r}")
+            raise ValueError(f"unknown trajectory family: {self.family!r} ({' or '.join(FAMILIES)})")
         if self.family != "tumble" and any(self.tumble_amplitude):
             raise ValueError(f"tumble_amplitude must be 0 unless family is tumble, not {self.family}")
         try:  # finite entries can still overflow the rotation vector's norm
@@ -187,8 +187,6 @@ def truth_at(spec: TrajectorySpec, t, landmarks) -> GroundTruth:
         raise ValueError(f"t must be finite and >= 0, got {float(ts[bad][0])}")
     r0 = np.array(spec.initial_position, dtype=float)
     w, r, c = spec.angular_rate, spec.radius, spec.vertical_rate
-    if spec.family == "static":  # the circle with radius and rates 0, whatever the spec holds
-        w = r = c = 0.0
 
     # Position offsets from r0 on a circle of radius r at rate w, climbing at rate c.
     th = w * ts
@@ -207,7 +205,7 @@ def truth_at(spec: TrajectorySpec, t, landmarks) -> GroundTruth:
         adot = amp * nu * np.cos(nu * ts[:, None])
         rot, jacobian = exp_so3_with_right_jacobian(a)
         omega = (jacobian @ adot[:, :, None])[:, :, 0]
-    else:  # static, circle, helix
+    else:
         omega = np.zeros((len(ts), 3))
         omega[:, 2] = w
         rot = exp_so3(omega * ts[:, None])  # C_ba(t).T = C0.T @ rot, C0 = initial_dcm

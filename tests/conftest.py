@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from se3slam import attitude
-from se3slam.errors import DegenerateGeometry, EmptyMap, NonFiniteState
+from se3slam.errors import DegenerateGeometry, NonFiniteState
 from se3slam.liegroup import exp_se3, exp_so3, hat, reorthonormalize, rotation_drift, vee
 from se3slam.metrics import ErrorRecord
 from se3slam.observer import DRIFT_TOL, ObserverState
@@ -103,7 +103,7 @@ def corrected_velocity(velocity, obs, w, body_position, s_tilde, gains):
     observations, w = hat(omega_hat - omega_meas), body_position = C_ea @ r_hat
     and the innovations; k3 anchors on landmark 0."""
     if len(s_tilde) == 0:
-        raise EmptyMap("corrected_velocity needs at least one landmark")
+        raise ValueError(f"s_tilde must hold at least one landmark, got shape {s_tilde.shape}")
     (x, y, z), (w0, w1, w2), (w3, w4, w5), (w6, w7, w8) = body_position, *w.tolist()
     (v0, v1, v2), (s0, s1, s2) = velocity.tolist(), s_tilde.sum(axis=0).tolist()
     (a0, a1, a2), k2, k3 = obs[0].tolist(), gains.k2, gains.k3

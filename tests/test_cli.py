@@ -6,11 +6,14 @@ import shutil
 import warnings
 
 import pytest
+import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import SCENARIO_DIR
 from se3slam.cli import main
+from se3slam.errors import ConfigInvalid
+from se3slam.scenario import parse_scenario
 
 
 @pytest.fixture
@@ -285,6 +288,21 @@ def test_validate_rejects_too_many_landmarks(short_scenario, capsys):
     assert f"error: {short_scenario}: landmarks.count: 1000000000 landmarks exceed the limit of 10000" in err
 
 
+@pytest.mark.parametrize("family", ["static", "helix"])
+def test_static_and_helix_families_are_rejected(short_scenario, capsys, family):
+    # a circle at rest is the static pose and a climbing circle the helix, so
+    # circle and tumble, one per attitude law, are the only family names
+    message = f"trajectory: unknown trajectory family: '{family}' (circle or tumble)"
+    document = yaml.safe_load(short_scenario.read_text())
+    document["trajectory"]["family"] = family
+    with pytest.raises(ConfigInvalid) as exc:
+        parse_scenario(document)
+    assert str(exc.value) == message
+    _edit(short_scenario, [("family: circle", f"family: {family}")])
+    assert main(["validate", str(short_scenario)]) == 2
+    assert capsys.readouterr().err == f"error: {short_scenario}: {message}\n"
+
+
 def test_run_names_the_bad_file(short_scenario, tmp_path, capsys):
     bad = tmp_path / "bad.yaml"
     bad.write_text(short_scenario.read_text().replace("k1: 2.0", "k1: .nan"))
@@ -404,8 +422,9 @@ INITIAL_NOT_FINITE = "initial_estimate: initial position or map is not finite"
 
 # Documents that validate but overflow numpy outside the step, and the error
 # each ends in: an initial estimate that sums past float range (the position,
-# truth plus offset, or the first landmark's estimate), a helix whose truth
-# overflows mid-run, and a landmark so far out that V overflows at t = 0.
+# truth plus offset, or the first landmark's estimate), a circle climbing so
+# fast that its truth overflows mid-run, and a landmark so far out that V
+# overflows at t = 0.
 OUTSIDE_STEP_OVERFLOWS = {
     "position": (
         [
@@ -423,7 +442,7 @@ OUTSIDE_STEP_OVERFLOWS = {
     ),
     "helix_truth": (
         [
-            ("family: circle", "family: helix\n  vertical_rate: 1.0e+308"),
+            ("family: circle", "family: circle\n  vertical_rate: 1.0e+308"),
             ("duration: 1.0", "duration: 2.0"),
         ],
         "non-finite ground-truth position at t=1.8",
@@ -494,7 +513,7 @@ def fuzz_dir(tmp_path_factory):
     (root / "huge_helix.yaml").write_text(
         TINY.replace("name: tiny", "name: huge_helix")
         .replace("duration: 0.1", "duration: 2.0")
-        .replace("family: circle, radius: 1.0, angular_rate: 0.5", "family: helix, vertical_rate: 1.0e+308")
+        .replace("family: circle, radius: 1.0, angular_rate: 0.5", "family: circle, vertical_rate: 1.0e+308")
     )
     (root / "bad.yaml").write_text(TINY.replace("schema_version: 1", "schema_version: 2"))
     (root / "garbage.yaml").write_text("{[: not yaml")

@@ -91,7 +91,26 @@ def test_exp_so3_inverse_symmetry(v):
     assert np.allclose(exp_so3(v) @ exp_so3(-v), np.eye(3), atol=1e-12)
 
 
-@given(vec3.filter(lambda v: np.linalg.norm(v) <= 10.0))
+def _times_radius(pair):
+    """A direction, the unit vector of ``u`` (0 for u = 0), times ``radius``."""
+    u, radius = pair
+    norm = np.linalg.norm(u)
+    return u / norm * radius if norm > 0.0 else np.zeros(3)
+
+
+unit_component = st.floats(-1.0, 1.0)
+unit_cube = st.tuples(unit_component, unit_component, unit_component).map(np.array)
+# The closed ball of radius 10, drawn inside it rather than filtered out of the
+# vec3 cube, which discarded most draws; the filter only drops a product that
+# rounds past the radius.
+ball10 = (
+    st.tuples(unit_cube, st.floats(0.0, 10.0))
+    .map(_times_radius)
+    .filter(lambda v: np.linalg.norm(v) <= 10.0)
+)
+
+
+@given(ball10)
 def test_exp_so3_is_rotation(v):
     assert is_rotation(exp_so3(v))
 

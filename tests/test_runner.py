@@ -461,7 +461,7 @@ def test_run_carries_the_last_good_attitude_into_the_next_block(monkeypatch):
 def test_truth_overflow_mid_run_names_first_bad_time(noisefree):
     # Ungained, the estimate dead-reckons along the truth and stays finite up to
     # t = 179.5; the truth's c * t overflows first at t = 180, in a later block.
-    spec = TrajectorySpec("helix", vertical_rate=1e306)
+    spec = TrajectorySpec("circle", vertical_rate=1e306)
     scenario = dataclasses.replace(
         noisefree,
         trajectory=spec,

@@ -1,6 +1,7 @@
 import copy
 import dataclasses
 import importlib.util
+import re
 import sys
 
 import numpy as np
@@ -14,6 +15,7 @@ from se3slam.errors import ConfigInvalid
 from se3slam.observer import Gains
 from se3slam.scenario import (
     MAX_LANDMARKS,
+    MAX_RECORD_VALUES,
     MAX_STEPS,
     TRUE_ATTITUDE,
     Box,
@@ -453,6 +455,23 @@ def test_step_count_is_bounded(base_doc):
         parse_scenario(base_doc)
 
 
+def test_record_size_is_bounded(base_doc):
+    # (steps + 1) x (2 l + 5) values: 1e6 steps hold 47 landmarks (9.9e7 values), not 48
+    base_doc["dt"], base_doc["duration"] = 1.0, 1.0e6
+    base_doc["landmarks"] = {"count": 47, "box": {"min": [-1, -1, -1], "max": [1, 1, 1]}}
+    scenario = parse_scenario(base_doc)
+    assert (10**6 + 1) * (2 * 47 + 5) <= MAX_RECORD_VALUES < (10**6 + 1) * (2 * 48 + 5)
+    base_doc["landmarks"]["count"] = 48
+    message = (
+        "duration/dt, landmarks: 1000000 steps of 48 landmarks make a record of 101000101 "
+        f"values, (steps + 1) x (2 landmarks + 5), over the limit of {MAX_RECORD_VALUES}"
+    )
+    with pytest.raises(ConfigInvalid, match=f"^{re.escape(message)}$"):
+        parse_scenario(base_doc)
+    with pytest.raises(ConfigInvalid, match=f"^{re.escape(message)}$"):
+        set_parameter(scenario, "landmarks.count", 48.0)
+
+
 @pytest.mark.parametrize(
     "key, value, message",
     [
@@ -484,7 +503,7 @@ def test_minimal_document_takes_dataclass_defaults():
         "duration": 1.0,
         "dt": 0.1,
         "gains": {"k1": 1.0, "k2": 1.0, "k3": 1.0},
-        "trajectory": {"family": "static"},
+        "trajectory": {"family": "circle"},
         "landmarks": {"positions": [[0, 0, 0]]},
     }
     scenario = parse_scenario(doc)

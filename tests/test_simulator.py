@@ -26,9 +26,9 @@ from se3slam.simulator import (
 )
 
 ALL_SPECS = [
-    TrajectorySpec("static", initial_position=(1.0, 2.0, 3.0), initial_rotation=(0.1, 0.2, -0.3)),
+    TrajectorySpec("circle", initial_position=(1.0, 2.0, 3.0), initial_rotation=(0.1, 0.2, -0.3)),
     TrajectorySpec("circle", radius=1.0, angular_rate=1.0),
-    TrajectorySpec("helix", radius=2.0, angular_rate=0.7, vertical_rate=0.3,
+    TrajectorySpec("circle", radius=2.0, angular_rate=0.7, vertical_rate=0.3,
                    initial_position=(0.5, 0.0, 0.0), initial_rotation=(0.0, 0.0, 0.4)),
     TrajectorySpec("tumble", radius=1.5, angular_rate=0.9, tumble_amplitude=(0.4, 0.3, 0.5),
                    initial_rotation=(0.2, -0.1, 0.0)),
@@ -42,17 +42,6 @@ def test_static_family():
     assert np.allclose(g.velocity_body, 0.0)
     initial = homogeneous(exp_so3(spec.initial_rotation), np.array(spec.initial_position))
     assert np.allclose(homogeneous(g.dcm, g.position), initial)
-
-
-def test_static_family_ignores_radius_and_rates():
-    # static runs the circle path with radius and rates 0, whatever the spec holds
-    spec = TrajectorySpec("static", radius=2.0, angular_rate=0.7, vertical_rate=0.3,
-                          initial_position=(1.0, -2.0, 3.0), initial_rotation=(0.1, 0.2, -0.3))
-    t = np.concatenate([[0.0], np.linspace(1e-9, 50.0, 257)])
-    c0 = exp_so3(spec.initial_rotation)
-    for g in (truth_at(spec, t, np.ones((2, 3))), truth_at_instant(spec, 0.0)):
-        assert (g.dcm == c0).all() and (g.position == spec.initial_position).all()
-        assert (g.omega_body == 0.0).all() and (g.velocity_body == 0.0).all()
 
 
 def test_circle_periodicity():
@@ -118,7 +107,7 @@ def test_stacked_truth_rejects_bad_times():
 
 def test_stacked_truth_names_first_non_finite_time():
     # c * t overflows once t exceeds 179.77; t = 179.5 is still finite
-    spec = TrajectorySpec("helix", vertical_rate=1e306)
+    spec = TrajectorySpec("circle", vertical_rate=1e306)
     assert np.isfinite(truth_at(spec, np.arange(360) * 0.5, np.zeros((0, 3))).position).all()
     with np.errstate(over="ignore"), pytest.raises(
         NonFiniteState, match=r"position at t=180\.0$"
@@ -175,7 +164,7 @@ def test_truth_at_reuses_the_spec_start_attitude(monkeypatch):
 
 def test_measure_identity_pose():
     landmarks = np.array([[1.0, 2.0, 3.0]])
-    g = truth_at(TrajectorySpec("static"), np.zeros(1), landmarks)
+    g = truth_at(TrajectorySpec("circle"), np.zeros(1), landmarks)
     frame = measure(g, NoiseSpec(), np.random.default_rng(0))
     assert np.array_equal(frame.landmark_obs[0], landmarks)
 
@@ -195,7 +184,7 @@ def test_measure_matches_transcription(rng):
 
 
 def test_gaussian_noise_scale():
-    g = truth_at(TrajectorySpec("static"), np.zeros(100_000), np.zeros((1, 3)))
+    g = truth_at(TrajectorySpec("circle"), np.zeros(100_000), np.zeros((1, 3)))
     noise = NoiseSpec(omega=ChannelNoise("gaussian", scale=0.2))
     samples = measure(g, noise, np.random.default_rng(7)).omega
     assert np.allclose(samples.std(axis=0), 0.2, rtol=0.03)
@@ -203,7 +192,7 @@ def test_gaussian_noise_scale():
 
 
 def test_bias_is_additive():
-    g = truth_at(TrajectorySpec("static"), np.zeros(1), np.zeros((1, 3)))
+    g = truth_at(TrajectorySpec("circle"), np.zeros(1), np.zeros((1, 3)))
     noise = NoiseSpec(velocity=ChannelNoise("none", bias=(0.1, -0.2, 0.3)))
     frame = measure(g, noise, np.random.default_rng(0))
     assert np.allclose(frame.velocity, [[0.1, -0.2, 0.3]])
@@ -324,7 +313,7 @@ def test_simulator_does_not_import_observer():
         "import sys\n"
         "import numpy as np\n"
         "from se3slam.simulator import NoiseSpec, TrajectorySpec, measure, truth_at\n"
-        "truth = truth_at(TrajectorySpec('static'), np.zeros(1), np.eye(3))\n"
+        "truth = truth_at(TrajectorySpec('circle'), np.zeros(1), np.eye(3))\n"
         "measure(truth, NoiseSpec(), np.random.default_rng(0))\n"
         "print('se3slam.observer' in sys.modules)\n"
     )
