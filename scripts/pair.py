@@ -1,0 +1,263 @@
+"""Paired benchmark of the checkout's se3slam against a parent commit, in one process.
+
+    python3 scripts/pair.py --parent REV --pairs N --out FILE
+
+REV's ``src/`` is extracted with ``git archive`` under ``.bench_tmp/``, and
+both trees are loaded in one interpreter under alias package names. Each pair
+runs one job of every benchmark workload on both sides, the side that runs
+first alternating from pair to pair. A job is what ``bench/job.py``'s
+``run_job`` does: load the scenario, set its seed, ``run()`` it (or ``sweep()``
+it over the workload's seeds), then write the CSV and the summary. Workloads,
+seeds and checks come from ``bench/workloads.py``, read by path and not
+changed.
+
+Two metrics are paired: ``step_us`` of each ``run()`` call and ``job_s`` of each
+job. Half the pairs run in a fresh interpreter that loads the parent first,
+half in one that loads the change first, and both halves are reported, so
+that a lean from the load order shows. ``setup_s`` and ``peak_rss_mb`` need an
+interpreter per measurement and are left to ``bench/run.py``.
+
+FILE gets, per workload and metric, both sides' medians and quartiles, the
+paired ratio (change / parent) with its median and IQR, and the pairs the
+change won, overall and per half; and every job's check result. The exit
+status is non-zero if a job raised or failed its checks, or if a paired
+median is worse than the metric's ``BENCHMARK.json`` bound.
+"""
+
+from __future__ import annotations
+
+import argparse
+import importlib
+import importlib.util
+import io
+import itertools
+import json
+import multiprocessing
+import os
+import platform
+import statistics
+import subprocess
+import sys
+import tempfile
+import time
+import traceback
+import zipfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+WORKDIR = ROOT / ".bench_tmp"
+SIDES = ("parent", "change")
+METRICS = ("step_us", "job_s")
+SEED = 1  # the benchmark seed CI runs; pair 0 runs each workload's reference seed
+# As bench/run.py's children: numpy's BLAS single-threaded.
+CHILD_ENV = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
+
+
+def load_workloads():
+    """bench/workloads.py, loaded by path."""
+    spec = importlib.util.spec_from_file_location("workloads", ROOT / "bench" / "workloads.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # its dataclasses look their module up
+    spec.loader.exec_module(module)
+    return module
+
+
+def load_tree(alias: str, package_dir: Path):
+    """(runner, scenario) modules of the se3slam package in package_dir,
+    imported as the package ``alias``."""
+    spec = importlib.util.spec_from_file_location(
+        alias, package_dir / "__init__.py", submodule_search_locations=[str(package_dir)]
+    )
+    package = importlib.util.module_from_spec(spec)
+    sys.modules[alias] = package
+    spec.loader.exec_module(package)
+    return importlib.import_module(f"{alias}.runner"), importlib.import_module(f"{alias}.scenario")
+
+
+class Side:
+    """One loaded tree, its ``run()`` timed at the name ``sweep`` looks up."""
+
+    def __init__(self, alias: str, package_dir: Path):
+        self.runner, self.scenario = load_tree(alias, package_dir)
+        self.run_seconds: list[tuple[float, int]] = []
+        run = self.runner.run
+
+        def timed(*args, **kwargs):
+            t0 = time.perf_counter()
+            result = run(*args, **kwargs)
+            self.run_seconds.append((time.perf_counter() - t0, result.summary.steps))
+            return result
+
+        self.runner.run = timed
+
+    def job(self, workload, scenario_path: Path, seed: int, out_dir: Path):
+        """One job as bench/job.py's run_job makes it: (run results, job
+        seconds, µs per step of each run() call)."""
+        self.run_seconds.clear()
+        t0 = time.perf_counter()
+        base, _ = self.scenario.load_scenario(scenario_path)
+        if workload.sweep_size:
+            seeds = [seed + i for i in range(workload.sweep_size)]
+            results = self.runner.sweep(base, "seed", seeds)
+        else:
+            results = [self.runner.run(self.scenario.set_parameter(base, "seed", seed))]
+        for i, result in enumerate(results):
+            self.runner.write_csv(result.records, out_dir / f"run{i}.csv")
+            self.runner.write_summary(result, out_dir / f"run{i}.txt")
+        job_s = time.perf_counter() - t0
+        return results, job_s, [s * 1e6 / steps for s, steps in self.run_seconds]
+
+
+def attempt(workloads, side: Side, workload, path: Path, seed: int, out_dir: Path, reference=None) -> dict:
+    """One job's record: its timings and the problems the checks of
+    ``workloads`` found (against the ``reference`` values too, if given), or
+    the traceback it raised."""
+    try:
+        results, job_s, step_us = side.job(workload, path, seed, out_dir)
+    except Exception:  # the job boundary: a raising job is a failed job
+        return {"problems": ["raised: " + traceback.format_exc(limit=-3)], "correct": False}
+    problems = [p for r in results for p in workloads.check_run(workload, r)]
+    if reference is not None:
+        problems += workloads.check_reference(results, reference)
+    return {"problems": problems, "correct": not problems, "job_s": job_s, "step_us": step_us}
+
+
+def measure_half(parent_dir: str, first: str, pair_indices: list[int]) -> dict:
+    """The jobs of the given pairs in this interpreter, which loads side
+    ``first`` first. Returns, per workload, each job's record; a warm-up job
+    is recorded only if it failed."""
+    workloads = load_workloads()
+    dirs = {"parent": Path(parent_dir), "change": ROOT / "src" / "se3slam"}
+    order = (first, *(s for s in SIDES if s != first))
+    sides = {name: Side(f"se3slam_{name}", dirs[name]) for name in order}
+    reference = json.loads(workloads.REFERENCE_FILE.read_text())
+    out = {}
+    with tempfile.TemporaryDirectory(dir=WORKDIR) as tmp:
+        tmp = Path(tmp)
+        for name, workload in workloads.WORKLOADS.items():
+            # a job sets its own seeds, whatever the seed in the scenario file
+            path = workload.scenario_path(ROOT, SEED, tmp)
+            seeds = list(itertools.islice(workload.job_seeds(SEED), max(pair_indices) + 1))
+            jobs = out[name] = []
+            for side_name, side in sides.items():  # untimed: first-call costs
+                record = attempt(workloads, side, workload, path, seeds[0], tmp)
+                if not record["correct"]:
+                    record.update(pair="warm-up", first_loaded=first, side=side_name, seed=seeds[0])
+                    jobs.append(record)
+            for i in pair_indices:
+                expected = reference[name] if i == 0 else None  # pair 0 runs the reference seed
+                for side_name in SIDES[:: 1 if i % 2 == 0 else -1]:
+                    record = attempt(workloads, sides[side_name], workload, path, seeds[i], tmp, expected)
+                    record.update(pair=i, first_loaded=first, side=side_name, seed=seeds[i])
+                    jobs.append(record)
+    return out
+
+
+def quartiles(values: list[float]) -> dict:
+    q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return {"median": median, "q1": q1, "q3": q3}
+
+
+def paired(jobs: list[dict], metric: str) -> dict:
+    """Both sides' quartiles, the change / parent ratio per pair (per run()
+    call for step_us) with its median and IQR, and the pairs the change won."""
+    by_pair = {}
+    for job in jobs:
+        if job["correct"]:
+            by_pair.setdefault(job["pair"], {})[job["side"]] = job[metric]
+    values = {side: [] for side in SIDES}
+    for both in by_pair.values():
+        if len(both) == 2:
+            for side in SIDES:
+                x = both[side]
+                values[side] += x if isinstance(x, list) else [x]
+    if len(values["parent"]) < 2:
+        return {"pairs": len(values["parent"])}
+    ratios = [c / p for p, c in zip(values["parent"], values["change"])]
+    ratio = quartiles(ratios)
+    ratio["iqr"] = ratio["q3"] - ratio["q1"]
+    return {
+        "parent": quartiles(values["parent"]),
+        "change": quartiles(values["change"]),
+        "ratio": ratio,
+        "won": sum(r < 1.0 for r in ratios),
+        "pairs": len(ratios),
+    }
+
+
+def git(*args: str) -> str:
+    return subprocess.run(["git", *args], cwd=ROOT, check=True, capture_output=True, text=True).stdout
+
+
+def extract_src(commit: str, dest: Path) -> Path:
+    """The commit's src/se3slam under dest, from git archive; no worktree is made."""
+    archive = subprocess.run(
+        ["git", "archive", "--format=zip", commit, "src"], cwd=ROOT, check=True, capture_output=True
+    ).stdout
+    with zipfile.ZipFile(io.BytesIO(archive)) as zf:
+        zf.extractall(dest)
+    return dest / "src" / "se3slam"
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--parent", required=True, help="the commit to compare against")
+    parser.add_argument("--pairs", type=int, required=True, help="pairs per workload, at least 4")
+    parser.add_argument("--out", required=True, type=Path, help="the JSON report to write")
+    args = parser.parse_args(argv)
+    if args.pairs < 4:
+        parser.error("--pairs must be at least 4: two per load order")
+
+    parent_commit = git("rev-parse", "--verify", f"{args.parent}^{{commit}}").strip()
+    bounds = {m["name"]: m["bound"] for m in json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]}
+    halves = {"parent": list(range(0, args.pairs, 2)), "change": list(range(1, args.pairs, 2))}
+    WORKDIR.mkdir(exist_ok=True)
+    os.environ.update(CHILD_ENV)
+    spawn = multiprocessing.get_context("spawn")
+    with tempfile.TemporaryDirectory(dir=WORKDIR) as tmp:
+        parent_dir = str(extract_src(parent_commit, Path(tmp)))
+        measured = {}
+        for first, indices in halves.items():
+            with spawn.Pool(1) as pool:  # a fresh interpreter per load order
+                measured[first] = pool.apply(measure_half, (parent_dir, first, indices))
+
+    report = {
+        "parent": {"rev": args.parent, "commit": parent_commit},
+        "change": {"commit": git("rev-parse", "HEAD").strip(), "dirty": bool(git("status", "--porcelain"))},
+        "pairs": args.pairs,
+        "machine": {
+            "python": platform.python_version(),
+            "nproc": len(os.sched_getaffinity(0)),
+            "processor": platform.processor() or platform.machine(),
+        },
+        "bounds": {m: bounds[m] for m in METRICS},
+        "workloads": {},
+    }
+    errors = []
+    for name in measured["parent"]:
+        jobs = measured["parent"][name] + measured["change"][name]
+        entry = {"correct": all(job["correct"] for job in jobs)}
+        for metric in METRICS:
+            m = entry[metric] = paired(jobs, metric)
+            m["halves"] = {f"{first}_loaded_first": paired(measured[first][name], metric) for first in SIDES}
+            if "ratio" not in m:
+                continue
+            print(
+                f"{name:<24} {metric:<8} parent {m['parent']['median']:.6g} change "
+                f"{m['change']['median']:.6g} ratio {m['ratio']['median']:.4f} "
+                f"(IQR {m['ratio']['iqr']:.4f}) won {m['won']}/{m['pairs']}"
+            )
+            if m["ratio"]["median"] > 1.0 + bounds[metric]:
+                errors.append(f"{name} {metric}: paired median ratio exceeds 1 + {bounds[metric]}")
+        entry["jobs"] = jobs
+        errors += [f"{name} pair {j['pair']} {j['side']}: {p}" for j in jobs for p in j["problems"]]
+        report["workloads"][name] = entry
+    report["errors"] = errors
+    args.out.write_text(json.dumps(report, indent=1) + "\n")
+    for error in errors:
+        print(f"error: {error}", file=sys.stderr)
+    return 1 if errors else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -8,19 +8,21 @@ format. For each value with 1e-30 <= |x| < 1e30, ``csv_text`` finds the
 * X is a double-double ``p + lo``: Dekker's exact product of |x| with the
   double nearest 10**(16 - e), plus |x| times the double nearest the
   remainder. Its absolute error is a few 1e-15 on that range.
-* e starts as ``floor(log10(|x|))`` and is moved once for the values whose
-  unrounded X falls outside [1e16, 1e17), the few next to a power of ten.
+* e is ``floor(log10(|x|))``, and a value is certified only where this first
+  guess puts its unrounded X in [1e16, 1e17) and D stays below 10**17. The
+  few next to a power of ten, whose guess is off by one or whose D rounds up
+  to 10**17, go to ``exact_text``.
 * D is rounded from ``p + lo`` only where X's fraction is further than
   TIE_MARGIN from one half, so the sum's error cannot change the rounding.
-  D = 10**17 carries to 10**16 with e + 1.
 
 Each value's text is laid out in a slot of SLOT bytes: its sign, the "0.000"
 prefix of a small number, D's digits with the point among them, the exponent
 "e+XX" and the separator. Every byte the text does not use is 0 (the trailing
 zeros of the fraction included), and one ``bytes.translate`` squeezes them
 out. A value the certificate does not cover (zero, NaN, an infinity, a value
-outside the range, a fraction within TIE_MARGIN of one half, exact ties
-included) is formatted by ``'%.17g' % x`` itself, in ``exact_text``.
+outside the range, a power of ten's neighbour, a value that rounds up to
+10**17, a fraction within TIE_MARGIN of one half, exact ties included) is
+formatted by ``'%.17g' % x`` itself, in ``exact_text``.
 """
 
 from __future__ import annotations
@@ -138,12 +140,7 @@ def _digits_and_exponents(x):
     np.copyto(a, 1.0, where=~certified)
     e = np.floor(np.log10(a)).astype(np.intp)
     p, lo = _scaled(a, e)
-    below = (p - 1e16) + lo < 0.0
-    above = (p - 1e17) + lo >= 0.0
-    off = np.flatnonzero(below | above)
-    if off.size:
-        e[off] += above[off].astype(np.intp) - below[off]
-        p[off], lo[off] = _scaled(a[off], e[off])
+    certified &= ((p - 1e16) + lo >= 0.0) & ((p - 1e17) + lo < 0.0)
     whole = np.floor(lo)
     lo -= whole  # the fraction of X, exactly
     digits = p.astype(np.int64)
@@ -151,10 +148,7 @@ def _digits_and_exponents(x):
     digits += lo > 0.5
     lo -= 0.5
     certified &= np.abs(lo) > TIE_MARGIN
-    certified &= (p > 5e15) & (p < 2e17)  # e is right: X is near [1e16, 1e17)
-    carry = digits == 10**17
-    np.copyto(digits, 10**16, where=carry)
-    e += carry
+    certified &= digits < 10**17
     return digits, e, certified
 
 
@@ -201,13 +195,11 @@ def _fill(slots, x):
         slots[j, : len(exact)] = np.frombuffer(exact, np.uint8)
 
 
-def csv_text(values: np.ndarray, buf: bytearray | None = None) -> bytearray:
+def csv_text(values: np.ndarray) -> bytearray:
     """The CSV lines of a (rows, columns) float64 block: ``'%.17g' % x`` of each
-    value, comma-separated, each row ending in a newline. ``buf`` is scratch
-    space of ``values.size * SLOT`` bytes, reused from block to block."""
+    value, comma-separated, each row ending in a newline."""
     rows, columns = values.shape
-    if buf is None or len(buf) != values.size * SLOT:
-        buf = bytearray(values.size * SLOT)
+    buf = bytearray(values.size * SLOT)
     slots = np.frombuffer(buf, np.uint8).reshape(rows, columns, SLOT)
     _fill(slots.reshape(-1, SLOT), values.reshape(-1))
     slots[:, :, _SEPARATOR] = ord(",")

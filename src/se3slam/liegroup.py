@@ -35,9 +35,11 @@ _I3 = np.eye(3)
 
 
 def hat(v) -> np.ndarray:
-    """Skew-symmetric matrix S with S @ w == cross(v, w)."""
-    x, y, z = map(float, v)
-    return np.array([0.0, -z, y, z, 0.0, -x, -y, x, 0.0]).reshape(3, 3)
+    """Skew-symmetric matrix S with S @ w == cross(v, w), or the stack of
+    them (..., 3, 3) for vectors v (..., 3)."""
+    x, y, z = np.moveaxis(np.asarray(v, dtype=float), -1, 0)
+    zero = np.zeros(x.shape)
+    return np.stack([zero, -z, y, z, zero, -x, -y, x, zero], axis=-1).reshape(x.shape + (3, 3))
 
 
 def vee(m) -> np.ndarray:
@@ -79,12 +81,6 @@ def norms_from_squares(sq):
     return np.sqrt((sq[..., 0] + sq[..., 1]) + sq[..., 2])
 
 
-def _hat_stacked(v) -> np.ndarray:
-    """hat over the leading axes of v (..., 3), laid out as in hat."""
-    x, y, z, zero = v[..., 0], v[..., 1], v[..., 2], np.zeros(v.shape[:-1])
-    return np.stack([zero, -z, y, z, zero, -x, -y, x, zero], axis=-1).reshape(v.shape[:-1] + (3, 3))
-
-
 def _so3_terms_stacked(axis_angle):
     """(a, b, c, K, K @ K) over the leading axes of rotation vectors v (..., 3),
     with K = hat(v), theta = |v|, a, b and c shaped (..., 1, 1); each slice has
@@ -104,7 +100,7 @@ def _so3_terms_stacked(axis_angle):
         trig = _trig_coefficients(np.where(small, 1.0, theta), _NUMPY)
         coefficients = (np.where(small, s, t) for s, t in zip(series, trig))
     a, b, c = (x[..., None, None] for x in coefficients)
-    k = _hat_stacked(v)
+    k = hat(v)
     return a, b, c, k, k @ k
 
 

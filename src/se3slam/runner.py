@@ -201,10 +201,9 @@ def _csv_blocks(records: ErrorRecord, decimate: int):
     spans = [slice(i, min(i + rows * decimate, n), decimate) for i in range(0, n, rows * decimate)]
     if (n - 1) % decimate:
         spans.append(slice(n - 1, n))  # the final row is always kept
-    buf = bytearray(rows * len(header) * csvtext.SLOT)
 
     def block(span):
-        return csvtext.csv_text(np.column_stack([c[span] for c in columns]), buf)
+        return csvtext.csv_text(np.column_stack([c[span] for c in columns]))
 
     return itertools.chain([(",".join(header) + "\n").encode()], map(block, spans))
 

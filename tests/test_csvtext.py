@@ -6,14 +6,17 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import SCENARIO_DIR
+from conftest import SCENARIO_DIR, load_file_module
 from se3slam import csvtext, runner
 from se3slam.metrics import ErrorRecord
 from se3slam.runner import run, write_csv
-from se3slam.scenario import load_scenario
+from se3slam.scenario import load_scenario, parse_scenario
+
+OUTPUT_DIGEST = SCENARIO_DIR.parent / "scripts" / "output_digest.py"
 
 
 def oracle(values: np.ndarray) -> bytes:
@@ -66,7 +69,7 @@ def ties() -> list[float]:
 def carries() -> list[float]:
     """Short decimals k / 100 and powers of ten: among them, values whose 17
     truncated digits end in 9 and round up into trailing zeros, and 1e-14,
-    which rounds up to 10**17 at its exponent and carries into the next."""
+    which rounds up to 10**17 at its exponent, -15."""
     return [float(f"{k}e-2") for k in range(1, 1000)] + [1e-14, math.nextafter(1e-14, 0.0)]
 
 
@@ -135,17 +138,23 @@ def test_random_bit_patterns_match_percent_g(seed):
         assert csvtext.csv_text(values) == oracle(values)
 
 
-def test_buffer_is_reused_and_sized_per_block():
+def test_successive_blocks_of_other_shapes():
     a, b = np.array([[0.1, 2.5]]), np.array([[1e-7], [3.0]])
-    buf = bytearray(a.size * csvtext.SLOT)
-    assert csvtext.csv_text(a, buf) == b"0.10000000000000001,2.5\n"
-    assert csvtext.csv_text(b, buf) == b"9.9999999999999995e-08\n3\n"
-    assert csvtext.csv_text(a, buf) == b"0.10000000000000001,2.5\n"
+    assert csvtext.csv_text(a) == b"0.10000000000000001,2.5\n"
+    assert csvtext.csv_text(b) == b"9.9999999999999995e-08\n3\n"
+    assert csvtext.csv_text(a) == b"0.10000000000000001,2.5\n"
 
 
 @pytest.fixture(scope="module")
 def fig3_records():
     return run(load_scenario(SCENARIO_DIR / "fig3_noisy.yaml")[0]).records
+
+
+@pytest.fixture(scope="module")
+def dense_records():
+    """One run of the benchmark's generated dense scenario at seed 0."""
+    text = load_file_module("output_digest", OUTPUT_DIGEST)._dense_scenario_text()
+    return run(parse_scenario(yaml.safe_load(text.format(seed=0)))).records
 
 
 def counted_exact_text(monkeypatch):
@@ -160,10 +169,23 @@ def counted_exact_text(monkeypatch):
     return calls
 
 
-def test_only_t0_falls_back_on_fig3_noisy(fig3_records, tmp_path, monkeypatch):
+@pytest.mark.parametrize("records", ["fig3_records", "dense_records"])
+def test_only_t0_falls_back(records, request, tmp_path, monkeypatch):
+    records = request.getfixturevalue(records)
     calls = counted_exact_text(monkeypatch)
-    write_csv(fig3_records, tmp_path / "out.csv")
+    write_csv(records, tmp_path / "out.csv")
     assert calls == [0.0]
+
+
+@pytest.mark.parametrize("x", [1e-06, 1e-14], ids=["power_of_ten_neighbour", "rounds_to_1e17"])
+def test_first_guess_off_by_one_falls_back(x, monkeypatch):
+    # floor(log10(x)) is one too high for the double nearest 1e-06; at the
+    # exponent below, 1e-14's 17 digits round up to 10**17
+    calls = counted_exact_text(monkeypatch)
+    for sign in (1.0, -1.0):
+        values = as_block([sign * x])
+        assert csvtext.csv_text(values) == oracle(values)
+    assert calls == [x, -x]
 
 
 def test_fallback_alone_gives_the_same_bytes(fig3_records, tmp_path, monkeypatch):

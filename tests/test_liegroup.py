@@ -45,6 +45,22 @@ def test_hat_matches_cross_product():
     assert np.array_equal(hat(v) @ w, np.cross(v, w))
 
 
+def test_hat_of_a_stack_is_its_rows_hats():
+    # bit for bit, over +-300 decades and both signed zeros
+    rng = np.random.default_rng(3)
+    v = rng.standard_normal((40, 5, 3)) * 10.0 ** rng.integers(-300, 301, (40, 5, 3))
+    v[rng.random(v.shape) < 0.2] = 0.0
+    v[rng.random(v.shape) < 0.2] = -0.0
+    rows = np.array([hat(r.tolist()) for r in v.reshape(-1, 3)])
+    assert hat(v).tobytes() == rows.tobytes() and hat(v).shape == (40, 5, 3, 3)
+
+
+@pytest.mark.parametrize("v", [[1.0, 2.0], [1.0, 2.0, 3.0, 4.0]])
+def test_hat_rejects_a_vector_of_other_length(v):
+    with pytest.raises(ValueError):
+        hat(v)
+
+
 @given(vec3)
 def test_vee_hat_roundtrip_exact(v):
     assert np.array_equal(vee(hat(v)), v)
