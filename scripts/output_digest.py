@@ -2,9 +2,10 @@
 
 The runs are every bundled scenario under ``scenarios/``, the bundled
 reconstructed scenario with its landmarks moved into the circle's plane
-(``in_plane``), the benchmark's generated dense scenario (``DENSE_SCENARIO``
-in ``bench/workloads.py``, read and not changed) at seeds 0-3, and last the
-bundled heavytail scenario with uniform, Gaussian and Student-t channels
+(``in_plane``), the benchmark's generated dense scenario (``DENSE_SCENARIO``,
+imported from ``bench/workloads.py`` with ``bench/`` put on ``sys.path``, as
+``scripts/pair.py`` imports the benchmark) at seeds 0-3, and last the bundled
+heavytail scenario with uniform, Gaussian and Student-t channels
 (``mixed_noise``). For each run it prints the digest of the full CSV, of the
 CSV at ``--decimate 10`` and of the summary. The CSV digests are of the bytes
 ``write_csv`` writes, as ``se3slam run`` writes them, and the script exits
@@ -20,7 +21,6 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
-import importlib.util
 import sys
 import tempfile
 from pathlib import Path
@@ -32,6 +32,10 @@ from se3slam.scenario import LandmarkLayout, load_scenario, parse_scenario
 from se3slam.simulator import ChannelNoise, NoiseSpec
 
 ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "bench"))  # bench/'s modules import one another by name
+
+from workloads import DENSE_SCENARIO  # noqa: E402
+
 DENSE_SEEDS = range(4)
 
 
@@ -59,14 +63,6 @@ def mixed_noise(scenario):
     return dataclasses.replace(scenario, noise=noise)
 
 
-def _dense_scenario_text() -> str:
-    spec = importlib.util.spec_from_file_location("workloads", ROOT / "bench" / "workloads.py")
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = module  # its dataclasses look their module up
-    spec.loader.exec_module(module)
-    return module.DENSE_SCENARIO
-
-
 def _scenarios():
     """(label, scenario, sha256 of its file) for every run, in a fixed order."""
     for path in sorted((ROOT / "scenarios").glob("*.yaml")):
@@ -74,9 +70,8 @@ def _scenarios():
         yield path.name, scenario, digest
         if path.name == "reconstructed.yaml":
             yield f"{path.name} in_plane", in_plane(scenario), digest
-    template = _dense_scenario_text()
     for seed in DENSE_SEEDS:
-        text = template.format(seed=seed)
+        text = DENSE_SCENARIO.format(seed=seed)
         digest = hashlib.sha256(text.encode()).hexdigest()
         yield f"dense_sweep seed {seed}", parse_scenario(yaml.safe_load(text)), digest
     heavytail, digest = load_scenario(ROOT / "scenarios" / "heavytail.yaml")

@@ -4,23 +4,29 @@
 
 REV's ``src/`` is extracted with ``git archive`` under ``.bench_tmp/``, and
 both trees are loaded in one interpreter under alias package names. Each pair
-runs one job of every benchmark workload on both sides, the side that runs
-first alternating from pair to pair. A job is what ``bench/job.py``'s
-``run_job`` does: load the scenario, set its seed, ``run()`` it (or ``sweep()``
-it over the workload's seeds), then write the CSV and the summary. Workloads,
-seeds and checks come from ``bench/workloads.py``, read by path and not
-changed.
+runs one job of every benchmark workload on both sides. A job is
+``bench/job.py``'s own ``run_job``, timed as ``bench/job.py`` times its
+untraced jobs, with only ``run()`` wrapped: load the scenario, set its seed,
+``run()`` it (or ``sweep()`` it over the workload's seeds), then write the CSV
+and the summary. ``bench/`` is put on ``sys.path``, as its own scripts expect,
+and imported, not changed: the job, the tracer, the workloads with their seeds
+and checks, and ``bench/run.py``'s ``CHILD_ENV``, the environment the
+measuring interpreters run with.
 
 Two metrics are paired: ``step_us`` of each ``run()`` call and ``job_s`` of each
 job. Half the pairs run in a fresh interpreter that loads the parent first,
 half in one that loads the change first, and both halves are reported, so
-that a lean from the load order shows. ``setup_s`` and ``peak_rss_mb`` need an
+that a lean from the load order shows. Inside each interpreter the side that
+runs first alternates from pair to pair, so N must be a multiple of 4 for
+each interpreter to run each side first equally often; every job record names
+the side that ``ran_first``. ``setup_s`` and ``peak_rss_mb`` need an
 interpreter per measurement and are left to ``bench/run.py``.
 
 FILE gets, per workload and metric, both sides' medians and quartiles, the
 paired ratio (change / parent) with its median and IQR, and the pairs the
-change won, overall and per half; and every job's check result. The exit
-status is non-zero if a job raised or failed its checks, or if a paired
+change won, overall and per half; every job's check result; and the Python
+and numpy versions and the thread variables the interpreters ran with. The
+exit status is non-zero if a job raised or failed its checks, or if a paired
 median is worse than the metric's ``BENCHMARK.json`` bound.
 """
 
@@ -44,22 +50,20 @@ import traceback
 import zipfile
 from pathlib import Path
 
+import numpy as np
+
 ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "bench"))  # bench/'s modules import one another by name
+
+import workloads  # noqa: E402
+from job import run_job  # noqa: E402
+from run import CHILD_ENV  # noqa: E402
+from tracer import RUN, Tracer  # noqa: E402
+
 WORKDIR = ROOT / ".bench_tmp"
 SIDES = ("parent", "change")
 METRICS = ("step_us", "job_s")
 SEED = 1  # the benchmark seed CI runs; pair 0 runs each workload's reference seed
-# As bench/run.py's children: numpy's BLAS single-threaded.
-CHILD_ENV = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
-
-
-def load_workloads():
-    """bench/workloads.py, loaded by path."""
-    spec = importlib.util.spec_from_file_location("workloads", ROOT / "bench" / "workloads.py")
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = module  # its dataclasses look their module up
-    spec.loader.exec_module(module)
-    return module
 
 
 def load_tree(alias: str, package_dir: Path):
@@ -74,48 +78,23 @@ def load_tree(alias: str, package_dir: Path):
     return importlib.import_module(f"{alias}.runner"), importlib.import_module(f"{alias}.scenario")
 
 
-class Side:
-    """One loaded tree, its ``run()`` timed at the name ``sweep`` looks up."""
-
-    def __init__(self, alias: str, package_dir: Path):
-        self.runner, self.scenario = load_tree(alias, package_dir)
-        self.run_seconds: list[tuple[float, int]] = []
-        run = self.runner.run
-
-        def timed(*args, **kwargs):
-            t0 = time.perf_counter()
-            result = run(*args, **kwargs)
-            self.run_seconds.append((time.perf_counter() - t0, result.summary.steps))
-            return result
-
-        self.runner.run = timed
-
-    def job(self, workload, scenario_path: Path, seed: int, out_dir: Path):
-        """One job as bench/job.py's run_job makes it: (run results, job
-        seconds, µs per step of each run() call)."""
-        self.run_seconds.clear()
-        t0 = time.perf_counter()
-        base, _ = self.scenario.load_scenario(scenario_path)
-        if workload.sweep_size:
-            seeds = [seed + i for i in range(workload.sweep_size)]
-            results = self.runner.sweep(base, "seed", seeds)
-        else:
-            results = [self.runner.run(self.scenario.set_parameter(base, "seed", seed))]
-        for i, result in enumerate(results):
-            self.runner.write_csv(result.records, out_dir / f"run{i}.csv")
-            self.runner.write_summary(result, out_dir / f"run{i}.txt")
-        job_s = time.perf_counter() - t0
-        return results, job_s, [s * 1e6 / steps for s, steps in self.run_seconds]
-
-
-def attempt(workloads, side: Side, workload, path: Path, seed: int, out_dir: Path, reference=None) -> dict:
-    """One job's record: its timings and the problems the checks of
-    ``workloads`` found (against the ``reference`` values too, if given), or
-    the traceback it raised."""
+def attempt(side, workload, path: Path, seed: int, out_dir: Path, reference=None) -> dict:
+    """One bench/job.py job on the (runner, scenario) modules ``side``, timed as
+    bench/job.py times its untraced jobs, with only ``run()`` wrapped. Returns
+    the job's record: its timings and the problems the workload's checks found
+    (against the ``reference`` values too, if given), or the traceback it raised."""
+    runner, scenario = side
+    tracer = Tracer([(runner.__name__, "run", RUN)])
+    t0 = time.perf_counter()
     try:
-        results, job_s, step_us = side.job(workload, path, seed, out_dir)
+        with tracer:
+            results = run_job(workload, runner, scenario, tracer, path, seed, out_dir)
     except Exception:  # the job boundary: a raising job is a failed job
         return {"problems": ["raised: " + traceback.format_exc(limit=-3)], "correct": False}
+    job_s = time.perf_counter() - t0
+    spans = tracer.spans()
+    run_s = spans.durations[spans.select(RUN)].tolist()
+    step_us = [d * 1e6 / r.summary.steps for d, r in zip(run_s, results)]
     problems = [p for r in results for p in workloads.check_run(workload, r)]
     if reference is not None:
         problems += workloads.check_reference(results, reference)
@@ -124,12 +103,12 @@ def attempt(workloads, side: Side, workload, path: Path, seed: int, out_dir: Pat
 
 def measure_half(parent_dir: str, first: str, pair_indices: list[int]) -> dict:
     """The jobs of the given pairs in this interpreter, which loads side
-    ``first`` first. Returns, per workload, each job's record; a warm-up job
+    ``first`` first; the side that runs first alternates from one of these
+    pairs to the next. Returns, per workload, each job's record; a warm-up job
     is recorded only if it failed."""
-    workloads = load_workloads()
     dirs = {"parent": Path(parent_dir), "change": ROOT / "src" / "se3slam"}
     order = (first, *(s for s in SIDES if s != first))
-    sides = {name: Side(f"se3slam_{name}", dirs[name]) for name in order}
+    sides = {name: load_tree(f"se3slam_{name}", dirs[name]) for name in order}
     reference = json.loads(workloads.REFERENCE_FILE.read_text())
     out = {}
     with tempfile.TemporaryDirectory(dir=WORKDIR) as tmp:
@@ -140,15 +119,18 @@ def measure_half(parent_dir: str, first: str, pair_indices: list[int]) -> dict:
             seeds = list(itertools.islice(workload.job_seeds(SEED), max(pair_indices) + 1))
             jobs = out[name] = []
             for side_name, side in sides.items():  # untimed: first-call costs
-                record = attempt(workloads, side, workload, path, seeds[0], tmp)
+                record = attempt(side, workload, path, seeds[0], tmp)
                 if not record["correct"]:
                     record.update(pair="warm-up", first_loaded=first, side=side_name, seed=seeds[0])
                     jobs.append(record)
-            for i in pair_indices:
+            for k, i in enumerate(pair_indices):
                 expected = reference[name] if i == 0 else None  # pair 0 runs the reference seed
-                for side_name in SIDES[:: 1 if i % 2 == 0 else -1]:
-                    record = attempt(workloads, sides[side_name], workload, path, seeds[i], tmp, expected)
-                    record.update(pair=i, first_loaded=first, side=side_name, seed=seeds[i])
+                run_order = SIDES[:: 1 if k % 2 == 0 else -1]
+                for side_name in run_order:
+                    record = attempt(sides[side_name], workload, path, seeds[i], tmp, expected)
+                    record.update(
+                        pair=i, first_loaded=first, ran_first=run_order[0], side=side_name, seed=seeds[i]
+                    )
                     jobs.append(record)
     return out
 
@@ -202,11 +184,11 @@ def extract_src(commit: str, dest: Path) -> Path:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--parent", required=True, help="the commit to compare against")
-    parser.add_argument("--pairs", type=int, required=True, help="pairs per workload, at least 4")
+    parser.add_argument("--pairs", type=int, required=True, help="pairs per workload, a multiple of 4")
     parser.add_argument("--out", required=True, type=Path, help="the JSON report to write")
     args = parser.parse_args(argv)
-    if args.pairs < 4:
-        parser.error("--pairs must be at least 4: two per load order")
+    if args.pairs < 4 or args.pairs % 4:
+        parser.error("--pairs must be a positive multiple of 4: each side runs first equally often per load order")
 
     parent_commit = git("rev-parse", "--verify", f"{args.parent}^{{commit}}").strip()
     bounds = {m["name"]: m["bound"] for m in json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]}
@@ -227,8 +209,10 @@ def main(argv=None) -> int:
         "pairs": args.pairs,
         "machine": {
             "python": platform.python_version(),
+            "numpy": np.__version__,
             "nproc": len(os.sched_getaffinity(0)),
             "processor": platform.processor() or platform.machine(),
+            "threads": {k: v for k, v in CHILD_ENV.items() if k.endswith("_NUM_THREADS")},
         },
         "bounds": {m: bounds[m] for m in METRICS},
         "workloads": {},

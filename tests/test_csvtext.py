@@ -153,7 +153,7 @@ def fig3_records():
 @pytest.fixture(scope="module")
 def dense_records():
     """One run of the benchmark's generated dense scenario at seed 0."""
-    text = load_file_module("output_digest", OUTPUT_DIGEST)._dense_scenario_text()
+    text = load_file_module("output_digest", OUTPUT_DIGEST).DENSE_SCENARIO
     return run(parse_scenario(yaml.safe_load(text.format(seed=0)))).records
 
 

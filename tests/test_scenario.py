@@ -1,8 +1,6 @@
 import copy
 import dataclasses
-import importlib.util
 import re
-import sys
 
 import numpy as np
 import pytest
@@ -10,7 +8,7 @@ import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import SCENARIO_DIR
+from conftest import SCENARIO_DIR, load_file_module
 from se3slam.errors import ConfigInvalid
 from se3slam.observer import Gains
 from se3slam.scenario import (
@@ -29,7 +27,7 @@ from se3slam.scenario import (
 from se3slam.liegroup import homogeneous
 from se3slam.simulator import ChannelNoise, NoiseSpec, TrajectorySpec, truth_at
 
-BENCH_WORKLOADS = SCENARIO_DIR.parent / "bench" / "workloads.py"
+OUTPUT_DIGEST = SCENARIO_DIR.parent / "scripts" / "output_digest.py"
 BUNDLED = ["fig3_noisefree", "fig3_noisy", "reconstructed", "heavytail"]
 BUNDLED_DOCS = [yaml.safe_load((SCENARIO_DIR / f"{name}.yaml").read_text()) for name in BUNDLED]
 
@@ -61,14 +59,10 @@ def test_scenarios_compare_and_hash_by_value(name):
     assert {first: name}[second] == name
 
 
-def test_dense_benchmark_document_loads(tmp_path, monkeypatch):
+def test_dense_benchmark_document_loads(tmp_path):
     # the benchmark's generated scenario goes through the same file reader
-    spec = importlib.util.spec_from_file_location("workloads", BENCH_WORKLOADS)
-    module = importlib.util.module_from_spec(spec)
-    monkeypatch.setitem(sys.modules, spec.name, module)  # its dataclasses look their module up
-    spec.loader.exec_module(module)
     path = tmp_path / "dense.yaml"
-    path.write_text(module.DENSE_SCENARIO.format(seed=3))
+    path.write_text(load_file_module("output_digest", OUTPUT_DIGEST).DENSE_SCENARIO.format(seed=3))
     scenario, _ = load_scenario(path)
     assert (scenario.seed, scenario.landmarks.num_landmarks) == (3, 256)
 
