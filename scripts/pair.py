@@ -2,13 +2,16 @@
 
     python3 scripts/pair.py --parent REV --pairs N --out FILE
 
-REV's ``src/`` is extracted with ``git archive`` under ``.bench_tmp/``, and
-both trees are loaded in one interpreter under alias package names. Each pair
-runs one job of every benchmark workload on both sides. A job is
-``bench/job.py``'s own ``run_job``, timed as ``bench/job.py`` times its
-untraced jobs, with only ``run()`` wrapped: load the scenario, set its seed,
-``run()`` it (or ``sweep()`` it over the workload's seeds), then write the CSV
-and the summary. ``bench/`` is put on ``sys.path``, as its own scripts expect,
+Both trees are copied under ``.bench_tmp/``, REV's ``src/`` with ``git
+archive`` and the checkout's ``src/se3slam`` as it stands, and both copies are
+loaded in one interpreter under alias package names. Neither side runs from
+the checkout in place: in A/A runs (both sides the same code) the in-place
+tree ran about 0.4 % faster than its copy. Each pair runs one job of every
+benchmark workload on both sides. A job is ``bench/job.py``'s own
+``run_job``, timed as ``bench/job.py`` times its untraced jobs, with only
+``run()`` wrapped: load the scenario, set its seed, ``run()`` it (or
+``sweep()`` it over the workload's seeds), then write the CSV and the
+summary. ``bench/`` is put on ``sys.path``, as its own scripts expect,
 and imported, not changed: the job, the tracer, the workloads with their seeds
 and checks, and ``bench/run.py``'s ``CHILD_ENV``, the environment the
 measuring interpreters run with.
@@ -24,10 +27,11 @@ interpreter per measurement and are left to ``bench/run.py``.
 
 FILE gets, per workload and metric, both sides' medians and quartiles, the
 paired ratio (change / parent) with its median and IQR, and the pairs the
-change won, overall and per half; every job's check result; and the Python
-and numpy versions and the thread variables the interpreters ran with. The
-exit status is non-zero if a job raised or failed its checks, or if a paired
-median is worse than the metric's ``BENCHMARK.json`` bound.
+change won, overall and per half; every job's check result; and the CPU
+model, the Python and numpy versions and the thread variables the
+interpreters ran with. The exit status is non-zero if a job raised or failed
+its checks, or if a paired median is worse than the metric's
+``BENCHMARK.json`` bound.
 """
 
 from __future__ import annotations
@@ -41,6 +45,7 @@ import json
 import multiprocessing
 import os
 import platform
+import shutil
 import statistics
 import subprocess
 import sys
@@ -57,7 +62,7 @@ sys.path.insert(0, str(ROOT / "bench"))  # bench/'s modules import one another b
 
 import workloads  # noqa: E402
 from job import run_job  # noqa: E402
-from run import CHILD_ENV  # noqa: E402
+from run import CHILD_ENV, cpu_model  # noqa: E402
 from tracer import RUN, Tracer  # noqa: E402
 
 WORKDIR = ROOT / ".bench_tmp"
@@ -101,12 +106,11 @@ def attempt(side, workload, path: Path, seed: int, out_dir: Path, reference=None
     return {"problems": problems, "correct": not problems, "job_s": job_s, "step_us": step_us}
 
 
-def measure_half(parent_dir: str, first: str, pair_indices: list[int]) -> dict:
+def measure_half(dirs: dict[str, Path], first: str, pair_indices: list[int]) -> dict:
     """The jobs of the given pairs in this interpreter, which loads side
-    ``first`` first; the side that runs first alternates from one of these
-    pairs to the next. Returns, per workload, each job's record; a warm-up job
-    is recorded only if it failed."""
-    dirs = {"parent": Path(parent_dir), "change": ROOT / "src" / "se3slam"}
+    ``first`` first from its package directory in ``dirs``; the side that runs
+    first alternates from one of these pairs to the next. Returns, per
+    workload, each job's record; a warm-up job is recorded only if it failed."""
     order = (first, *(s for s in SIDES if s != first))
     sides = {name: load_tree(f"se3slam_{name}", dirs[name]) for name in order}
     reference = json.loads(workloads.REFERENCE_FILE.read_text())
@@ -171,14 +175,18 @@ def git(*args: str) -> str:
     return subprocess.run(["git", *args], cwd=ROOT, check=True, capture_output=True, text=True).stdout
 
 
-def extract_src(commit: str, dest: Path) -> Path:
-    """The commit's src/se3slam under dest, from git archive; no worktree is made."""
+def copy_trees(commit: str, dest: Path) -> dict[str, Path]:
+    """Each side's se3slam package directory, both copies under dest: the
+    commit's src/ from git archive (no worktree is made) and the checkout's
+    src/se3slam as it stands, uncommitted edits included."""
     archive = subprocess.run(
         ["git", "archive", "--format=zip", commit, "src"], cwd=ROOT, check=True, capture_output=True
     ).stdout
     with zipfile.ZipFile(io.BytesIO(archive)) as zf:
-        zf.extractall(dest)
-    return dest / "src" / "se3slam"
+        zf.extractall(dest / "parent")
+    change = dest / "change" / "se3slam"
+    shutil.copytree(ROOT / "src" / "se3slam", change, ignore=shutil.ignore_patterns("__pycache__"))
+    return {"parent": dest / "parent" / "src" / "se3slam", "change": change}
 
 
 def main(argv=None) -> int:
@@ -197,11 +205,11 @@ def main(argv=None) -> int:
     os.environ.update(CHILD_ENV)
     spawn = multiprocessing.get_context("spawn")
     with tempfile.TemporaryDirectory(dir=WORKDIR) as tmp:
-        parent_dir = str(extract_src(parent_commit, Path(tmp)))
+        dirs = copy_trees(parent_commit, Path(tmp))
         measured = {}
         for first, indices in halves.items():
             with spawn.Pool(1) as pool:  # a fresh interpreter per load order
-                measured[first] = pool.apply(measure_half, (parent_dir, first, indices))
+                measured[first] = pool.apply(measure_half, (dirs, first, indices))
 
     report = {
         "parent": {"rev": args.parent, "commit": parent_commit},
@@ -211,7 +219,7 @@ def main(argv=None) -> int:
             "python": platform.python_version(),
             "numpy": np.__version__,
             "nproc": len(os.sched_getaffinity(0)),
-            "processor": platform.processor() or platform.machine(),
+            "cpu_model": cpu_model(),
             "threads": {k: v for k, v in CHILD_ENV.items() if k.endswith("_NUM_THREADS")},
         },
         "bounds": {m: bounds[m] for m in METRICS},

@@ -5,14 +5,6 @@ class Se3SlamError(Exception):
     """Base class for all library errors."""
 
 
-class NotSkewSymmetric(Se3SlamError):
-    """Matrix handed to vee() is not skew-symmetric within tolerance."""
-
-
-class DegenerateMatrix(Se3SlamError):
-    """Matrix cannot be projected onto the rotation group (singular or det <= 0)."""
-
-
 class DegenerateGeometry(Se3SlamError):
     """Landmark geometry too collinear for a well-posed attitude solve, or a
     direction vector with a non-finite or near-zero norm."""

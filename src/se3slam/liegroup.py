@@ -23,7 +23,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from .errors import DegenerateMatrix, NonFiniteState, NotSkewSymmetric
+from .errors import NonFiniteState
 
 # Below this rotation magnitude the trig coefficients switch to their series
 # expansions to avoid 0/0.
@@ -43,12 +43,12 @@ def hat(v) -> np.ndarray:
 
 
 def vee(m) -> np.ndarray:
-    """Inverse of hat (3x3 array or nested rows); NotSkewSymmetric if |m + m.T|_F > SKEW_TOL."""
+    """Inverse of hat (3x3 array or nested rows); ValueError if |m + m.T|_F > SKEW_TOL."""
     (m00, m01, m02), (m10, m11, m12), (m20, m21, m22) = m
     d01, d02, d12 = m01 + m10, m02 + m20, m12 + m21
     sym = 4.0 * (m00 * m00 + m11 * m11 + m22 * m22) + 2.0 * (d01 * d01 + d02 * d02 + d12 * d12)
     if math.sqrt(sym) > SKEW_TOL:
-        raise NotSkewSymmetric(f"matrix is not skew-symmetric within {SKEW_TOL}")
+        raise ValueError(f"matrix is not skew-symmetric within {SKEW_TOL}")
     return np.array([m21, m02, m10], dtype=float)
 
 
@@ -144,11 +144,12 @@ def is_rotation(m) -> bool:
 
 
 def reorthonormalize(m) -> np.ndarray:
-    """Nearest rotation matrix (polar projection). Idempotent on exact rotations."""
+    """Nearest rotation matrix (polar projection). Idempotent on exact rotations;
+    ValueError for a singular matrix or one with det <= 0."""
     m = np.asarray(m, dtype=float)
     u, s, vt = np.linalg.svd(m)
     if np.linalg.det(m) <= 0.0 or s[-1] < 1e-12:
-        raise DegenerateMatrix("input is singular or has non-positive determinant")
+        raise ValueError("input is singular or has non-positive determinant")
     return u @ vt
 
 

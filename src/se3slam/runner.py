@@ -20,7 +20,7 @@ from .metrics import ErrorRecord, evaluate
 from .observer import ObserverState, step
 from .observer import resolve_attitude  # noqa: F401  wrapped here by bench/tracer.py
 from .scenario import RECONSTRUCTED, Scenario, set_parameter
-from .simulator import measure, place_landmarks, truth_at
+from .simulator import measure, truth_at
 
 # Steps per block (see block_records). 2048 landmark rows of (l, 3)
 # estimates are 48 kB, so a block's buffers and scoring temporaries stay small
@@ -75,10 +75,9 @@ def initial_conditions(scenario: Scenario):
     layout = scenario.landmarks
     if layout.positions is not None:
         landmarks = np.array(layout.positions, dtype=float)
-    else:
-        landmarks = place_landmarks(
-            layout.count, layout.box.min, layout.box.max, np.random.default_rng(lm_seq)
-        )
+    else:  # LandmarkLayout and Box checked count >= 1 and min <= max
+        box = layout.box
+        landmarks = np.random.default_rng(lm_seq).uniform(box.min, box.max, (layout.count, 3))
 
     truth0 = truth_at(scenario.trajectory, np.zeros(1), landmarks)
     est = scenario.initial_estimate

@@ -246,9 +246,10 @@ def _integer(value, path: str) -> int:
 
 
 def _float(value, path: str) -> float:
+    """An int or a float as a float: only an int past float range fails."""
     try:
         return float(value)
-    except (TypeError, ValueError, OverflowError):
+    except OverflowError:
         raise ConfigInvalid(f"{path}: expected a number, got {value!r}") from None
 
 

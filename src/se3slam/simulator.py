@@ -1,4 +1,4 @@
-"""Ground-truth trajectories, landmark layouts, and noisy measurement synthesis.
+"""Ground-truth trajectories and noisy measurement synthesis.
 
 Trajectory families are closed-form in both pose and body rates, so the
 kinematic consistency d/dt X = X @ [[hat(omega), v], [0, 0]] holds without
@@ -301,13 +301,3 @@ def measure(truth: GroundTruth, noise: NoiseSpec, rng: np.random.Generator) -> M
         measured.append(y)
     return MeasurementFrame(truth.time, *measured)
 
-
-def place_landmarks(count: int, box_min, box_max, rng: np.random.Generator) -> np.ndarray:
-    """Uniform i.i.d. landmark positions in an axis-aligned box."""
-    if count < 1:
-        raise ValueError("count must be >= 1")
-    lo = np.asarray(box_min, dtype=float)
-    hi = np.asarray(box_max, dtype=float)
-    if np.any(hi < lo):
-        raise ValueError("box_max must be >= box_min componentwise")
-    return rng.uniform(lo, hi, (count, 3))

@@ -191,11 +191,16 @@ def test_sweep_unknown_param(short_scenario, capsys, tmp_path):
     assert capsys.readouterr().err == "error: unknown keys: gains.k9\n"
 
 
-def test_sweep_bad_values(short_scenario, capsys, tmp_path):
+@pytest.mark.parametrize(
+    "values, message",
+    [("a,b", "--values must be comma-separated numbers"), (" , ", "--values is empty")],
+)
+def test_sweep_bad_values(short_scenario, capsys, tmp_path, values, message):
     code = main(
-        ["sweep", str(short_scenario), "--param", "gains.k1", "--values", "a,b", "--out", str(tmp_path)]
+        ["sweep", str(short_scenario), "--param", "gains.k1", "--values", values, "--out", str(tmp_path)]
     )
     assert code == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 @pytest.mark.parametrize(

@@ -53,14 +53,33 @@ def test_fewer_than_two_complete_pairs_give_only_the_count(values, complete):
     assert pair.paired(jobs_of(values) + lone_parent, "job_s") == {"pairs": complete}
 
 
+def test_neither_side_loads_from_the_checkouts_src(tmp_path):
+    dirs = pair.copy_trees("HEAD", tmp_path)
+    src = pair.ROOT / "src"
+    for package in dirs.values():
+        assert package.is_relative_to(tmp_path) and not package.is_relative_to(src)
+        assert (package / "__init__.py").is_file()
+    copied = {p.name: p.read_bytes() for p in dirs["change"].glob("*.py")}
+    assert copied == {p.name: p.read_bytes() for p in (src / "se3slam").glob("*.py")}
+
+
 @pytest.mark.parametrize("first", pair.SIDES)
 def test_each_side_runs_first_in_half_the_pairs_of_an_interpreter(first, monkeypatch, tmp_path):
     monkeypatch.setattr(pair, "WORKDIR", tmp_path)
-    monkeypatch.setattr(pair, "load_tree", lambda alias, path: (SimpleNamespace(run=None), None))
+    loaded = []
+
+    def load_tree(alias, path):
+        loaded.append((alias, path))
+        return SimpleNamespace(run=None), None
+
+    monkeypatch.setattr(pair, "load_tree", load_tree)
     record = {"problems": [], "correct": True, "job_s": 1.0, "step_us": [1.0]}
     monkeypatch.setattr(pair, "attempt", lambda *args: dict(record))
     indices = [0, 2, 4, 6] if first == "parent" else [1, 3, 5, 7]
-    measured = pair.measure_half(str(tmp_path), first, indices)
+    dirs = {side: tmp_path / side / "se3slam" for side in pair.SIDES}
+    measured = pair.measure_half(dirs, first, indices)
+    second = next(side for side in pair.SIDES if side != first)
+    assert loaded == [(f"se3slam_{side}", dirs[side]) for side in (first, second)]
     assert measured  # one list of jobs per workload
     for jobs in measured.values():
         assert [job["pair"] for job in jobs] == [i for i in indices for _ in pair.SIDES]

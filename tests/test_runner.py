@@ -197,6 +197,30 @@ def test_sweep_dt_reduces_final_error(noisefree):
     assert errs[1] < errs[0]
 
 
+def _count_box(scenario, count, low, high):
+    return dataclasses.replace(scenario, landmarks=LandmarkLayout(count=count, box=Box(low, high)))
+
+
+def test_count_box_landmarks_are_a_function_of_the_seed(short):
+    scenario = _count_box(short, 1, (0.0, 0.0, 0.0), (1.0, 1.0, 1.0))
+    landmarks = initial_conditions(scenario)[0]
+    assert landmarks.shape == (1, 3)
+    assert np.array_equal(initial_conditions(scenario)[0], landmarks)
+    reseeded = dataclasses.replace(scenario, seed=scenario.seed + 1)
+    assert not np.array_equal(initial_conditions(reseeded)[0], landmarks)
+
+
+def test_count_box_landmarks_are_uniform_in_the_box(short):
+    landmarks = initial_conditions(_count_box(short, 1000, (0.0, 0.0, 0.0), (1.0, 1.0, 1.0)))[0]
+    assert np.allclose(landmarks.mean(axis=0), 0.5, atol=0.05)
+    assert landmarks.min() >= 0.0 and landmarks.max() <= 1.0
+
+
+def test_count_box_landmarks_in_a_zero_width_box(short):
+    landmarks = initial_conditions(_count_box(short, 10, (1.0, 2.0, 3.0), (1.0, 2.0, 3.0)))[0]
+    assert np.array_equal(landmarks, np.tile([1.0, 2.0, 3.0], (10, 1)))
+
+
 def test_provenance_fields(short):
     result = run(short, scenario_hash="abc123")
     assert result.provenance["scenario"] == short.name

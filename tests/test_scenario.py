@@ -238,6 +238,36 @@ def test_bad_vector_shape(base_doc):
         parse_scenario(base_doc)
 
 
+UNIT_BOX = {"min": [0, 0, 0], "max": [1, 1, 1]}
+
+
+@pytest.mark.parametrize(
+    "landmarks, message",
+    [
+        (
+            {"count": 3, "box": {"min": [0, 0, 0], "max": [-1, 1, 1]}},
+            "landmarks.box: max must be >= min componentwise",
+        ),
+        ({"count": 3}, "landmarks: need positions, or count and box"),
+        # a null optional field reads as absent
+        ({"count": None, "box": UNIT_BOX}, "landmarks: need positions, or count and box"),
+        ({"count": 0, "box": UNIT_BOX}, "landmarks: at least one landmark required"),
+        ({"positions": 3}, "landmarks.positions: expected a list"),
+    ],
+    ids=["box_max_below_min", "count_without_box", "null_count", "zero_count", "positions_not_a_list"],
+)
+def test_bad_landmark_layout(base_doc, landmarks, message):
+    base_doc["landmarks"] = landmarks
+    with pytest.raises(ConfigInvalid, match=f"^{re.escape(message)}$"):
+        parse_scenario(base_doc)
+
+
+def test_integer_past_float_range_is_not_a_number(base_doc):
+    base_doc["dt"] = 10**400
+    with pytest.raises(ConfigInvalid, match=f"^dt: expected a number, got 1{'0' * 400}$"):
+        parse_scenario(base_doc)
+
+
 def test_set_parameter_gain(base_doc):
     scenario = parse_scenario(base_doc)
     updated = set_parameter(scenario, "gains.k1", 5.0)

@@ -21,7 +21,6 @@ from se3slam.simulator import (
     NoiseSpec,
     TrajectorySpec,
     measure,
-    place_landmarks,
     truth_at,
 )
 
@@ -35,7 +34,7 @@ ALL_SPECS = [
 ]
 
 
-def test_static_family():
+def test_circle_at_rest_holds_its_initial_pose():
     spec = ALL_SPECS[0]
     g = truth_at_instant(spec, 3.7)
     assert np.allclose(g.omega_body, 0.0)
@@ -279,31 +278,6 @@ def test_stacked_measure_matches_one_instant_calls(noise, n, n_landmarks, seed):
         assert np.array_equal(stacked.velocity[i : i + 1], one.velocity)
         assert np.array_equal(stacked.landmark_obs[i : i + 1], one.landmark_obs)
     assert stacked_rng.bit_generator.state == one_rng.bit_generator.state
-
-
-def test_place_landmarks_deterministic():
-    a = place_landmarks(1, [0, 0, 0], [1, 1, 1], np.random.default_rng(3))
-    b = place_landmarks(1, [0, 0, 0], [1, 1, 1], np.random.default_rng(3))
-    assert np.array_equal(a, b)
-    assert a.shape == (1, 3)
-
-
-def test_place_landmarks_mean():
-    pts = place_landmarks(1000, [0, 0, 0], [1, 1, 1], np.random.default_rng(5))
-    assert np.allclose(pts.mean(axis=0), 0.5, atol=0.05)
-    assert pts.min() >= 0.0 and pts.max() <= 1.0
-
-
-def test_place_landmarks_degenerate_box():
-    pts = place_landmarks(10, [1, 2, 3], [1, 2, 3], np.random.default_rng(0))
-    assert np.allclose(pts, [1.0, 2.0, 3.0])
-
-
-def test_place_landmarks_validation():
-    with pytest.raises(ValueError):
-        place_landmarks(0, [0, 0, 0], [1, 1, 1], np.random.default_rng(0))
-    with pytest.raises(ValueError):
-        place_landmarks(3, [0, 0, 0], [-1, 1, 1], np.random.default_rng(0))
 
 
 def test_simulator_does_not_import_observer():
