@@ -8,7 +8,7 @@ import sys
 from pathlib import Path
 
 from .errors import ConfigInvalid, Se3SlamError
-from .runner import run, summary_lines, sweep, write_csv, write_summary
+from .runner import run, sweep, write_csv, write_summary
 from .scenario import load_scenario, set_parameter
 
 
@@ -90,9 +90,7 @@ def _write(result, stem: str, args) -> None:
     args.out.mkdir(parents=True, exist_ok=True)
     csv_path = args.out / f"{stem}.csv"
     write_csv(result.records, csv_path, args.decimate)
-    write_summary(result, args.out / f"{stem}_summary.txt")
-    for line in summary_lines(result):
-        print(line)
+    print(write_summary(result, args.out / f"{stem}_summary.txt"), end="")
     print(f"wrote {csv_path}")
 
 

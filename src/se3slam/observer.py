@@ -113,6 +113,7 @@ def resolve_attitude(body, datum, time: float, fallback: np.ndarray | None):
         ) from None
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def step(
     state: ObserverState, meas: MeasurementFrame, c_ba, gains: Gains, dt: float, fallback=None
 ):
@@ -136,8 +137,8 @@ def step(
 
     Each increment is checked finite before it is applied, and each new pose
     and map after; the attitude is projected onto SO(3) only when its drift
-    exceeds DRIFT_TOL. Numpy's error state is the caller's: an overflow may
-    warn before NonFiniteState."""
+    exceeds DRIFT_TOL. ``step`` owns numpy's error state: overflow and invalid
+    never warn inside it, so a blow-up is a Se3SlamError and never a warning."""
     if not 0.0 < dt < math.inf:
         raise ValueError(f"dt must be finite and positive, got {dt}")
     given = meas.time, meas.omega, meas.velocity, meas.landmark_obs, state.dcm, state.position

@@ -8,7 +8,6 @@ A run keeps its errors as one stacked ``ErrorRecord``, one row per instant.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -186,43 +185,32 @@ def sweep(
 _fmt = "{:.17g}".format
 
 
-def _csv_blocks(records: ErrorRecord, decimate: int):
-    """The CSV's bytes in pieces: the header line, then the lines of about
-    CSV_BLOCK_VALUES values' rows at a time. The decimate check comes first."""
+def write_csv(records: ErrorRecord, path, decimate: int = 1) -> None:
+    """Write a stacked record as CSV: the header, then every ``decimate``-th
+    row plus the final one, each value as ``'%.17g' % x`` and each flag as 0
+    or 1. The text is made by ``csvtext.csv_text`` and written about
+    CSV_BLOCK_VALUES values' rows at a time, never whole. A ``decimate`` below
+    1 raises ValueError before the file is opened."""
     if decimate < 1:
         raise ValueError("decimate must be >= 1")
     n, n_lm = records.map_error.shape
     maps = [f"map_err_{i + 1}" for i in range(n_lm)]
     header = ["t", "V", "att_err_rad", "pos_err_m", *maps, *["rel_" + m for m in maps]]
     header.append("att_source_ok")
-    columns = records.columns()  # the CSV's column order; the flags print as 0 and 1
+    columns = records.columns()  # the CSV's column order
     rows = max(1, CSV_BLOCK_VALUES // len(header))
     spans = [slice(i, min(i + rows * decimate, n), decimate) for i in range(0, n, rows * decimate)]
     if (n - 1) % decimate:
         spans.append(slice(n - 1, n))  # the final row is always kept
-
-    def block(span):
-        return csvtext.csv_text(np.column_stack([c[span] for c in columns]))
-
-    return itertools.chain([(",".join(header) + "\n").encode()], map(block, spans))
-
-
-def csv_lines(records: ErrorRecord, decimate: int = 1) -> list[str]:
-    """CSV serialization of a stacked record, one string per line: the header,
-    then every ``decimate``-th row plus the final one, each value as
-    ``'%.17g' % x`` (made by ``csvtext.csv_text``)."""
-    return b"".join(_csv_blocks(records, decimate)).decode().split("\n")[:-1]
-
-
-def write_csv(records: ErrorRecord, path, decimate: int = 1) -> None:
-    """Write the bytes of ``csv_lines`` a block of rows at a time, never the
-    whole text at once."""
-    blocks = _csv_blocks(records, decimate)
     with open(path, "wb") as fh:
-        fh.writelines(blocks)
+        fh.write((",".join(header) + "\n").encode())
+        for span in spans:
+            fh.write(csvtext.csv_text(np.column_stack([c[span] for c in columns])))
 
 
-def summary_lines(result: RunResult) -> list[str]:
+def write_summary(result: RunResult, path) -> str:
+    """Write the run's summary, one ``key: value`` line for each of its 17
+    fields, and return the text written."""
     s = result.summary
     lines = [
         f"scenario: {result.provenance['scenario']}",
@@ -240,9 +228,7 @@ def summary_lines(result: RunResult) -> list[str]:
     ]
     for metric in ("lyapunov", "attitude", "position", "map", "relative_map"):
         lines.append(f"convergence_factor_{metric}: {_fmt(s.convergence_factor(metric))}")
-    return lines
-
-
-def write_summary(result: RunResult, path) -> None:
+    text = "\n".join(lines) + "\n"
     with open(path, "w", newline="\n") as fh:
-        fh.write("\n".join(summary_lines(result)) + "\n")
+        fh.write(text)
+    return text

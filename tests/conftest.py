@@ -69,6 +69,21 @@ def per_field_row(r) -> str:
     return ",".join(fields + ["1" if r.attitude_source_ok else "0"])
 
 
+def same_bits(a, b):
+    """Equal shapes and values, NaN equal to NaN, -0.0 unequal to 0.0: equal as
+    the CSV writes them."""
+    return (
+        a.shape == b.shape
+        and np.array_equal(a, b, equal_nan=True)
+        and np.array_equal(np.signbit(a) | np.isnan(a), np.signbit(b) | np.isnan(b))
+    )
+
+
+def same_records(a: ErrorRecord, b: ErrorRecord) -> bool:
+    """Whether every column of the stacked records a and b has the same bits."""
+    return all(same_bits(x, y) for x, y in zip(a.columns(), b.columns(), strict=True))
+
+
 def stack_records(records) -> ErrorRecord:
     """One stacked ErrorRecord from stacked records, their rows in turn."""
     return ErrorRecord(*map(np.concatenate, zip(*(r.columns() for r in records))))

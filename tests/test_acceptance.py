@@ -15,7 +15,7 @@ from se3slam.attitude import solve_attitude
 from se3slam.errors import DegenerateGeometry
 from se3slam.liegroup import exp_se3, exp_so3, hat, homogeneous, rotation_angle
 from se3slam.observer import Gains, ObserverState, step
-from se3slam.runner import csv_lines, run
+from se3slam.runner import run
 from se3slam.scenario import load_scenario
 from se3slam.simulator import NoiseSpec, TrajectorySpec, measure, truth_at
 

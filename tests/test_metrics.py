@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import compose_raw, random_rotation, stack_records
+from conftest import compose_raw, random_rotation, same_bits, same_records, stack_records
 from se3slam.liegroup import Pose, exp_so3, homogeneous, norms_from_squares
 from se3slam.metrics import (
     ErrorRecord,
@@ -13,7 +13,6 @@ from se3slam.metrics import (
     relative_map_errors,
 )
 from se3slam.observer import ObserverState
-from se3slam.runner import csv_lines
 from se3slam.simulator import GroundTruth, MeasurementFrame, offsets
 
 
@@ -198,8 +197,7 @@ def test_stacked_evaluate_matches_per_record(rng, l):
     ]
     assert len(records) == n
     assert records.map_error.shape == records.relative_map_error.shape == (n, l)
-    # 17 significant digits: equal CSV rows are equal bits
-    assert csv_lines(records) == csv_lines(stack_records(singles))
+    assert same_records(records, stack_records(singles))
     assert records.attitude_source_ok.tolist() == oks.tolist()
     last = records.row(-1)
     assert last.lyapunov == singles[-1].lyapunov[0] and last.time == times[-1]
@@ -234,15 +232,6 @@ ENTRIES = st.one_of(
     st.integers(2**52, 2**53 - 1).map(lambda m: m / 2**52),  # full mantissas in [1, 2)
     st.sampled_from([np.inf, -np.inf, np.nan, -0.0]),
 )
-
-
-def same_bits(a, b):
-    """Equal shapes and values, NaN equal to NaN, -0.0 unequal to 0.0."""
-    return (
-        a.shape == b.shape
-        and np.array_equal(a, b, equal_nan=True)
-        and np.array_equal(np.signbit(a) | np.isnan(a), np.signbit(b) | np.isnan(b))
-    )
 
 
 @settings(max_examples=100, deadline=None)

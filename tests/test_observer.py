@@ -21,7 +21,6 @@ from se3slam.errors import DegenerateGeometry, NonFiniteState
 from se3slam.liegroup import exp_se3, exp_so3, hat, homogeneous, reorthonormalize, rotation_angle
 from se3slam.observer import DRIFT_TOL, Gains, ObserverState, resolve_attitude, step
 from se3slam.simulator import (
-    GroundTruth,
     MeasurementFrame,
     NoiseSpec,
     TrajectorySpec,
@@ -376,7 +375,6 @@ def test_step_non_finite_increment_message(rng, gains, omega, velocity):
         step(state, bad, random_rotation(rng)[None], gains, 0.01)
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_step_non_finite_state_message(rng):
     # a finite increment (W acts on the small position), but W acting on the
     # huge landmark overflows its update: dt k1 |P_hat| is 1e312
@@ -478,7 +476,6 @@ def test_step_matches_the_equations(seed, n_landmarks, gains, dt, off_group):
     assert np.allclose(out.landmarks, expected.landmarks, rtol=0.0, atol=1e-12)
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @pytest.mark.parametrize("n", [3, 5], ids=["last-step", "mid-block"])
 def test_block_step_raises_where_single_steps_do(rng, n):
     # the map overflows at step 2 (W acting on the 1e300 m landmark); before it
@@ -591,7 +588,6 @@ def test_reconstructed_block_equals_single_steps_bit_for_bit(
     assert np.array_equal(last_good, fallback)
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @pytest.mark.parametrize("n", [4, 6], ids=["last-step", "mid-block"])
 def test_reconstructed_block_raises_where_single_steps_do(rng, n):
     # every solve falls back (the 1e300 m landmark's direction has no finite

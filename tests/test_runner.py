@@ -9,6 +9,7 @@ from conftest import (
     load_file_module,
     per_field_row,
     reference_resolve_attitude,
+    same_records,
     stack_records,
 )
 from se3slam import attitude, runner
@@ -16,7 +17,7 @@ from se3slam.errors import ConfigInvalid, DegenerateGeometry, NonFiniteState
 from se3slam.liegroup import Pose
 from se3slam.metrics import ErrorRecord, evaluate
 from se3slam.observer import Gains, step
-from se3slam.runner import csv_lines, initial_conditions, run, sweep, write_csv
+from se3slam.runner import initial_conditions, run, sweep, write_csv
 from se3slam.scenario import RECONSTRUCTED, Box, LandmarkLayout, load_scenario, set_parameter
 from se3slam.simulator import ChannelNoise, NoiseSpec, TrajectorySpec, measure, truth_at
 
@@ -75,7 +76,7 @@ def test_record_time_is_the_scored_instant():
 def test_run_deterministic(short):
     a = run(short)
     b = run(short)
-    assert csv_lines(a.records) == csv_lines(b.records)
+    assert same_records(a.records, b.records)
 
 
 def test_summary_final_matches_last_record(short):
@@ -84,9 +85,10 @@ def test_summary_final_matches_last_record(short):
         assert np.array_equal(got, column[-1])
 
 
-def test_csv_shape_and_header(short):
+def test_csv_shape_and_header(short, tmp_path):
     result = run(short)
-    lines = csv_lines(result.records)
+    write_csv(result.records, tmp_path / "out.csv")
+    lines = (tmp_path / "out.csv").read_text().splitlines()
     header = lines[0].split(",")
     n = 8
     assert header[:4] == ["t", "V", "att_err_rad", "pos_err_m"]
@@ -115,38 +117,28 @@ def test_csv_roundtrip_lossless(short, tmp_path):
     )
     rows = [per_field_row(result.records.row(i)) for i in range(len(result.records))]
     assert path.read_text().splitlines()[1:] == rows
-    assert csv_lines(edge)[1] == per_field_row(edge.row(0))
+    write_csv(edge, path)
+    assert path.read_text().splitlines()[1:] == [per_field_row(edge.row(0))]
 
 
 def test_write_csv_streams_blocks_with_the_same_rows(short, tmp_path, monkeypatch):
     records = run(short).records
     monkeypatch.setattr(runner, "CSV_BLOCK_VALUES", 50)  # two 21-value rows per block
-    for decimate in (1, 3, 10):  # 3 leaves the final row off the grid, 10 keeps it on
+    for decimate in (1, 3, 7, 10):  # 3 and 7 leave the final row off the grid, 10 keeps it on
         path = tmp_path / f"every_{decimate}.csv"
         write_csv(records, path, decimate)
         kept = sorted({*range(0, len(records), decimate), len(records) - 1})
         assert path.read_text().splitlines()[1:] == [per_field_row(records.row(i)) for i in kept]
-        assert path.read_text() == "\n".join(csv_lines(records, decimate)) + "\n"
     with pytest.raises(ValueError, match="decimate"):
         write_csv(records, tmp_path / "bad.csv", 0)
     assert not (tmp_path / "bad.csv").exists()
-
-
-def test_decimation_keeps_final(short):
-    result = run(short)
-    lines = csv_lines(result.records, decimate=7)
-    n = len(result.records)
-    kept = range(n)[::7]
-    expect = len(kept) if kept[-1] == n - 1 else len(kept) + 1
-    assert len(lines) == expect + 1
-    assert lines[-1] == csv_lines(result.records)[-1]
 
 
 def test_sweep_singleton_matches_run(short):
     direct = run(set_parameter(short, "gains.k1", 3.0))
     swept = sweep(short, "gains.k1", [3.0])
     assert len(swept) == 1
-    assert csv_lines(swept[0].records) == csv_lines(direct.records)
+    assert same_records(swept[0].records, direct.records)
 
 
 def test_sweep_carries_the_scenario_hash(short):
@@ -174,7 +166,7 @@ def test_sweep_zero_noise_matches_noisefree(noisefree):
         "noise.landmark.scale",
         0.0,
     )
-    assert csv_lines(run(zeroed).records) == csv_lines(run(base).records)
+    assert same_records(run(zeroed).records, run(base).records)
     assert len(swept) == 1
 
 
@@ -370,7 +362,7 @@ def test_run_matches_reference_loop(name, variant):
         # one solve per step; once the datum directions are coplanar the
         # certificate cannot settle the rank and eigvalsh does
         assert 0 < len(eigvalsh_calls) < _records_and_block(scenario)[0] - 1
-    assert csv_lines(records) == csv_lines(reference_records(scenario))
+    assert same_records(records, reference_records(scenario))
 
 
 def _recorded_steps(monkeypatch):
@@ -424,18 +416,18 @@ def test_run_steps_once_per_block(monkeypatch, name):
 @pytest.mark.parametrize("block", [1, 7, None], ids=["1_step", "7_steps", "one_block"])
 def test_run_output_does_not_depend_on_the_blocks(monkeypatch, name, variant, block):
     # an n-step call of every layer has the bits of n 1-step calls, so any
-    # split of the run into blocks writes the same CSV; None: the whole run
+    # split of the run into blocks makes the same records; None: the whole run
     scenario, _ = load_scenario(SCENARIO_DIR / f"{name}.yaml")
     scenario = dataclasses.replace(scenario, duration=1.0)
     if variant is not None:
         layout = LandmarkLayout(count=64, box=BOX)
         scenario = dataclasses.replace(variant(scenario), landmarks=layout)
-    expected = csv_lines(run(scenario).records)
+    expected = run(scenario).records
     n_steps = _records_and_block(scenario)[0] - 1
     size = block or n_steps
     monkeypatch.setattr(runner, "block_records", lambda _: size)
     stepped = _recorded_steps(monkeypatch)
-    assert csv_lines(run(scenario).records) == expected
+    assert same_records(run(scenario).records, expected)
     assert stepped == [size] * (n_steps // size) + [n_steps % size] * bool(n_steps % size)
 
 
@@ -466,7 +458,7 @@ def test_run_falls_back_to_the_last_good_attitude(monkeypatch):
     scenario = dataclasses.replace(scenario, duration=0.1)
     failing_calls = {3, 4, 11}
     result, expected = _run_with_failing_solves(monkeypatch, scenario, failing_calls)
-    assert csv_lines(result.records) == csv_lines(expected)
+    assert same_records(result.records, expected)
     assert np.count_nonzero(~expected.attitude_source_ok) == len(failing_calls)
     assert result.summary.degenerate_frames == len(failing_calls)
 
@@ -478,7 +470,7 @@ def test_run_carries_the_last_good_attitude_into_the_next_block(monkeypatch):
     scenario = dataclasses.replace(scenario, duration=260 * scenario.dt)
     assert _records_and_block(scenario)[1] == 256
     result, expected = _run_with_failing_solves(monkeypatch, scenario, {255, 256, 257})
-    assert csv_lines(result.records) == csv_lines(expected)
+    assert same_records(result.records, expected)
     assert np.flatnonzero(~result.records.attitude_source_ok).tolist() == [255, 256, 257]
 
 
