@@ -17,7 +17,7 @@ from se3slam.errors import ConfigInvalid, DegenerateGeometry, NonFiniteState
 from se3slam.liegroup import Pose
 from se3slam.metrics import ErrorRecord, evaluate
 from se3slam.observer import Gains, step
-from se3slam.runner import initial_conditions, run, sweep, write_csv
+from se3slam.runner import initial_conditions, run, sweep, write_csv, write_summary
 from se3slam.scenario import RECONSTRUCTED, Box, LandmarkLayout, load_scenario, set_parameter
 from se3slam.simulator import ChannelNoise, NoiseSpec, TrajectorySpec, measure, truth_at
 
@@ -83,6 +83,18 @@ def test_summary_final_matches_last_record(short):
     result = run(short)
     for got, column in zip(result.summary.final.columns(), result.records.columns()):
         assert np.array_equal(got, column[-1])
+
+
+def test_write_summary_returns_the_text_written(short, tmp_path):
+    result = run(short)
+    path = tmp_path / "summary.txt"
+    text = write_summary(result, path)
+    assert path.read_bytes() == text.encode()
+    lines = text.splitlines()
+    assert len(lines) == 17 and text.endswith("\n")
+    assert lines[0] == f"scenario: {result.provenance['scenario']}"
+    assert lines[4] == f"steps: {result.summary.steps}"
+    assert float(lines[7].removeprefix("final_V: ")) == result.records.lyapunov[-1]
 
 
 def test_csv_shape_and_header(short, tmp_path):
