@@ -26,8 +26,8 @@ the side that ``ran_first``. ``setup_s`` and ``peak_rss_mb`` need an
 interpreter per measurement and are left to ``bench/run.py``.
 
 FILE gets, per workload and metric, both sides' medians and quartiles, the
-paired ratio (change / parent) with its median and IQR, and the pairs the
-change won, overall and per half; every job's check result; and the CPU
+paired ratio (change / parent) with its median and IQR, the pairs the change
+won, and whether a gain is shown, overall and per half; every job's check result; and the CPU
 model, the Python and numpy versions and the thread variables the
 interpreters ran with. The exit status is non-zero if a job raised or failed
 its checks, or if a paired median is worse than the metric's
@@ -146,7 +146,10 @@ def quartiles(values: list[float]) -> dict:
 
 def paired(jobs: list[dict], metric: str) -> dict:
     """Both sides' quartiles, the change / parent ratio per pair (per run()
-    call for step_us) with its median and IQR, and the pairs the change won."""
+    call for step_us) with its median and IQR, the pairs the change won, and
+    whether that shows a gain: the change won at least nine tenths of the pairs
+    (a tie counts for neither side), and the parent's median exceeds the
+    change's by more than the parent's interquartile range."""
     by_pair = {}
     for job in jobs:
         if job["correct"]:
@@ -162,12 +165,16 @@ def paired(jobs: list[dict], metric: str) -> dict:
     ratios = [c / p for p, c in zip(values["parent"], values["change"])]
     ratio = quartiles(ratios)
     ratio["iqr"] = ratio["q3"] - ratio["q1"]
+    parent, change = quartiles(values["parent"]), quartiles(values["change"])
+    won = sum(r < 1.0 for r in ratios)
     return {
-        "parent": quartiles(values["parent"]),
-        "change": quartiles(values["change"]),
+        "parent": parent,
+        "change": change,
         "ratio": ratio,
-        "won": sum(r < 1.0 for r in ratios),
+        "won": won,
         "pairs": len(ratios),
+        "shown": 10 * won >= 9 * len(ratios)
+        and parent["median"] - change["median"] > parent["q3"] - parent["q1"],
     }
 
 
@@ -237,7 +244,8 @@ def main(argv=None) -> int:
             print(
                 f"{name:<24} {metric:<8} parent {m['parent']['median']:.6g} change "
                 f"{m['change']['median']:.6g} ratio {m['ratio']['median']:.4f} "
-                f"(IQR {m['ratio']['iqr']:.4f}) won {m['won']}/{m['pairs']}"
+                f"(IQR {m['ratio']['iqr']:.4f}) won {m['won']}/{m['pairs']} "
+                f"gain {'shown' if m['shown'] else 'not shown'}"
             )
             if m["ratio"]["median"] > 1.0 + bounds[metric]:
                 errors.append(f"{name} {metric}: paired median ratio exceeds 1 + {bounds[metric]}")

@@ -83,6 +83,20 @@ class Gains:
                 raise ValueError(f"gain {name} must be >= 0, got {value}")
 
 
+def fastest_rate(gains: Gains, num_landmarks: int) -> float:
+    """lambda_max (1/s), the fastest decay rate of the error linearized about
+    the truth with the attitude exact and no rotation: the largest of k1
+    (attitude), k2 (l - 1 times) and the roots of lambda^2 - T lambda + k2 k3,
+    T = (l + 1) k2 + k3 (position and map). Explicit Euler at step dt is stable
+    if and only if dt * lambda_max < 2. T is factored out of the larger root, so
+    no square of a gain overflows."""
+    k1, k2, k3 = gains.k1, gains.k2, gains.k3
+    trace = (num_landmarks + 1) * k2 + k3
+    if trace == 0.0:
+        return k1
+    return max(k1, trace * (1.0 + math.sqrt(1.0 - 4.0 * (k2 / trace) * (k3 / trace))) / 2.0)
+
+
 @dataclass(frozen=True, eq=False)
 class ObserverState:
     """Pose estimate (dcm, position) plus landmark-position estimates (datum

@@ -32,7 +32,7 @@ import numpy as np
 import yaml
 
 from .errors import ConfigInvalid
-from .observer import Gains
+from .observer import Gains, fastest_rate
 from .simulator import NoiseSpec, TrajectorySpec, Vec3, require_finite
 
 SCHEMA_VERSION = 1
@@ -170,6 +170,14 @@ class Scenario:
             raise ValueError(f"attitude_mode: must be '{TRUE_ATTITUDE}' or '{RECONSTRUCTED}'")
         if self.attitude_mode == RECONSTRUCTED and self.landmarks.num_landmarks < 2:
             raise ValueError("landmarks: reconstructed attitude mode needs >= 2 landmarks")
+        rate = fastest_rate(self.gains, self.landmarks.num_landmarks)
+        if self.dt * rate >= 2.0:
+            raise ValueError(
+                f"dt, gains, landmarks: dt * lambda_max = {self.dt * rate:.4g} >= 2 is past the "
+                f"explicit-Euler limit, where lambda_max = {rate:.6g}/s is the fastest error rate "
+                f"of these gains and {self.landmarks.num_landmarks} landmarks; the largest "
+                f"stable dt is just under 2 / lambda_max = {2.0 / rate:.6g}"
+            )
 
 
 @functools.cache

@@ -53,25 +53,21 @@ def require_finite(config) -> None:
 class TrajectorySpec:
     """Closed-form trajectory description, with the fields a scenario file writes.
 
-    The body starts at ``initial_position`` (datum frame) with the datum-to-body
-    attitude exp_so3(``initial_rotation``), an axis-angle vector; the
-    constructor keeps that dcm, as rows of floats, in ``initial_dcm``.
-    The two families are the two attitude laws. ``circle`` runs a circle of
-    ``radius`` at ``angular_rate``, climbing at ``vertical_rate``, while yawing
-    at the same rate: with the default zero radius and rates it holds the
-    initial pose, and with a ``vertical_rate`` it climbs as it turns. ``tumble``
-    follows the same translational path with a sinusoidal axis-angle attitude
-    of amplitudes ``tumble_amplitude``, which only ``tumble`` reads, so a
-    ``circle`` needs it zero.
+    The body starts level at ``initial_position`` (datum frame): its datum-to-body
+    attitude at t = 0 is the identity. The two families are the two attitude
+    laws, and both follow the same circle in the horizontal plane through the
+    start. ``circle`` runs that circle of ``radius`` at ``angular_rate`` while
+    yawing at the same rate: with the default zero radius and rate it holds the
+    initial pose. ``tumble`` follows the same path with a sinusoidal axis-angle
+    attitude of amplitudes ``tumble_amplitude``, which only ``tumble`` reads, so
+    a ``circle`` needs it zero.
     """
 
     family: str
     radius: float = 0.0
     angular_rate: float = 0.0  # rad/s
-    vertical_rate: float = 0.0  # m/s
     tumble_amplitude: Vec3 = (0.0, 0.0, 0.0)  # rad
     initial_position: Vec3 = (0.0, 0.0, 0.0)  # m
-    initial_rotation: Vec3 = (0.0, 0.0, 0.0)  # rad, axis-angle
 
     def __post_init__(self):
         require_finite(self)
@@ -79,13 +75,6 @@ class TrajectorySpec:
             raise ValueError(f"unknown trajectory family: {self.family!r} ({' or '.join(FAMILIES)})")
         if self.family != "tumble" and any(self.tumble_amplitude):
             raise ValueError(f"tumble_amplitude must be 0 unless family is tumble, not {self.family}")
-        try:  # finite entries can still overflow the rotation vector's norm
-            dcm = exp_so3(self.initial_rotation)
-        except NonFiniteState as exc:
-            raise ValueError(str(exc)) from None
-        # Not a field, so == and hash see the scenario's values alone; rows of floats,
-        # as no config dataclass holds an array.
-        object.__setattr__(self, "initial_dcm", tuple(map(tuple, dcm.tolist())))
 
 
 @dataclass(frozen=True)
@@ -186,14 +175,14 @@ def truth_at(spec: TrajectorySpec, t, landmarks) -> GroundTruth:
     if bad.any():
         raise ValueError(f"t must be finite and >= 0, got {float(ts[bad][0])}")
     r0 = np.array(spec.initial_position, dtype=float)
-    w, r, c = spec.angular_rate, spec.radius, spec.vertical_rate
+    w, r = spec.angular_rate, spec.radius
 
-    # Position offsets from r0 on a circle of radius r at rate w, climbing at rate c.
+    # Position offsets from r0 on a circle of radius r at rate w.
     th = w * ts
     sin, cos = np.sin(th), np.cos(th)
-    offset, rdot = np.empty((2, len(ts), 3))
-    offset[:, 0], offset[:, 1], offset[:, 2] = r * (cos - 1.0), r * sin, c * ts
-    rdot[:, 0], rdot[:, 1], rdot[:, 2] = -r * w * sin, r * w * cos, c
+    offset, rdot = np.zeros((2, len(ts), 3))
+    offset[:, 0], offset[:, 1] = r * (cos - 1.0), r * sin
+    rdot[:, 0], rdot[:, 1] = -r * w * sin, r * w * cos
     position = r0 + offset
     if not np.isfinite(position).all():
         first = np.argmin(np.isfinite(position).all(axis=-1))
@@ -208,8 +197,8 @@ def truth_at(spec: TrajectorySpec, t, landmarks) -> GroundTruth:
     else:
         omega = np.zeros((len(ts), 3))
         omega[:, 2] = w
-        rot = exp_so3(omega * ts[:, None])  # C_ba(t).T = C0.T @ rot, C0 = initial_dcm
-    dcm = np.swapaxes(rot, -1, -2) @ spec.initial_dcm
+        rot = exp_so3(omega * ts[:, None])  # C_ba(t).T
+    dcm = np.ascontiguousarray(np.swapaxes(rot, -1, -2))
     v_body = (dcm @ rdot[:, :, None])[:, :, 0]
     landmarks = np.asarray(landmarks, dtype=float)
     body = to_body(offsets(landmarks, position), dcm)

@@ -245,7 +245,6 @@ def test_criterion_9_integrator_order():
         angular_rate=0.9,
         tumble_amplitude=(0.4, 0.3, 0.5),
         initial_position=base.trajectory.initial_position,
-        initial_rotation=base.trajectory.initial_rotation,
     )
     scenario = dataclasses.replace(
         base,

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from conftest import SCENARIO_DIR
 from se3slam.cli import main
 from se3slam.errors import ConfigInvalid
+from se3slam.observer import Gains, fastest_rate
 from se3slam.scenario import parse_scenario
 
 
@@ -324,21 +325,57 @@ def test_validate_names_a_file_that_is_not_a_mapping(tmp_path, capsys):
     assert capsys.readouterr().err == f"error: {listed}: document: expected a mapping\n"
 
 
-def test_huge_attitude_gain_ends_in_non_finite_state(short_scenario, tmp_path, capsys):
-    # k1 * dt = 5e106 rad: the increment's angle overflows the SO(3) series
-    short_scenario.write_text(short_scenario.read_text().replace("k1: 2.0", "k1: 1.0e+108"))
+def test_huge_gyro_bias_ends_in_non_finite_state(short_scenario, tmp_path, capsys):
+    # a gyro bias of 1e108 rad/s times dt = 0.05 s is an increment angle of 5e106
+    # rad, which overflows the SO(3) series
+    _edit(short_scenario, [("omega: {family: none}", "omega: {family: none, bias: [1.0e+108, 0.0, 0.0]}")])
     assert main(["run", str(short_scenario), "--out", str(tmp_path)]) == 2
     assert "error: non-finite pose increment at t=0.0" in capsys.readouterr().err
 
 
 def test_large_gain_ends_in_non_finite_state(tmp_path, capsys):
-    # k3 * dt = 5e3 multiplies the position error each step until it overflows
+    # k3 = 300 is inside the explicit-Euler bound at dt = 0.005 (dt * lambda_max
+    # = 1.54), but times a position error of 1e307 m it overflows the velocity
+    # correction
     text = (SCENARIO_DIR / "fig3_noisefree.yaml").read_text()
-    text = text.replace("duration: 20.0", "duration: 1.0").replace("k3: 12.0", "k3: 1.0e+6")
+    text = text.replace("duration: 20.0", "duration: 1.0").replace("k3: 12.0", "k3: 300.0")
+    text = text.replace("position_offset: [0.8, -0.5, 0.4]", "position_offset: [1.0e+307, -0.5, 0.4]")
     path = tmp_path / "big_gain.yaml"
     path.write_text(text)
     assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 2
     assert "error: non-finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("ratio", [0.97, 1.03])
+@pytest.mark.parametrize("limit", ["k2_k3", "k1"])
+def test_explicit_euler_bound_is_checked_before_the_run(short_scenario, tmp_path, capsys, limit, ratio):
+    # short_scenario steps dt = 0.05 through 8 landmarks, where the bundled gains
+    # (2, 1, 12) read dt * lambda_max = 1.02. lambda_max is degree 1 in the
+    # gains, so scaling k2 and k3, or raising k1 past the rate they set, puts
+    # dt * lambda_max at 2 * ratio.
+    dt, k1, k2, k3 = 0.05, 2.0, 1.0, 12.0
+    if limit == "k1":
+        k1 = ratio * 2.0 / dt
+    else:
+        scale = ratio * 2.0 / (dt * fastest_rate(Gains(0.0, k2, k3), 8))
+        k2, k3 = scale * k2, scale * k3
+    rate = fastest_rate(Gains(k1, k2, k3), 8)
+    assert dt * rate == pytest.approx(2.0 * ratio)
+    assert (rate == k1) == (limit == "k1")
+    _edit(short_scenario, [("k1: 2.0", f"k1: {k1!r}"), ("k2: 1.0", f"k2: {k2!r}"), ("k3: 12.0", f"k3: {k3!r}")])
+    code = 0 if ratio < 1.0 else 2
+    assert main(["validate", str(short_scenario)]) == code
+    assert main(["run", str(short_scenario), "--out", str(tmp_path / "out")]) == code
+    err = capsys.readouterr().err
+    if code:
+        message = (
+            f"error: {short_scenario}: dt, gains, landmarks: dt * lambda_max = 2.06 >= 2 is past the "
+            f"explicit-Euler limit, where lambda_max = {rate:.6g}/s is the fastest error rate of these "
+            f"gains and 8 landmarks; the largest stable dt is just under 2 / lambda_max = 0.0485437\n"
+        )
+        assert err == message * 2
+    else:
+        assert err == ""
 
 
 def _edit(path, edits):
@@ -360,12 +397,13 @@ FAR_GEOMETRY = [
 ]
 
 # Documents that validate but overflow numpy inside the step loop, and the
-# error each ends in: a landmark 1e300 m out whose rate overflows under a huge
-# k1, a far position estimate or start whose innovations overflow their sum,
-# and the far geometry, whose measurements overflow.
+# error each ends in: a landmark 1.7e308 m out whose rate overflows under
+# k1 = 30 (dt * lambda_max = 1.5), a far position estimate or start whose
+# innovations overflow their sum, and the far geometry, whose measurements
+# overflow.
 STEP_OVERFLOWS = {
     "landmark_rates": (
-        [("- [-3.156, -3.241, 3.121]", "- [1.0e+300, 0.0, 0.0]"), ("k1: 2.0", "k1: 1.0e+10")],
+        [("- [-3.156, -3.241, 3.121]", "- [1.7e+308, 0.0, 0.0]"), ("k1: 2.0", "k1: 30.0")],
         "non-finite state after step at t=0.0",
     ),
     "position_offset": (
@@ -427,9 +465,9 @@ INITIAL_NOT_FINITE = "initial_estimate: initial position or map is not finite"
 
 # Documents that validate but overflow numpy outside the step, and the error
 # each ends in: an initial estimate that sums past float range (the position,
-# truth plus offset, or the first landmark's estimate), a circle climbing so
-# fast that its truth overflows mid-run, and a landmark so far out that V
-# overflows at t = 0.
+# truth plus offset, or the first landmark's estimate), a circle so wide that
+# its truth overflows mid-run, and a landmark so far out that V overflows at
+# t = 0.
 OUTSIDE_STEP_OVERFLOWS = {
     "position": (
         [
@@ -445,9 +483,12 @@ OUTSIDE_STEP_OVERFLOWS = {
         ],
         INITIAL_NOT_FINITE,
     ),
-    "helix_truth": (
+    # x = -1.43e308 + 1e308 (cos(0.5 t) - 1) reads -1.789e308 at t = 1.75 and
+    # -1.808e308, past float range, at t = 1.8
+    "circle_truth": (
         [
-            ("family: circle", "family: circle\n  vertical_rate: 1.0e+308"),
+            ("radius: 2.0", "radius: 1.0e+308"),
+            ("initial_position: [2.0, 0.0, 0.5]", "initial_position: [-1.43e+308, 0.0, 0.5]"),
             ("duration: 1.0", "duration: 2.0"),
         ],
         "non-finite ground-truth position at t=1.8",
@@ -515,10 +556,10 @@ def fuzz_dir(tmp_path_factory):
     (root / "huge_box.yaml").write_text(
         TINY.replace("name: tiny", "name: huge_box").replace("max: [1, 1, 1]", "max: [1.0e+200, 1, 1]")
     )
-    (root / "huge_helix.yaml").write_text(
-        TINY.replace("name: tiny", "name: huge_helix")
+    (root / "huge_circle.yaml").write_text(
+        TINY.replace("name: tiny", "name: huge_circle")
         .replace("duration: 0.1", "duration: 2.0")
-        .replace("family: circle, radius: 1.0, angular_rate: 0.5", "family: circle, vertical_rate: 1.0e+308")
+        .replace("radius: 1.0,", "radius: 1.0e+308, initial_position: [-1.43e+308, 0.0, 0.0],")
     )
     (root / "bad.yaml").write_text(TINY.replace("schema_version: 1", "schema_version: 2"))
     (root / "garbage.yaml").write_text("{[: not yaml")
@@ -535,7 +576,7 @@ FREE_TEXT = st.text(
 COMMANDS = st.sampled_from(["run", "sweep", "validate", "bogus"])
 FILES = st.sampled_from(
     [
-        "tiny.yaml", "reconstructed.yaml", "huge_box.yaml", "huge_helix.yaml", "bad.yaml",
+        "tiny.yaml", "reconstructed.yaml", "huge_box.yaml", "huge_circle.yaml", "bad.yaml",
         "garbage.yaml", "missing.yaml", "a_dir",
     ]
 )

@@ -744,3 +744,22 @@ def test_step_reads_fields_spelled_as_lists_as_their_arrays(rng):
         assert np.array_equal(states.position, expected.position)
         assert np.array_equal(states.landmarks, expected.landmarks)
         assert np.array_equal(oks, expected_oks)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.tuples(*[st.floats(0.0, 50.0)] * 3),
+    st.one_of(st.integers(1, 40), st.sampled_from([8, 256, 387, 388])),
+)
+def test_fastest_rate_is_the_largest_eigenvalue_of_the_error_matrix(gains, num_landmarks):
+    # Linearized with the attitude exact and no rotation, one axis of the position
+    # error r and the map errors p_i follows d/dt r = k2 sum_i (p_i - r) - k3 r and
+    # d/dt p_i = -k2 (p_i - r), that is d/dt [r, p] = -E [r, p]; the attitude error
+    # decays at k1.
+    k1, k2, k3 = gains
+    rates = k2 * np.eye(num_landmarks + 1)
+    rates[0, 0] = num_landmarks * k2 + k3
+    rates[0, 1:] = rates[1:, 0] = -k2
+    expected = max(k1, np.linalg.eigvals(rates).real.max())
+    rate = observer.fastest_rate(Gains(k1, k2, k3), num_landmarks)
+    assert rate == pytest.approx(expected, rel=1e-9, abs=1e-12)

@@ -30,6 +30,24 @@ def test_paired_ratio_quartiles_and_wins():
     assert m["parent"]["median"] == 1.0 and m["change"]["median"] == 1.2
 
 
+@pytest.mark.parametrize(
+    "values, shown",
+    [
+        # 10/10 won, and the medians differ by 0.15 against a parent IQR of 0.045
+        ([(1.0 + 0.01 * i, 0.85 + 0.01 * i) for i in range(10)], True),
+        # 9/10 won is nine tenths; the tie counts for neither side
+        ([(1.0 + 0.01 * i, 0.85 + 0.01 * i) for i in range(9)] + [(1.0, 1.0)], True),
+        # 8/10 won: too few pairs, though the medians differ by more than the IQR
+        ([(1.0 + 0.01 * i, 0.85 + 0.01 * i) for i in range(8)] + [(1.0, 1.1)] * 2, False),
+        # 10/10 won, but by less than the parent's own spread (IQR 0.45)
+        ([(1.0 + 0.1 * i, 0.99 + 0.1 * i) for i in range(10)], False),
+    ],
+    ids=["gain", "nine_tenths_with_a_tie", "too_few_won", "within_the_spread"],
+)
+def test_a_gain_is_shown_by_wins_and_median_past_the_parent_iqr(values, shown):
+    assert pair.paired(jobs_of(values), "job_s")["shown"] is shown
+
+
 def test_an_incorrect_job_drops_its_pair():
     jobs = jobs_of([(1.0, 0.5), (1.0, 0.5)])
     failed = [

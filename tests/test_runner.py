@@ -18,7 +18,14 @@ from se3slam.liegroup import Pose
 from se3slam.metrics import ErrorRecord, evaluate
 from se3slam.observer import Gains, step
 from se3slam.runner import initial_conditions, run, sweep, write_csv, write_summary
-from se3slam.scenario import RECONSTRUCTED, Box, LandmarkLayout, load_scenario, set_parameter
+from se3slam.scenario import (
+    RECONSTRUCTED,
+    Box,
+    InitialEstimate,
+    LandmarkLayout,
+    load_scenario,
+    set_parameter,
+)
 from se3slam.simulator import ChannelNoise, NoiseSpec, TrajectorySpec, measure, truth_at
 
 
@@ -40,7 +47,7 @@ def short(noisefree):
 
 
 def test_record_count_includes_t0(noisefree):
-    scenario = dataclasses.replace(noisefree, duration=1.0, dt=0.5)
+    scenario = dataclasses.replace(noisefree, duration=0.1, dt=0.05)
     result = run(scenario)
     assert result.summary.steps == 2
     assert len(result.records) == 3
@@ -193,7 +200,6 @@ def test_sweep_dt_reduces_final_error(noisefree):
         angular_rate=0.9,
         tumble_amplitude=(0.4, 0.3, 0.5),
         initial_position=noisefree.trajectory.initial_position,
-        initial_rotation=noisefree.trajectory.initial_rotation,
     )
     scenario = dataclasses.replace(noisefree, trajectory=tumble, duration=8.0)
     results = sweep(scenario, "dt", [0.01, 0.001])
@@ -215,7 +221,9 @@ def test_count_box_landmarks_are_a_function_of_the_seed(short):
 
 
 def test_count_box_landmarks_are_uniform_in_the_box(short):
-    landmarks = initial_conditions(_count_box(short, 1000, (0.0, 0.0, 0.0), (1.0, 1.0, 1.0)))[0]
+    # ungained, as short's gains at dt = 0.05 are past the explicit-Euler bound of 1000 landmarks
+    ungained = dataclasses.replace(short, gains=Gains(0.0, 0.0, 0.0))
+    landmarks = initial_conditions(_count_box(ungained, 1000, (0.0, 0.0, 0.0), (1.0, 1.0, 1.0)))[0]
     assert np.allclose(landmarks.mean(axis=0), 0.5, atol=0.05)
     assert landmarks.min() >= 0.0 and landmarks.max() <= 1.0
 
@@ -263,7 +271,6 @@ def _tumble(scenario):
         angular_rate=0.5,
         tumble_amplitude=(0.6, 0.4, 0.5),
         initial_position=scenario.trajectory.initial_position,
-        initial_rotation=scenario.trajectory.initial_rotation,
     )
     return dataclasses.replace(scenario, trajectory=spec)
 
@@ -272,9 +279,11 @@ BOX = Box((-5.0, -5.0, -5.0), (5.0, 5.0, 5.0))
 
 
 def _many_landmarks(scenario):
-    """1000 landmarks: 25-record blocks, so 90 steps cross 3 block boundaries."""
+    """1000 landmarks: 25-record blocks, so 90 steps cross 3 block boundaries. The
+    step is 1 ms, as the bundled gains put the explicit-Euler bound of 1000
+    landmarks at 1.97 ms."""
     layout = LandmarkLayout(count=1000, box=BOX)
-    return dataclasses.replace(_tumble(scenario), landmarks=layout, duration=90 * scenario.dt)
+    return dataclasses.replace(_tumble(scenario), landmarks=layout, dt=0.001, duration=0.09)
 
 
 def _many_steps(scenario):
@@ -487,13 +496,18 @@ def test_run_carries_the_last_good_attitude_into_the_next_block(monkeypatch):
 
 
 def test_truth_overflow_mid_run_names_first_bad_time(noisefree):
-    # Ungained, the estimate dead-reckons along the truth and stays finite up to
-    # t = 179.5; the truth's c * t overflows first at t = 180, in a later block.
-    spec = TrajectorySpec("circle", vertical_rate=1e306)
+    # Ungained and started at the truth, the estimate dead-reckons along it and
+    # stays finite up to t = 179.5, its innovations near 0; the truth's
+    # x = -1e308 + 0.8e308 (cos(w t) - 1) overflows first at t = 180, where
+    # w t = pi / 2, in a later block. A tumble of zero amplitude keeps the start
+    # attitude, so no body-frame component of the position outgrows its x.
+    spec = TrajectorySpec("tumble", radius=0.8e308, angular_rate=np.pi / 360,
+                          initial_position=(-1e308, 0.0, 0.0))
     scenario = dataclasses.replace(
         noisefree,
         trajectory=spec,
         gains=Gains(0.0, 0.0, 0.0),
+        initial_estimate=InitialEstimate(),
         landmarks=LandmarkLayout(count=256, box=BOX),
         dt=0.5,
         duration=200.0,
@@ -505,19 +519,27 @@ def test_truth_overflow_mid_run_names_first_bad_time(noisefree):
 
 
 @pytest.mark.parametrize(
-    "name, path, value, message",
+    "name, bias, message",
     [
-        ("fig3_noisy", "gains.k2", 60.0, "non-finite pose increment at t=6.2700000000000005"),
-        ("reconstructed", "gains.k2", 100.0, "non-finite pose increment at t=2.775"),
+        ("fig3_noisy", 3e306, "non-finite pose increment at t=7.495"),
+        ("reconstructed", 5e306, "non-finite pose increment at t=4.495"),
     ],
 )
-def test_step_errors_name_an_instant_of_the_record_grid(name, path, value, message):
+def test_step_errors_name_an_instant_of_the_record_grid(name, bias, message):
     # step k names the instant of the measurement it read, truth row k's, which
     # is k * dt, the t the CSV writes; a clock summed dt by dt would drift off
-    # that grid (to 6.269999999999976 by step 1254). Both fail mid-block, and
-    # the reconstructed run solves its attitude in every step before it fails.
+    # that grid (to 7.494999999999862 by step 1499). Without k2 and k3 the
+    # position estimate dead-reckons on a velocity biased along z until the sum
+    # of the 8 innovations, each about as large as the estimate, overflows. Both
+    # fail mid-block, and the reconstructed run solves its attitude in every
+    # step before it fails.
     scenario, _ = load_scenario(SCENARIO_DIR / f"{name}.yaml")
-    scenario = set_parameter(scenario, path, value)
+    velocity = dataclasses.replace(scenario.noise.velocity, bias=(0.0, 0.0, bias))
+    scenario = dataclasses.replace(
+        scenario,
+        gains=Gains(scenario.gains.k1, 0.0, 0.0),
+        noise=dataclasses.replace(scenario.noise, velocity=velocity),
+    )
     with pytest.raises(NonFiniteState) as info:
         run(scenario)
     assert str(info.value) == message

@@ -32,6 +32,9 @@ BUNDLED = ["fig3_noisefree", "fig3_noisy", "reconstructed", "heavytail"]
 BUNDLED_DOCS = [yaml.safe_load((SCENARIO_DIR / f"{name}.yaml").read_text()) for name in BUNDLED]
 
 
+# Zero gains: dt * lambda_max is 0, so any dt is inside the explicit-Euler bound.
+UNGAINED = {"k1": 0.0, "k2": 0.0, "k3": 0.0}
+
 HINT = "; write it unquoted, with a dot and a signed exponent (1.0e+6, not 1.0e6)"
 
 
@@ -103,6 +106,24 @@ def test_unknown_nested_key(base_doc):
         parse_scenario(base_doc)
 
 
+@pytest.mark.parametrize("key, value", [("initial_rotation", [0.0, 0.0, 0.0]), ("vertical_rate", 0.0)])
+def test_removed_trajectory_keys_are_unknown(base_doc, key, value):
+    # every trajectory starts level and stays in the plane of its circle, so a file
+    # that still sets a start rotation or a climb rate fails as any unknown key does
+    base_doc["trajectory"][key] = value
+    with pytest.raises(ConfigInvalid) as info:
+        parse_scenario(base_doc)
+    assert str(info.value) == f"unknown keys: trajectory.{key}"
+
+
+def test_readme_schema_example_parses():
+    readme = (SCENARIO_DIR.parent / "README.md").read_text()
+    section = readme.split("## Scenario file schema", 1)[1]
+    example = section.split("```yaml\n", 1)[1].split("```", 1)[0]
+    scenario = parse_scenario(yaml.safe_load(example))
+    assert scenario.name == "demo"
+
+
 def test_missing_schema_version(base_doc):
     del base_doc["schema_version"]
     with pytest.raises(ConfigInvalid, match="schema_version"):
@@ -146,6 +167,7 @@ def test_landmark_position_entries_follow_the_float_rules(base_doc):
 
 
 def test_landmark_count_is_bounded(base_doc):
+    base_doc["gains"] = UNGAINED
     box = {"min": [-1, -1, -1], "max": [1, 1, 1]}
     base_doc["landmarks"] = {"count": MAX_LANDMARKS, "box": box}
     scenario = parse_scenario(base_doc)
@@ -177,7 +199,7 @@ def test_dt_must_not_exceed_duration(base_doc):
 
 @pytest.mark.parametrize("dt, steps", [(0.3, "3.33333"), (0.4, "2.5"), (0.7, "1.42857"), (0.25, None)])
 def test_duration_must_be_a_whole_number_of_steps(base_doc, dt, steps):
-    base_doc["duration"], base_doc["dt"] = 1.0, dt
+    base_doc["duration"], base_doc["dt"], base_doc["gains"] = 1.0, dt, UNGAINED
     if steps is None:
         assert parse_scenario(base_doc).dt == dt
         return
@@ -186,6 +208,26 @@ def test_duration_must_be_a_whole_number_of_steps(base_doc, dt, steps):
         parse_scenario(base_doc)
     with pytest.raises(ConfigInvalid, match=message):
         set_parameter(parse_scenario({**base_doc, "dt": 0.5}), "dt", dt)
+
+
+def test_bundled_gains_step_at_most_387_landmarks(base_doc):
+    # k1, k2, k3 = 2, 1, 12 at dt = 0.005: dt * lambda_max is 1.99985 at 387
+    # landmarks and 2.005 at 388, past the explicit-Euler limit
+    base_doc["landmarks"] = {"count": 387, "box": {"min": [-1, -1, -1], "max": [1, 1, 1]}}
+    scenario = parse_scenario(base_doc)
+    message = (
+        "dt, gains, landmarks: dt * lambda_max = 2.005 >= 2 is past the explicit-Euler limit, where "
+        "lambda_max = 400.97/s is the fastest error rate of these gains and 388 landmarks; the largest "
+        "stable dt is just under 2 / lambda_max = 0.0049879"
+    )
+    base_doc["landmarks"]["count"] = 388
+    with pytest.raises(ConfigInvalid, match=f"^{re.escape(message)}$"):
+        parse_scenario(base_doc)
+    # a sweep's scenarios are built as files are, so they inherit the check
+    with pytest.raises(ConfigInvalid, match=f"^{re.escape(message)}$"):
+        set_parameter(scenario, "landmarks.count", 388.0)
+    with pytest.raises(ConfigInvalid, match=r"dt \* lambda_max = 2\.5 >= 2"):
+        set_parameter(scenario, "dt", 0.00625)
 
 
 def test_nonpositive_duration(base_doc):
@@ -336,13 +378,10 @@ def test_set_parameter_revalidates(base_doc):
 
 
 def test_trajectory_errors_carry_section_path(base_doc):
-    base_doc["trajectory"]["initial_rotation"] = [1e200, 0.0, 0.0]
-    with pytest.raises(ConfigInvalid, match="^trajectory: rotation vector has no finite norm"):
+    base_doc["trajectory"]["tumble_amplitude"] = [0.0, float("nan"), 0.0]
+    with pytest.raises(ConfigInvalid, match="^trajectory: tumble_amplitude must be finite"):
         parse_scenario(base_doc)
-    base_doc["trajectory"]["initial_rotation"] = [0.0, float("nan"), 0.0]
-    with pytest.raises(ConfigInvalid, match="^trajectory: initial_rotation must be finite"):
-        parse_scenario(base_doc)
-    base_doc["trajectory"]["initial_rotation"] = [0.0, 0.0, 0.0]
+    base_doc["trajectory"]["tumble_amplitude"] = [0.0, 0.0, 0.0]
     base_doc["trajectory"]["initial_position"] = [0.0, 0.0, float("inf")]
     with pytest.raises(ConfigInvalid, match="^trajectory: initial_position must be finite"):
         parse_scenario(base_doc)
@@ -366,7 +405,7 @@ def test_set_parameter_non_finite_names_sweep_path(base_doc, path, message):
 
 # One valid instance of each config class that checks its own fields.
 VALID_CONFIGS = [
-    TrajectorySpec("tumble", 2.0, 0.5, 0.1, (0.6, 0.4, 0.5), (2.0, 0.0, 0.5), (0.1, 0.2, 0.3)),
+    TrajectorySpec("tumble", 2.0, 0.5, (0.6, 0.4, 0.5), (2.0, 0.0, 0.5)),
     ChannelNoise("student_t", 0.01, 3.0, (0.1, 0.0, 0.0)),
     Box((-5.0, -5.0, -5.0), (5.0, 5.0, 5.0)),
     LandmarkLayout(positions=((0.0, 0.0, 0.0), (1.0, 2.0, 3.0))),
@@ -467,7 +506,7 @@ def test_set_parameter_int_field_needs_integral_value(base_doc):
 
 
 def test_step_count_is_bounded(base_doc):
-    base_doc["dt"] = 1.0
+    base_doc["dt"], base_doc["gains"] = 1.0, UNGAINED
     base_doc["duration"] = float(MAX_STEPS)
     assert parse_scenario(base_doc).duration == MAX_STEPS
     base_doc["duration"] = MAX_STEPS + 1.0
@@ -481,7 +520,7 @@ def test_step_count_is_bounded(base_doc):
 
 def test_record_size_is_bounded(base_doc):
     # (steps + 1) x (2 l + 5) values: 1e6 steps hold 47 landmarks (9.9e7 values), not 48
-    base_doc["dt"], base_doc["duration"] = 1.0, 1.0e6
+    base_doc["dt"], base_doc["duration"], base_doc["gains"] = 1.0, 1.0e6, UNGAINED
     base_doc["landmarks"] = {"count": 47, "box": {"min": [-1, -1, -1], "max": [1, 1, 1]}}
     scenario = parse_scenario(base_doc)
     assert (10**6 + 1) * (2 * 47 + 5) <= MAX_RECORD_VALUES < (10**6 + 1) * (2 * 48 + 5)
@@ -536,9 +575,8 @@ def test_minimal_document_takes_dataclass_defaults():
     assert scenario.seed == 0
     assert scenario.attitude_mode == TRUE_ATTITUDE
     spec = scenario.trajectory
-    assert (spec.radius, spec.angular_rate, spec.vertical_rate) == (0.0, 0.0, 0.0)
-    assert spec.tumble_amplitude == (0.0, 0.0, 0.0)
-    assert spec.initial_position == spec.initial_rotation == (0.0, 0.0, 0.0)
+    assert (spec.radius, spec.angular_rate) == (0.0, 0.0)
+    assert spec.tumble_amplitude == spec.initial_position == (0.0, 0.0, 0.0)
     start = truth_at(spec, np.zeros(1), np.zeros((0, 3))).row(0)
     np.testing.assert_array_equal(homogeneous(start.dcm, start.position), np.eye(4))
 

@@ -13,7 +13,7 @@ import se3slam
 from conftest import random_rotation, truth_at_instant
 from se3slam import simulator
 from se3slam.errors import NonFiniteState
-from se3slam.liegroup import exp_so3, hat, homogeneous
+from se3slam.liegroup import hat, homogeneous
 from se3slam.simulator import (
     NOISE_FAMILIES,
     ChannelNoise,
@@ -25,12 +25,10 @@ from se3slam.simulator import (
 )
 
 ALL_SPECS = [
-    TrajectorySpec("circle", initial_position=(1.0, 2.0, 3.0), initial_rotation=(0.1, 0.2, -0.3)),
+    TrajectorySpec("circle", initial_position=(1.0, 2.0, 3.0)),
     TrajectorySpec("circle", radius=1.0, angular_rate=1.0),
-    TrajectorySpec("circle", radius=2.0, angular_rate=0.7, vertical_rate=0.3,
-                   initial_position=(0.5, 0.0, 0.0), initial_rotation=(0.0, 0.0, 0.4)),
-    TrajectorySpec("tumble", radius=1.5, angular_rate=0.9, tumble_amplitude=(0.4, 0.3, 0.5),
-                   initial_rotation=(0.2, -0.1, 0.0)),
+    TrajectorySpec("circle", radius=2.0, angular_rate=0.7, initial_position=(0.5, 0.0, 0.0)),
+    TrajectorySpec("tumble", radius=1.5, angular_rate=0.9, tumble_amplitude=(0.4, 0.3, 0.5)),
 ]
 
 
@@ -39,7 +37,7 @@ def test_circle_at_rest_holds_its_initial_pose():
     g = truth_at_instant(spec, 3.7)
     assert np.allclose(g.omega_body, 0.0)
     assert np.allclose(g.velocity_body, 0.0)
-    initial = homogeneous(exp_so3(spec.initial_rotation), np.array(spec.initial_position))
+    initial = homogeneous(np.eye(3), np.array(spec.initial_position))
     assert np.allclose(homogeneous(g.dcm, g.position), initial)
 
 
@@ -72,10 +70,10 @@ def test_truth_rejects_negative_time():
         truth_at_instant(ALL_SPECS[1], np.nan)
 
 
-@pytest.mark.parametrize("field", ["radius", "angular_rate", "vertical_rate", "tumble_amplitude"])
+@pytest.mark.parametrize("field", ["radius", "angular_rate", "tumble_amplitude", "initial_position"])
 def test_trajectory_rejects_non_finite_fields(field):
     # truth_at trusts the spec, so its constructor is where NaN must stop
-    value = (0.1, np.nan, 0.2) if field == "tumble_amplitude" else np.inf
+    value = np.inf if field in ("radius", "angular_rate") else (0.1, np.nan, 0.2)
     with pytest.raises(ValueError, match=f"^{field} must be finite"):
         TrajectorySpec("tumble", **{field: value})
 
@@ -105,8 +103,10 @@ def test_stacked_truth_rejects_bad_times():
 
 
 def test_stacked_truth_names_first_non_finite_time():
-    # c * t overflows once t exceeds 179.77; t = 179.5 is still finite
-    spec = TrajectorySpec("circle", vertical_rate=1e306)
+    # x = -1e308 + 0.8e308 (cos(w t) - 1) passes -1.797e308 first at t = 180, where
+    # w t = pi / 2; at t = 179.5 it reads -1.7965e308, still finite
+    spec = TrajectorySpec("circle", radius=0.8e308, angular_rate=np.pi / 360,
+                          initial_position=(-1e308, 0.0, 0.0))
     assert np.isfinite(truth_at(spec, np.arange(360) * 0.5, np.zeros((0, 3))).position).all()
     with np.errstate(over="ignore"), pytest.raises(
         NonFiniteState, match=r"position at t=180\.0$"
@@ -141,12 +141,10 @@ def test_stacked_truth_matches_per_time_bit_for_bit(spec, ts):
         assert np.allclose(row.landmarks_body, (landmarks - row.position) @ row.dcm.T, atol=1e-12)
 
 
-def test_truth_at_reuses_the_spec_start_attitude(monkeypatch):
-    # the spec keeps the exp_so3(initial_rotation) it checks, so a stacked truth makes
-    # its one stacked exponential and none for the start attitude
+def test_truth_at_makes_one_stacked_exponential(monkeypatch):
+    # every trajectory starts level, so a stacked truth makes its one stacked
+    # exponential and none for the start attitude
     spec = ALL_SPECS[3]
-    assert spec.initial_dcm == tuple(map(tuple, exp_so3(spec.initial_rotation).tolist()))
-    assert "initial_dcm" not in {f.name for f in dataclasses.fields(spec)}
     copy = TrajectorySpec(**dataclasses.asdict(spec))
     assert copy == spec and hash(copy) == hash(spec)
     calls = []
@@ -158,7 +156,7 @@ def test_truth_at_reuses_the_spec_start_attitude(monkeypatch):
         truth = truth_at(spec, np.linspace(0.0, 2.0, 17), np.zeros((0, 3)))
         stacked = "exp_so3_with_right_jacobian" if spec.family == "tumble" else "exp_so3"
         assert calls == [stacked]
-        assert np.array_equal(truth.dcm[0], exp_so3(spec.initial_rotation))
+        assert np.array_equal(truth.dcm[0], np.eye(3))
 
 
 def test_measure_identity_pose():
