@@ -296,8 +296,8 @@ def test_validate_rejects_too_many_landmarks(short_scenario, capsys):
 
 @pytest.mark.parametrize("family", ["static", "helix"])
 def test_static_and_helix_families_are_rejected(short_scenario, capsys, family):
-    # a circle at rest is the static pose and a climbing circle the helix, so
-    # circle and tumble, one per attitude law, are the only family names
+    # a circle at rest is the static pose and no trajectory climbs, so circle
+    # and tumble, one per attitude law, are the only family names
     message = f"trajectory: unknown trajectory family: '{family}' (circle or tumble)"
     document = yaml.safe_load(short_scenario.read_text())
     document["trajectory"]["family"] = family

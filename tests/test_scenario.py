@@ -106,7 +106,11 @@ def test_unknown_nested_key(base_doc):
         parse_scenario(base_doc)
 
 
-@pytest.mark.parametrize("key, value", [("initial_rotation", [0.0, 0.0, 0.0]), ("vertical_rate", 0.0)])
+@pytest.mark.parametrize(
+    "key, value",
+    [("initial_rotation", [0.0, 0.0, 0.0]), ("vertical_rate", 0.0)],
+    ids=["initial_rotation", "vertical_rate"],
+)
 def test_removed_trajectory_keys_are_unknown(base_doc, key, value):
     # every trajectory starts level and stays in the plane of its circle, so a file
     # that still sets a start rotation or a climb rate fails as any unknown key does
